@@ -285,13 +285,20 @@ def unary_full_decider(sig: Signature, predicate: ClassPredicate) -> NonAdaptive
     return NonAdaptiveAlgorithm(LEFT, queries, accept)
 
 
-@lru_cache(maxsize=None)
 def brute_force_distinguisher(n: int, sig: Signature = DIGRAPH_SIG,
                               search_cap: int = 4, guard: int = 2) -> Structure:
     """
     First digraph F in enumeration order whose hom counts hom(H, F) are
     pairwise distinct over the iso-classes H of size n.
     """
+    # lru_cache keys on the call form: pass every argument positionally so
+    # that (2) and (2, DIGRAPH_SIG) share one entry
+    return _brute_force_distinguisher(n, sig, search_cap, guard)
+
+
+@lru_cache(maxsize=None)
+def _brute_force_distinguisher(n: int, sig: Signature, search_cap: int,
+                               guard: int) -> Structure:
     if sig != DIGRAPH_SIG:
         raise ValueError("only digraph signatures are supported")
     if n > guard:

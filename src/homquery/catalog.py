@@ -11,8 +11,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .structures import DIGRAPH_SIG, GuardExceeded, Signature, Structure, digraph
 
 
@@ -21,11 +19,6 @@ class IsoClassCatalog:
     size: int
     signature: Signature
     representatives: tuple[Structure, ...]
-
-
-def _mask_to_digraph(mask: int, n: int) -> Structure:
-    edges = {(i // n, i % n) for i in range(n * n) if mask >> i & 1}
-    return digraph(n, edges)
 
 
 def digraph_to_mask(d: Structure, perm=None) -> int:
@@ -52,20 +45,39 @@ def enumerate_digraphs(n: int, guard: int = 4) -> IsoClassCatalog:
     if n > guard:
         raise GuardExceeded(f"enumeration guard: n = {n} > {guard}")
     bits = n * n
-    masks = np.arange(1 << bits, dtype=np.int64)
-    canon = masks.copy()
+    shifts = range(0, bits, 8)
+    # byte_images[p][k][x]: the bits x of the byte at shifts[k], moved by permutation p
+    byte_images = []
     for perm in itertools.permutations(range(n)):
-        permuted = np.zeros_like(masks)
-        for i in range(bits):
-            u, v = i // n, i % n
-            j = perm[u] * n + perm[v]
-            permuted |= ((masks >> i) & 1) << j
-        np.minimum(canon, permuted, out=canon)
-    reps = np.unique(canon)
+        moved = [1 << (perm[i // n] * n + perm[i % n]) for i in range(bits)]
+        tables = []
+        for shift in shifts:
+            table = [0] * 256
+            for x in range(1, 256):
+                low = (x & -x).bit_length() - 1
+                if shift + low < bits:
+                    table[x] = table[x & (x - 1)] | moved[shift + low]
+            tables.append(table)
+        byte_images.append(tables)
+    # scanning in ascending order, the first mask met of each orbit is its minimum
+    marked = bytearray(1 << bits)
+    reps = []
+    for mask in range(1 << bits):
+        if marked[mask]:
+            continue
+        reps.append(mask)
+        for tables in byte_images:
+            image = 0
+            for shift, table in zip(shifts, tables):
+                image |= table[mask >> shift & 255]
+            marked[image] = 1
+    # one tuple per edge (u, v), shared by every representative that has it
+    pairs = tuple((i // n, i % n) for i in range(bits))
     return IsoClassCatalog(
         size=n,
         signature=DIGRAPH_SIG,
-        representatives=tuple(_mask_to_digraph(int(m), n) for m in reps),
+        representatives=tuple(digraph(n, [pairs[i] for i in range(bits) if m >> i & 1])
+                              for m in reps),
     )
 
 

@@ -2,23 +2,42 @@
 Homomorphism counting and existence between finite relational structures,
 plus the closed-form counts into disjoint unions of (n-ary) cycles.
 
-The general counter is exact (Python integers) and backtracks over the
-source elements in a connectivity-first order, multiplying counts across
-the source's components.  The closed forms never run the backtracking;
-property tests compare the two code paths.
+The general engine is exact (Python integers).  It is a dynamic program
+over the source's elements, taken component by component in BFS order
+(adjacency = shared facts); a fact is checked at the position of its last
+element.  The *frontier* of a position is the set of earlier elements that
+facts checked there or later still read.  The number of ways to extend a
+partial map from a position on depends only on the frontier's images, so
+it is computed once per frontier image tuple and cached: variable
+elimination along the order (Diaz, Serna and Thilikos, TCS 2002; Dalmau
+and Jonsson, TCS 2004).  The images an element may take are read from
+lookup tables over the target's relations, keyed on the images already
+fixed in each fact checked at its position, and intersected in ascending
+order.  Counts of components multiply.
+
+find_hom runs the same search in ascending candidate order, stops at the
+first complete map (the lexicographically least one in that order) and
+caches only the frontier states that have no extension.  The work budget
+counts candidate images tried; exceeding it raises WorkBudgetExceeded.
+Plans are cached per source and tables per target relation, both keyed on
+relation contents and bounded.
+
+The closed forms never run the search; property tests compare the two
+code paths.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from functools import lru_cache
+from operator import itemgetter
 
 from .analysis import component_count, gamma, star_transform
 from .structures import Structure
 
 
 class WorkBudgetExceeded(Exception):
-    "The backtracking search hit its node budget; this is never a count."
+    "The search tried more candidate images than its budget; this is never a count."
 
 
 COUNT = "count"
@@ -27,98 +46,181 @@ BOOLEAN = "boolean"
 DEFAULT_BUDGET = 10_000_000
 
 
-def _component_plan(a: Structure, comp: list[int]):
+def _no_images(img) -> tuple:
+    "Key of the fixed images of a fact that holds only the element being placed."
+    return ()
+
+
+@lru_cache(maxsize=1024)
+def _plan(domain_size: int, relations: tuple[frozenset, ...]):
     """
-    BFS order over the component's elements (adjacency = shared facts),
-    and for each order position the facts that become fully assigned there.
+    Search plan of a source with these relations (in signature order).
+
+    Returns (needs, components).  needs lists the (relation index, mask)
+    tables the plan reads; mask marks the tuple positions that hold the
+    element being placed.  Each component is (order, frontier, checks):
+    order is its BFS element order; frontier[i] gives the key of the
+    frontier's images at position i, or None where every earlier element
+    is still read, so that no two partial maps share a key and caching
+    would only cost memory; checks[i] lists (table slot, key of the fixed
+    images) for each fact checked at position i.
     """
-    comp_set = set(comp)
-    adjacency: dict[int, set[int]] = {e: set() for e in comp}
-    comp_facts = []
-    for name, t in a.facts():
-        if t and t[0] in comp_set:
-            comp_facts.append((name, t))
-            for e in t:
-                adjacency[e].update(t)
-    order = []
-    seen: set[int] = set()
-    for start in comp:
-        if start in seen:
+    facts = [(r, t) for r, tuples in enumerate(relations) for t in sorted(tuples)]
+    adjacency: list[set[int]] = [set() for _ in range(domain_size)]
+    for _, t in facts:
+        for e in t:
+            adjacency[e].update(t)
+    position: list[int | None] = [None] * domain_size
+    component_of = [0] * domain_size
+    orders: list[list[int]] = []
+    for start in range(domain_size):
+        if position[start] is not None:
             continue
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
+        order = [start]
+        position[start] = 0
+        for v in order:
+            component_of[v] = len(orders)
             for w in sorted(adjacency[v]):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    position = {e: i for i, e in enumerate(order)}
-    checks: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in order]
-    for name, t in comp_facts:
-        checks[max(position[e] for e in t)].append((name, t))
-    return order, checks
+                if position[w] is None:
+                    position[w] = len(order)
+                    order.append(w)
+        orders.append(order)
+
+    slots: dict[tuple[int, int], int] = {}
+    checks: list[list[list]] = [[[] for _ in order] for order in orders]
+    last_read: list[list[int]] = [list(range(len(order))) for order in orders]
+    for r, t in facts:
+        c = component_of[t[0]]
+        at = max(position[e] for e in t)
+        new = orders[c][at]
+        mask = sum(1 << k for k, e in enumerate(t) if e == new)
+        fixed = [position[e] for e in t if e != new]
+        slot = slots.setdefault((r, mask), len(slots))
+        checks[c][at].append((slot, itemgetter(*fixed) if fixed else _no_images))
+        for p in fixed:
+            last_read[c][p] = max(last_read[c][p], at)
+
+    components = []
+    for c, order in enumerate(orders):
+        frontier = []
+        for i in range(len(order)):
+            live = [p for p in range(i) if last_read[c][p] >= i]
+            frontier.append(None if len(live) == i else itemgetter(*live))
+        components.append((tuple(order), tuple(frontier),
+                           tuple(tuple(at) for at in checks[c])))
+    return tuple(slots), tuple(components)
+
+
+# A table is as large as its target relation, so only a few are kept: enough
+# for a run of probes into one target, as query algorithms and their cache
+# fills send them.
+@lru_cache(maxsize=8)
+def _table(relation: frozenset, mask: int) -> dict:
+    """
+    For facts whose positions in mask hold the element being placed: the
+    images it may take (an ascending tuple), keyed on the images at the
+    other positions, a scalar for one other position and a tuple otherwise.
+    Callers must not mutate it.
+    """
+    grouped: dict[object, set[int]] = {}
+    for t in relation:
+        new = {e for k, e in enumerate(t) if mask >> k & 1}
+        if len(new) != 1:
+            continue
+        fixed = tuple(e for k, e in enumerate(t) if not mask >> k & 1)
+        grouped.setdefault(fixed[0] if len(fixed) == 1 else fixed, set()).update(new)
+    return {key: tuple(sorted(images)) for key, images in grouped.items()}
 
 
 class _Budget:
     def __init__(self, limit):
-        self.limit = limit
+        self.limit = math.inf if limit is None else limit
         self.used = 0
 
-    def spend(self):
-        self.used += 1
-        if self.limit is not None and self.used > self.limit:
+    def spend(self, nodes=1):
+        self.used += nodes
+        if self.used > self.limit:
             raise WorkBudgetExceeded(f"search exceeded {self.limit} nodes")
 
 
-def _component_search(order, checks, b: Structure, budget: _Budget, limit):
+def _search(component, tables, domain: range, budget: _Budget, find: bool):
     """
-    Count homomorphisms of one source component into b; with limit set,
-    stop after that many and return found witnesses instead of the count.
+    (number of homomorphisms of one source component into the target whose
+    tables are given, images by position).  With find set the number is 1
+    or 0, and on 1 the images are the first homomorphism found.
     """
-    assignment: dict[int, int] = {}
-    found: list[dict[int, int]] = []
-    count = 0
+    order, frontier, checks = component
+    last = len(order) - 1
+    img = [0] * len(order)
+    memo: list[dict] = [{} for _ in order]
 
-    def extend(i) -> bool:
-        nonlocal count
-        if i == len(order):
-            count += 1
-            if limit is not None:
-                found.append(dict(assignment))
-                return len(found) >= limit
-            return False
-        e = order[i]
-        for image in b.domain:
+    def candidates(i):
+        at = checks[i]
+        if not at:
+            return domain
+        if len(at) == 1:
+            slot, key = at[0]
+            return tables[slot].get(key(img), ())
+        options = sorted((tables[slot].get(key(img), ()) for slot, key in at), key=len)
+        images = options[0]
+        for other in options[1:]:
+            images = [v for v in images if v in other]
+        return images
+
+    def extend(i) -> int:
+        images = candidates(i)
+        if i == last:
+            if not find:
+                budget.spend(len(images))
+                return len(images)
+            for v in images:
+                budget.spend()
+                img[i] = v
+                return 1
+            return 0
+        seen, key = memo[i + 1], frontier[i + 1]
+        total = 0
+        for v in images:
             budget.spend()
-            assignment[e] = image
-            ok = all(tuple(assignment[x] for x in t) in b.relations[name]
-                     for name, t in checks[i])
-            if ok and extend(i + 1):
-                return True
-        del assignment[order[i]]
-        return False
+            img[i] = v
+            if key is not None:
+                k = key(img)
+                n = seen.get(k)
+                if n is not None:
+                    total += n
+                    continue
+            n = extend(i + 1)
+            if n and find:
+                return 1
+            if key is not None:
+                seen[k] = n
+            total += n
+        return total
 
-    extend(0)
-    return count, found
+    try:
+        return extend(0), img
+    finally:
+        del extend  # extend's closure holds extend: free the cycle now, not at the next collection
 
 
-def _require_same_signature(a: Structure, b: Structure):
+def _prepare(a: Structure, b: Structure):
+    "The components of a's plan, and the tables of b they read."
     if a.signature != b.signature:
         raise ValueError("signature mismatch")
+    needs, components = _plan(a.domain_size,
+                              tuple(a.relations[name] for name in a.signature.names))
+    b_relations = tuple(b.relations[name] for name in b.signature.names)
+    tables = [_table(b_relations[r], mask) for r, mask in needs]
+    return components, tables
 
 
 def hom_count(a: Structure, b: Structure, budget: int | None = DEFAULT_BUDGET) -> int:
     "Exact number of homomorphisms a -> b."
-    from .analysis import element_components
-
-    _require_same_signature(a, b)
+    components, tables = _prepare(a, b)
     state = _Budget(budget)
     total = 1
-    for comp in element_components(a):
-        order, checks = _component_plan(a, comp)
-        count, _ = _component_search(order, checks, b, state, limit=None)
+    for component in components:
+        count, _ = _search(component, tables, b.domain, state, find=False)
         if count == 0:
             return 0
         total *= count
@@ -127,17 +229,14 @@ def hom_count(a: Structure, b: Structure, budget: int | None = DEFAULT_BUDGET) -
 
 def find_hom(a: Structure, b: Structure, budget: int | None = DEFAULT_BUDGET):
     "One homomorphism a -> b as a dict, or None."
-    from .analysis import element_components
-
-    _require_same_signature(a, b)
+    components, tables = _prepare(a, b)
     state = _Budget(budget)
     witness: dict[int, int] = {}
-    for comp in element_components(a):
-        order, checks = _component_plan(a, comp)
-        _, found = _component_search(order, checks, b, state, limit=1)
+    for component in components:
+        found, images = _search(component, tables, b.domain, state, find=True)
         if not found:
             return None
-        witness.update(found[0])
+        witness.update(zip(component[0], images))
     return witness
 
 

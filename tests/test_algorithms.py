@@ -24,6 +24,7 @@ from homquery.registry import (
     run_registered,
 )
 from homquery.structures import (
+    DIGRAPH_SIG,
     GuardExceeded,
     Signature,
     digraph,
@@ -154,6 +155,15 @@ def test_brute_force_distinguisher():
         assert len(set(counts)) == len(counts)
     with pytest.raises(GuardExceeded):
         alg.brute_force_distinguisher(3)
+
+
+def test_brute_force_distinguisher_call_forms_share_one_cache_entry():
+    alg._brute_force_distinguisher.cache_clear()
+    first = alg.brute_force_distinguisher(2)
+    assert alg.brute_force_distinguisher(2, DIGRAPH_SIG) is first
+    assert alg.brute_force_distinguisher(n=2, sig=DIGRAPH_SIG, search_cap=4) is first
+    info = alg._brute_force_distinguisher.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_right_two_query_decider():

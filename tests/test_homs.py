@@ -1,7 +1,10 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_digraphs
 from homquery.analysis import component_count, gamma
@@ -18,6 +21,7 @@ from homquery.homs import (
     hom_value,
     nu2,
 )
+from homquery.oracle import oracle_hom_count
 from homquery.structures import (
     DIGRAPH_SIG,
     Signature,
@@ -87,6 +91,73 @@ def test_budget_exhaustion():
         hom_count(star, target, budget=10)
     # unlimited budget allowed explicitly
     assert hom_count(star, target, budget=None) == 2 ** 7
+
+
+# two or three relations of arities 1-3: facts with repeated elements make
+# the search read every table mask (which tuple positions hold the new element)
+MIXED_SIGNATURES = (
+    Signature((("P", 1), ("R", 2))),
+    Signature((("R", 2), ("T", 3))),
+    Signature((("P", 1), ("R", 2), ("T", 3))),
+    Signature((("E", 2), ("F", 2), ("U", 1))),
+)
+
+
+@st.composite
+def mixed_structures(draw, sig, max_elements):
+    n = draw(st.integers(1, max_elements))
+    return make_structure(sig, n, {
+        name: draw(st.sets(st.sampled_from(
+            list(itertools.product(range(n), repeat=arity))), max_size=6))
+        for name, arity in sig.relations})
+
+
+@st.composite
+def mixed_pairs(draw):
+    sig = draw(st.sampled_from(MIXED_SIGNATURES))
+    return draw(mixed_structures(sig, 4)), draw(mixed_structures(sig, 3))
+
+
+def _is_hom(w, a, b) -> bool:
+    return (sorted(w) == list(a.domain) and all(w[e] in b.domain for e in w)
+            and all(tuple(w[e] for e in t) in b.relations[name] for name, t in a.facts()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_pairs())
+def test_engine_matches_oracle_on_mixed_signatures(pair):
+    a, b = pair
+    expected = oracle_hom_count(a, b)
+    assert hom_count(a, b) == expected
+    w = find_hom(a, b)
+    assert (w is not None) == (expected > 0)
+    if w is not None:
+        assert _is_hom(w, a, b)
+
+
+def _walks(d, length) -> int:
+    "Number of directed walks with `length` edges, by adjacency-matrix powers."
+    counts = [1] * d.domain_size
+    for _ in range(length):
+        counts = [sum(counts[v] for x, v in d.relations["R"] if x == u)
+                  for u in d.domain]
+    return sum(counts)
+
+
+def test_large_counts_within_small_budget():
+    # the adaptive-not-better k=2 shape: 2*C_105 into itself
+    two_c105 = scalar_multiple(2, directed_cycle(105))
+    assert hom_count(two_c105, two_c105, budget=200_000) == \
+        hom_into_cycle_union_formula(two_c105, 2, 105) == 44_100
+    w = find_hom(two_c105, two_c105, budget=200_000)
+    assert w is not None and _is_hom(w, two_c105, two_c105)
+    # P_6 into a seeded 40-vertex, 300-edge digraph
+    rng = random.Random(0)
+    edges = set()
+    while len(edges) < 300:
+        edges.add((rng.randrange(40), rng.randrange(40)))
+    g = digraph(40, edges)
+    assert hom_count(directed_path(6), g, budget=200_000) == _walks(g, 6)
 
 
 @settings(max_examples=100, deadline=None)
