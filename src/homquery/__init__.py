@@ -29,7 +29,6 @@ from .analysis import (
     core,
     gamma,
     hom_equiv_to_acyclic,
-    incidence_multigraph,
     is_berge_acyclic,
     maps_to_cycle,
     star_transform,

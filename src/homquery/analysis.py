@@ -1,14 +1,13 @@
 """
-Structural parameters: incidence multigraph, component count,
-Berge-acyclicity, the cycle-gcd parameter gamma, the star transform
-of an n-ary relation, cores, and acyclic-up-to-hom-equivalence.
+Structural parameters: component count, Berge-acyclicity, the cycle-gcd
+parameter gamma, the star transform of an n-ary relation, cores, and
+acyclic-up-to-hom-equivalence.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 from .structures import (
     GuardExceeded,
@@ -18,31 +17,6 @@ from .structures import (
     edges_of,
     make_structure,
 )
-
-
-@dataclass(frozen=True)
-class IncidenceMultigraph:
-    """
-    Bipartite multigraph of elements vs facts.  Facts are (relation, tuple)
-    pairs; the edge multiplicity between element a and fact f is the number
-    of positions of f's tuple equal to a.
-    """
-    element_nodes: tuple[int, ...]
-    fact_nodes: tuple[tuple[str, tuple[int, ...]], ...]
-    # edges[fact index] = the fact's tuple, one edge per position
-    edges: tuple[tuple[int, ...], ...]
-
-    def multiplicity(self, element: int, fact_index: int) -> int:
-        return sum(1 for e in self.edges[fact_index] if e == element)
-
-
-def incidence_multigraph(s: Structure) -> IncidenceMultigraph:
-    facts = tuple(s.facts())
-    return IncidenceMultigraph(
-        element_nodes=tuple(s.domain),
-        fact_nodes=facts,
-        edges=tuple(t for _, t in facts),
-    )
 
 
 def element_components(s: Structure) -> list[list[int]]:
@@ -76,20 +50,12 @@ def component_count(s: Structure) -> int:
 
 def is_berge_acyclic(s: Structure) -> bool:
     """
-    True iff the incidence multigraph has no cycle.  A repeated element
-    within one fact gives parallel edges, which already form a cycle, so
-    after excluding those it suffices that the simple bipartite graph is
-    a forest: edge count == node count - component count.
+    True iff the incidence multigraph (elements vs facts, one edge per
+    position of a fact's tuple) has no cycle: union-find over the elements,
+    where each fact must join elements from pairwise distinct components.
+    A repeated element within one fact gives parallel edges, a cycle.
     """
-    inc = incidence_multigraph(s)
-    simple_edges = 0
-    for t in inc.edges:
-        if len(set(t)) != len(t):
-            return False
-        simple_edges += len(t)
-    nodes = len(inc.element_nodes) + len(inc.fact_nodes)
-    # components of the bipartite graph: facts merge with their elements
-    parent = list(range(nodes))
+    parent = list(s.domain)
 
     def find(x):
         while parent[x] != x:
@@ -97,79 +63,44 @@ def is_berge_acyclic(s: Structure) -> bool:
             x = parent[x]
         return x
 
-    n_elem = len(inc.element_nodes)
-    components = nodes
-    for fi, t in enumerate(inc.edges):
-        for a in t:
-            ra, rf = find(a), find(n_elem + fi)
-            if ra == rf:
+    for _, t in s.facts():
+        root = find(t[0])
+        for a in t[1:]:
+            ra = find(a)
+            if ra == root:
                 return False
-            parent[ra] = rf
-            components -= 1
-    return simple_edges == nodes - components
-
-
-@dataclass(frozen=True)
-class WalkAnalysis:
-    # per weak component: element -> potential along some traversal tree
-    potentials: tuple[dict[int, int], ...]
-    # gcd of |potential(u)+1-potential(v)| over each component's edges
-    component_gcds: tuple[int, ...]
-
-
-def walk_analysis(d: Structure) -> WalkAnalysis:
-    """
-    Assign integer potentials per weak component (+1 along a forward edge,
-    -1 along a backward edge); every edge's discrepancy |pot(u)+1-pot(v)|
-    is the net length of some closed oriented walk, and their gcd is the
-    gcd of all positive-net-length oriented cycle lengths.
-    """
-    edges = edges_of(d)
-    out_adj: dict[int, list[int]] = {v: [] for v in d.domain}
-    in_adj: dict[int, list[int]] = {v: [] for v in d.domain}
-    for u, v in edges:
-        out_adj[u].append(v)
-        in_adj[v].append(u)
-
-    potentials = []
-    gcds = []
-    seen: set[int] = set()
-    for start in d.domain:
-        if start in seen:
-            continue
-        pot = {start: 0}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in out_adj[v]:
-                if w not in pot:
-                    pot[w] = pot[v] + 1
-                    seen.add(w)
-                    queue.append(w)
-            for w in in_adj[v]:
-                if w not in pot:
-                    pot[w] = pot[v] - 1
-                    seen.add(w)
-                    queue.append(w)
-        g = 0
-        for u, v in edges:
-            if u in pot:
-                g = math.gcd(g, abs(pot[u] + 1 - pot[v]))
-        potentials.append(pot)
-        gcds.append(g)
-    return WalkAnalysis(tuple(potentials), tuple(gcds))
+            parent[ra] = root
+    return True
 
 
 def gamma(d: Structure) -> int:
     """
     gcd of the net lengths of all positive-net-length oriented cycles;
-    0 when there are none (gcd of the empty set).
+    0 when there are none (gcd of the empty set).  Potentials go +1 along
+    a forward edge and -1 along a backward one from a root per weak
+    component; every edge's discrepancy |pot(u)+1-pot(v)| is the net
+    length of some closed oriented walk, and their gcd is the answer.
     """
-    analysis = walk_analysis(d)
+    edges = edges_of(d)
+    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in d.domain}
+    for u, v in edges:
+        adjacency[u].append((v, 1))
+        adjacency[v].append((u, -1))
+    pot: dict[int, int] = {}
+    for start in d.domain:
+        if start in pot:
+            continue
+        pot[start] = 0
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w, step in adjacency[v]:
+                if w not in pot:
+                    pot[w] = pot[v] + step
+                    queue.append(w)
     g = 0
-    for comp_gcd in analysis.component_gcds:
-        g = math.gcd(g, comp_gcd)
+    for u, v in edges:
+        g = math.gcd(g, pot[u] + 1 - pot[v])
     return g
 
 
@@ -212,10 +143,10 @@ def core(s: Structure, guard: int = 7) -> Structure:
     """
     A minimal retract: repeatedly find an endomorphism missing some element
     and restrict to the induced image, until none exists.  Returned in
-    lexicographically least canonical form (cores are unique up to
-    isomorphism, so ties do not matter).
+    canonical form (cores are unique up to isomorphism, so the retract
+    found does not matter).
     """
-    from .homs import find_hom
+    from .homs import find_hom  # deferred: homs imports analysis for the closed forms
 
     if s.domain_size > guard:
         raise GuardExceeded(f"core guard: |s| = {s.domain_size} > {guard}")

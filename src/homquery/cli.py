@@ -3,11 +3,14 @@ Command line interface: hom counting, structural analysis, running the
 registered query algorithms, family generation, iso-class enumeration,
 Datalog evaluation, experiments and the brute-force oracle.
 
-Exit code is 0 iff every assertion made by the invoked command passed.
+Exit code is 0 iff every assertion made by the invoked command passed;
+bad usage (such as a missing, unknown or non-integer experiment
+parameter) exits 2 with a one-line message.
 """
 
 from __future__ import annotations
 
+import inspect
 import sys
 from pathlib import Path
 
@@ -193,9 +196,20 @@ def experiment_cmd(ctx, experiment_id, params):
     "Run an experiment; PARAMS are key=value integers (e.g. n=3)."
     kwargs = {}
     for p in params:
-        key, _, value = p.partition("=")
-        kwargs[key.replace("-", "_")] = int(value)
-    report = EXPERIMENTS[experiment_id](**kwargs)
+        key, eq, value = p.partition("=")
+        if not eq:
+            raise click.UsageError(f"parameter {p!r} is not of the form key=value")
+        try:
+            kwargs[key.replace("-", "_")] = int(value)
+        except ValueError:
+            raise click.UsageError(
+                f"parameter {key!r}: {value!r} is not an integer") from None
+    experiment = EXPERIMENTS[experiment_id]
+    try:
+        inspect.signature(experiment).bind(**kwargs)
+    except TypeError as exc:
+        raise click.UsageError(f"experiment {experiment_id}: {exc}") from None
+    report = experiment(**kwargs)
     click.echo(report.render(ctx.obj["fmt"]), nl=False)
     if not report.passed:
         sys.exit(1)

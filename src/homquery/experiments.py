@@ -7,22 +7,23 @@ renders to a stable line-oriented key:value report ending in PASS/FAIL.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
 from . import algorithms as alg
 from .analysis import component_count, gamma, star_transform
-from .catalog import enumerate_digraphs, enumerate_digraphs_upto
+from .catalog import enumerate_digraphs_upto
 from .datalog import builtin_programs, evaluate
 from .homs import (
-    BOOLEAN,
     COUNT,
-    hom_count,
     hom_into_cycle_union_formula,
     hom_into_nary_cycle_union_formula,
 )
 from .oracle import has_directed_cycle, oracle_hom_count
-from .query import LEFT, RIGHT, run_adaptive, run_non_adaptive
+from .query import run_non_adaptive
+from .registry import run_registered
 from .structures import (
     GuardExceeded,
     Signature,
@@ -101,7 +102,6 @@ def experiment_dn(n: int) -> ExperimentReport:
     report = ExperimentReport("dn", {"n": n})
     members = [(m, _power_cycle_member(n, m)) for m in range(n + 1)]
     separator = alg.dn_nonadaptive_separator(n)
-    search = alg.dn_adaptive_binary_search(n)
     max_queries = n.bit_length()  # ceil(log2(n+1))
 
     vectors = {}
@@ -119,7 +119,7 @@ def experiment_dn(n: int) -> ExperimentReport:
             oracle_vector = tuple(oracle_hom_count(q, member) for q in separator.queries)
             if oracle_vector != rep.transcript:
                 oracle_agree = False
-        arep = run_adaptive(search, member, LEFT, COUNT, max_steps=n + 2)
+        arep = run_registered("dn-binsearch", member, n=n)
         if arep.verdict != expected:
             adaptive_correct = False
         if arep.query_count > max_queries:
@@ -155,7 +155,7 @@ def experiment_adaptive_not_better(k: int = 1, primes=None, seed: int = 0) -> Ex
     for j, member in enumerate(structures):
         vector = tuple(
             hom_into_cycle_union_formula(algorithm.queries[i], primes[j],
-                                         _prime_cofactor(primes, j))
+                                         math.prod(primes) // primes[j])
             for i in range(k))
         for i, value in enumerate(vector):
             if (value != 0) != (i == j):
@@ -177,13 +177,6 @@ def experiment_adaptive_not_better(k: int = 1, primes=None, seed: int = 0) -> Ex
     return report
 
 
-def _prime_cofactor(primes, j):
-    product = 1
-    for p in primes:
-        product *= p
-    return product // primes[j]
-
-
 def _adversary_replay(report, k, structures, primes, seed):
     """
     Finite-pool illustration of the adversary argument: every pooled
@@ -192,9 +185,7 @@ def _adversary_replay(report, k, structures, primes, seed):
     adaptive (k-1)-query run leaves >= k+1 members on one computation
     path, among them a member of the class and a non-member.
     """
-    product = 1
-    for p in primes:
-        product *= p
+    product = math.prod(primes)
     pool = list(enumerate_digraphs_upto(4))
     rng = random.Random(seed)
     for _ in range(300):  # seeded 5-vertex augmentation of the pool
@@ -208,8 +199,7 @@ def _adversary_replay(report, k, structures, primes, seed):
     dichotomy_ok = True
     split_ok = True
     for f in pool:
-        values = [hom_into_cycle_union_formula(f, primes[j],
-                                               _prime_cofactor(primes, j))
+        values = [hom_into_cycle_union_formula(f, primes[j], product // primes[j])
                   for j in range(len(structures))]
         allowed = {0, product ** component_count(f)}
         if not set(values) <= allowed:
@@ -237,8 +227,6 @@ def experiment_nary(n: int = 3, d_max: int = 3) -> ExperimentReport:
     if n > 3 or d_max > 4:
         raise GuardExceeded("experiment_nary guard: n <= 3, d_max <= 4")
     report = ExperimentReport("nary", {"n": n, "d_max": d_max})
-    import itertools
-
     cases = mismatches = 0
     for arity in range(1, n + 1):
         max_tuples = 4 if arity <= 2 else 3
@@ -275,8 +263,6 @@ def experiment_unbounded_boolean(max_vertices: int = 4) -> ExperimentReport:
     """
     report = ExperimentReport("unbounded-boolean", {"max_vertices": max_vertices})
     programs = builtin_programs()
-    left = alg.unbounded_boolean_cycle_detector()
-    right = alg.unbounded_boolean_nonzero_net_cycle_detector()
 
     left_bad = right_bad = datalog_bad = 0
     left_bound_ok = right_bound_ok = True
@@ -285,13 +271,13 @@ def experiment_unbounded_boolean(max_vertices: int = 4) -> ExperimentReport:
         truth_cycle = has_directed_cycle(d)
         g = gamma(d)
 
-        rep = run_adaptive(left, d, LEFT, BOOLEAN, max_steps=2 * (n + 1))
+        rep = run_registered("ub-bool-cycle", d)
         if rep.verdict != truth_cycle:
             left_bad += 1
         if rep.query_count > 2 * (n + 1):
             left_bound_ok = False
 
-        rep = run_adaptive(right, d, RIGHT, BOOLEAN, max_steps=2 * max(n + 1, 2))
+        rep = run_registered("ub-bool-netcycle", d)
         if rep.verdict != (g != 0):
             right_bad += 1
         rounds = (rep.query_count + 1) // 2

@@ -8,6 +8,7 @@ enumerates oriented cycles explicitly instead of using potentials.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -114,8 +115,6 @@ def has_directed_cycle(d: Structure) -> bool:
 
 def shortest_directed_cycle(d: Structure):
     "Length of the shortest directed cycle, or None if the digraph is acyclic."
-    from collections import deque
-
     adj: dict[int, list[int]] = {v: [] for v in d.domain}
     for u, v in edges_of(d):
         adj[u].append(v)

@@ -100,14 +100,13 @@ def default_step_cap(input_structure: Structure) -> int:
 
 def run_adaptive(strategy: Strategy, input_structure: Structure,
                  orientation: str, semiring: str = COUNT,
-                 max_steps: Optional[int] = None,
-                 use_default_cap: bool = True) -> RunReport:
+                 max_steps: Optional[int] = None) -> RunReport:
     """
     Iterate the strategy on the growing transcript until it halts.
-    max_steps=None with use_default_cap=True applies the built-in cap
-    2*|input| + |input|^2; exceeding the cap is an error, never a verdict.
+    max_steps=None applies default_step_cap, 2*|input| + |input|^2;
+    exceeding the cap is an error, never a verdict.
     """
-    if max_steps is None and use_default_cap:
+    if max_steps is None:
         max_steps = default_step_cap(input_structure)
     transcript: Transcript = ()
     issued: list[Structure] = []
@@ -123,7 +122,7 @@ def run_adaptive(strategy: Strategy, input_structure: Structure,
             return RunReport(decision.verdict, transcript, tuple(issued))
         if not isinstance(decision, Query):
             raise StrategyContractError(f"invalid decision {decision!r}")
-        if max_steps is not None and len(issued) >= max_steps:
+        if len(issued) >= max_steps:
             raise StepLimitExceeded(f"exceeded step cap {max_steps}")
         answer = _answer(decision.structure, input_structure, orientation, semiring)
         issued.append(decision.structure)

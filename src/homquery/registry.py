@@ -3,7 +3,9 @@ Stable algorithm registry for the CLI and the experiment harness.
 
 Each entry knows its orientation, semiring, how to build the runnable
 (non-adaptive algorithm or adaptive strategy) and a safe step cap for
-adaptive runs on a given input.
+adaptive runs on a given input.  These caps are the one statement of
+each step cap: the experiments run the adaptive algorithms through
+run_registered.
 """
 
 from __future__ import annotations

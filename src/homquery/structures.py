@@ -1,6 +1,8 @@
 """
 Finite relational structures: signatures, constructors, combinators,
-isomorphism testing and (de)serialization.
+isomorphism testing and canonical forms by relabeling within blocks of
+elements of equal profile (the (relation, position) slots an element
+occupies), and (de)serialization.
 
 Elements are always the canonical integers 0..n-1.  All values are
 immutable; every operation returns a fresh structure.
@@ -8,6 +10,7 @@ immutable; every operation returns a fresh structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -197,25 +200,75 @@ def relabel(s: Structure, perm) -> Structure:
     return make_structure(s.signature, s.domain_size, rels)
 
 
-def structure_key(s: Structure) -> tuple:
-    "Total order key on same-signature structures of equal size."
-    return tuple(tuple(sorted(s.relations[name])) for name in s.signature.names)
+def _blocks(s: Structure) -> tuple[tuple, list[list[int]]]:
+    """
+    Isomorphism-invariant partition of the domain.  An element's profile
+    is the sorted multiset of (relation, position) slots it occupies;
+    elements of equal profile form a block, blocks in ascending profile
+    order.  Returns ((profile, block size) per block, the blocks).
+    """
+    slots: list[list[tuple[str, int]]] = [[] for _ in s.domain]
+    for name, ts in s.relations.items():
+        for t in ts:
+            for i, e in enumerate(t):
+                slots[e].append((name, i))
+    groups: dict[tuple, list[int]] = {}
+    for e in s.domain:
+        groups.setdefault(tuple(sorted(slots[e])), []).append(e)
+    profiles = sorted(groups)
+    return (tuple((p, len(groups[p])) for p in profiles),
+            [groups[p] for p in profiles])
+
+
+def _block_maps(blocks, images, size: int):
+    """
+    Lazily yield every map (a list indexed by element) sending each block
+    bijectively onto the same-index entry of images.  The yielded list is
+    reused between steps; copy it to keep it.
+    """
+    perm = [0] * size
+
+    def extend(k):
+        if k == len(blocks):
+            yield perm
+            return
+        for order in itertools.permutations(images[k]):
+            for e, image in zip(blocks[k], order):
+                perm[e] = image
+            yield from extend(k + 1)
+    return extend(0)
 
 
 def canonical_key(s: Structure) -> tuple:
-    "Minimal structure_key over all domain permutations (small domains only)."
-    return min(structure_key(relabel(s, perm))
-               for perm in itertools.permutations(range(s.domain_size)))
+    """
+    The least relation key (each relation's sorted tuples, in signature
+    order) over the relabelings that send the i-th block onto the i-th
+    run of consecutive labels.  Isomorphism-invariant; with the domain
+    size it determines s up to isomorphism.
+    """
+    _, blocks = _blocks(s)
+    runs, start = [], 0
+    for block in blocks:
+        runs.append(range(start, start + len(block)))
+        start += len(block)
+    rels = [s.relations[name] for name in s.signature.names]
+    return min(tuple(tuple(sorted(tuple(perm[e] for e in t) for t in ts)) for ts in rels)
+               for perm in _block_maps(blocks, runs, s.domain_size))
 
 
 def canonical_form(s: Structure) -> Structure:
-    best = min((relabel(s, perm) for perm in itertools.permutations(range(s.domain_size))),
-               key=structure_key)
-    return best
+    "The relabeling of s whose relations give canonical_key(s)."
+    return _structure_of_key(s.signature, s.domain_size, canonical_key(s))
+
+
+@functools.lru_cache(maxsize=1024)
+def _structure_of_key(signature: Signature, domain_size: int, key: tuple) -> Structure:
+    "One shared structure per canonical key, so kept canonical forms share memory."
+    return make_structure(signature, domain_size, dict(zip(signature.names, key)))
 
 
 def isomorphic(a: Structure, b: Structure, guard: int = 8) -> bool:
-    "Exhaustive permutation search; guarded to small domains."
+    "Search of the bijections preserving the element profiles; guarded to small domains."
     if a.signature != b.signature:
         raise ValueError("signature mismatch")
     if a.domain_size != b.domain_size:
@@ -224,9 +277,13 @@ def isomorphic(a: Structure, b: Structure, guard: int = 8) -> bool:
         return False
     if a.domain_size > guard:
         raise GuardExceeded(f"isomorphism guard: |A| = {a.domain_size} > {guard}")
-    target = structure_key(b)
-    return any(structure_key(relabel(a, perm)) == target
-               for perm in itertools.permutations(range(a.domain_size)))
+    profiles_a, blocks_a = _blocks(a)
+    profiles_b, blocks_b = _blocks(b)
+    if profiles_a != profiles_b:
+        return False
+    pairs = [(a.relations[name], b.relations[name]) for name in a.signature.names]
+    return any(all({tuple(perm[e] for e in t) for t in ta} == tb for ta, tb in pairs)
+               for perm in _block_maps(blocks_a, blocks_b, a.domain_size))
 
 
 def encode_structure(s: Structure) -> str:

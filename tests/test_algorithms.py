@@ -84,8 +84,7 @@ def test_dn_separator_and_binsearch_agree():
             member = scalar_multiple(2 ** (n - m), directed_cycle(2 ** m))
             expected = (m % 2 == 0)
             assert run_non_adaptive(sep, member).verdict == expected
-            report = run_adaptive(search, member, LEFT, max_steps=None,
-                                  use_default_cap=False)
+            report = run_adaptive(search, member, LEFT)
             assert report.verdict == expected
             assert report.query_count <= n.bit_length()
 

@@ -8,7 +8,6 @@ from homquery.analysis import (
     element_components,
     gamma,
     hom_equiv_to_acyclic,
-    incidence_multigraph,
     is_berge_acyclic,
     maps_to_cycle,
     star_transform,
@@ -30,27 +29,6 @@ from homquery.structures import (
 )
 
 
-def test_incidence_multigraph_loop():
-    inc = incidence_multigraph(directed_cycle(1))
-    assert len(inc.element_nodes) == 1
-    assert len(inc.fact_nodes) == 1
-    assert inc.multiplicity(0, 0) == 2
-
-
-def test_incidence_multigraph_path_and_ternary():
-    inc = incidence_multigraph(directed_path(1))
-    assert len(inc.element_nodes) == 2
-    assert len(inc.fact_nodes) == 1
-    assert inc.multiplicity(0, 0) == 1 and inc.multiplicity(1, 0) == 1
-
-    t = make_structure(Signature((("T", 3),)), 2, {"T": {(0, 1, 0)}})
-    inc = incidence_multigraph(t)
-    assert inc.multiplicity(0, 0) == 2
-    assert inc.multiplicity(1, 0) == 1
-    # total edge count is the sum of fact arities
-    assert sum(len(e) for e in inc.edges) == 3
-
-
 def test_component_count():
     assert component_count(disjoint_union(directed_cycle(3), directed_cycle(3))) == 2
     assert component_count(directed_path(2)) == 1
@@ -69,6 +47,7 @@ def test_component_count_additive(a, b):
 
 def test_is_berge_acyclic():
     assert is_berge_acyclic(directed_path(3))
+    # a loop repeats its element: two parallel incidence edges
     assert not is_berge_acyclic(directed_cycle(1))
     assert not is_berge_acyclic(directed_cycle(2))
     assert is_berge_acyclic(digraph(3, {(0, 1), (0, 2)}))
@@ -76,6 +55,10 @@ def test_is_berge_acyclic():
     two_rel = Signature((("R", 2), ("S", 2)))
     s = make_structure(two_rel, 2, {"R": {(0, 1)}, "S": {(0, 1)}})
     assert not is_berge_acyclic(s)
+    ternary = Signature((("T", 3),))
+    # a fact with a repeated element is not Berge-acyclic
+    assert not is_berge_acyclic(make_structure(ternary, 2, {"T": {(0, 1, 0)}}))
+    assert is_berge_acyclic(make_structure(ternary, 3, {"T": {(0, 1, 2)}}))
 
 
 def test_gamma_frozen_values():

@@ -117,6 +117,15 @@ def test_experiment_command(runner):
     assert "experiment=dn" in r.output
 
 
+def test_experiment_bad_parameters_are_usage_errors(runner):
+    for args, named in [(["dn"], "'n'"), (["dn", "n=abc"], "'n'"),
+                        (["dn", "foo"], "'foo'"), (["nary", "bogus=1"], "'bogus'")]:
+        r = runner.invoke(main, ["experiment", *args])
+        assert r.exit_code == 2, (args, r.output)
+        assert "Traceback" not in r.output
+        assert named in r.output.strip().splitlines()[-1]
+
+
 def test_oracle_hom_command(runner, files):
     r = runner.invoke(main, ["oracle", "hom", "--from", files["c6"],
                              "--to", files["c3"]])

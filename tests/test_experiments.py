@@ -6,7 +6,61 @@ from homquery.experiments import (
     experiment_adaptive_not_better,
     experiment_dn,
     experiment_nary,
+    experiment_unbounded_boolean,
 )
+
+DN_3_TEXT = """\
+experiment: dn
+param.n: 3
+member.m=0: vector=(8, 8, 8) verdict=True adaptive_queries=2
+member.m=1: vector=(0, 8, 8) verdict=False adaptive_queries=2
+member.m=2: vector=(0, 0, 8) verdict=True adaptive_queries=2
+member.m=3: vector=(0, 0, 0) verdict=False adaptive_queries=2
+separator-correct: ok
+vectors-pairwise-distinct: ok
+vectors-match-oracle: ok
+adaptive-correct: ok
+adaptive-query-bound: 2
+adaptive-within-bound: ok
+result: PASS
+"""
+
+UNBOUNDED_BOOLEAN_3_TEXT = """\
+experiment: unbounded-boolean
+param.max_vertices: 3
+inputs: 116
+left-detector-disagreements: 0
+left-detector-correct: ok
+left-detector-within-bound: ok
+right-detector-disagreements: 0
+right-detector-correct: ok
+right-detector-within-bound: ok
+datalog-disagreements: 0
+datalog-cross-check: ok
+result: PASS
+"""
+
+ADAPTIVE_NOT_BETTER_MACHINE = """\
+experiment=adaptive-not-better
+param.k=1
+param.primes=(2, 3)
+param.seed=0
+member.j=1=vector=(36,) accepted=True
+member.j=2=vector=(0,) accepted=False
+matrix-nonzero-exactly-on-diagonal=ok
+accepts-exactly-first-k=ok
+brute-force-matrix=[[36, 0]]
+brute-force-diagonal-value-36=ok
+brute-force-off-diagonal-zero=ok
+pool-size=3460
+pool-coverage=all iso-classes <= 4 vertices plus seeded 5-vertex sample (illustrative, not a proof)
+pool-outcomes-two-valued=ok
+pool-nonzero-set-trivial-or-singleton=ok
+adversary-survivors-lower-bound=2
+straddling-pair-survives=ok
+lower-bound-status=illustrative at desk scale
+result=PASS
+"""
 
 
 def test_report_rendering_and_checks():
@@ -65,3 +119,9 @@ def test_experiments_render_deterministically():
     first = experiment_dn(2).render("machine")
     second = experiment_dn(2).render("machine")
     assert first == second
+
+
+def test_reports_match_frozen_text():
+    assert experiment_dn(3).render() == DN_3_TEXT
+    assert experiment_unbounded_boolean(3).render() == UNBOUNDED_BOOLEAN_3_TEXT
+    assert experiment_adaptive_not_better().render("machine") == ADAPTIVE_NOT_BETTER_MACHINE

@@ -1,12 +1,18 @@
+import itertools
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import small_digraphs
+from homquery.catalog import enumerate_digraphs_upto
 from homquery.structures import (
     DIGRAPH_SIG,
     GuardExceeded,
     Signature,
     canonical_form,
+    canonical_key,
     complete_pair,
     complete_singleton,
     decode_structure,
@@ -19,8 +25,11 @@ from homquery.structures import (
     isomorphic,
     make_structure,
     n_ary_cycle,
+    relabel,
     scalar_multiple,
 )
+
+MIXED_SIG = Signature((("R", 2), ("P", 1), ("T", 3)))
 
 
 def test_signature_validation():
@@ -148,3 +157,57 @@ def test_canonical_form_is_invariant():
     c3 = directed_cycle(3)
     relabeled = digraph(3, {(1, 0), (0, 2), (2, 1)})
     assert canonical_form(c3) == canonical_form(relabeled)
+
+
+def test_canonical_key_separates_catalog_classes_and_ignores_labels():
+    reps = enumerate_digraphs_upto(4)
+    assert len({(r.domain_size, canonical_key(r)) for r in reps}) == len(reps)
+    rng = random.Random(11)
+    for r in reps[::5]:
+        perm = list(r.domain)
+        rng.shuffle(perm)
+        shuffled = relabel(r, perm)
+        assert canonical_key(shuffled) == canonical_key(r)
+        assert canonical_form(shuffled) == canonical_form(r)
+        assert isomorphic(canonical_form(r), r)
+
+
+def _isomorphic_by_all_permutations(a, b):
+    "Reference: some domain permutation carries a onto b."
+    return a.domain_size == b.domain_size and any(
+        relabel(a, perm) == b for perm in itertools.permutations(a.domain))
+
+
+@st.composite
+def mixed_pairs(draw):
+    """
+    A mixed-signature structure and a relabeled copy of it, unchanged, with
+    one fact toggled, or with two elements swapped in one relation only
+    (which keeps every element's slots when the two share them).
+    """
+    n = draw(st.integers(1, 5))
+    rels = {name: draw(st.sets(st.tuples(*[st.integers(0, n - 1)] * arity), max_size=5))
+            for name, arity in MIXED_SIG.relations}
+    a = make_structure(MIXED_SIG, n, rels)
+    name, arity = draw(st.sampled_from(MIXED_SIG.relations))
+    change = draw(st.sampled_from(["none", "toggle", "swap"]))
+    if change == "toggle":
+        rels[name] = rels[name] ^ {draw(st.tuples(*[st.integers(0, n - 1)] * arity))}
+    elif change == "swap":
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        swap = {x: y, y: x}
+        rels[name] = {tuple(swap.get(e, e) for e in t) for t in rels[name]}
+    b = relabel(make_structure(MIXED_SIG, n, rels), draw(st.permutations(range(n))))
+    return a, b
+
+
+# same element profiles, R equal, T crossed against parallel: not isomorphic
+@example((make_structure(MIXED_SIG, 4, {"R": {(0, 2), (1, 3)}, "T": {(0, 3, 3), (1, 2, 2)}}),
+          make_structure(MIXED_SIG, 4, {"R": {(0, 2), (1, 3)}, "T": {(0, 2, 2), (1, 3, 3)}})))
+@settings(max_examples=300, deadline=None)
+@given(mixed_pairs())
+def test_isomorphic_and_canonical_key_match_all_permutations(pair):
+    a, b = pair
+    expected = _isomorphic_by_all_permutations(a, b)
+    assert isomorphic(a, b) == expected
+    assert (canonical_key(a) == canonical_key(b)) == expected
