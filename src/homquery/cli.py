@@ -4,14 +4,16 @@ registered query algorithms, family generation, iso-class enumeration,
 Datalog evaluation, experiments and the brute-force oracle.
 
 Exit code is 0 iff every assertion made by the invoked command passed;
-bad usage (such as a missing, unknown or non-integer experiment
-parameter) exits 2 with a one-line message.
+bad usage (such as a missing, unknown, non-integer or out-of-range
+experiment parameter, or a Datalog program that does not parse or does
+not fit the structure) exits 2 with a one-line message.
 """
 
 from __future__ import annotations
 
 import inspect
 import sys
+import typing
 from pathlib import Path
 
 import click
@@ -21,11 +23,12 @@ from .analysis import component_count, core, gamma, is_berge_acyclic
 from .catalog import enumerate_digraphs
 from .datalog import (
     BUILTIN_PROGRAM_TEXTS,
+    DatalogError,
     classify_program,
     evaluate,
     parse_program,
 )
-from .experiments import EXPERIMENTS
+from .experiments import EXPERIMENTS, ExperimentParameterError
 from .homs import BOOLEAN, COUNT, hom_count, hom_exists
 from .oracle import oracle_hom_count
 from .registry import REGISTRY, run_registered
@@ -165,6 +168,11 @@ def _load_program(spec: str):
     return parse_program(Path(spec).read_text(encoding="utf-8"))
 
 
+def _datalog_usage_error(exc: DatalogError) -> typing.NoReturn:
+    click.echo(f"error: datalog: {exc}", err=True)
+    sys.exit(2)
+
+
 @datalog_group.command("run")
 @click.option("--program", required=True,
               help="Program file or builtin name "
@@ -173,8 +181,12 @@ def _load_program(spec: str):
               type=click.Path(exists=True))
 def datalog_run_cmd(program, structure_file):
     "Evaluate a Boolean Datalog program on a structure file."
-    click.echo("true" if evaluate(_load_program(program), _load(structure_file))
-               else "false")
+    structure = _load(structure_file)
+    try:
+        holds = evaluate(_load_program(program), structure)
+    except DatalogError as exc:
+        _datalog_usage_error(exc)
+    click.echo("true" if holds else "false")
 
 
 @datalog_group.command("check")
@@ -182,7 +194,10 @@ def datalog_run_cmd(program, structure_file):
 @click.pass_context
 def datalog_check_cmd(ctx, program):
     "Parse a program and print its (monadic, linear) classification."
-    p = _load_program(program)
+    try:
+        p = _load_program(program)
+    except DatalogError as exc:
+        _datalog_usage_error(exc)
     monadic, linear = classify_program(p)
     _kv(ctx, "monadic", monadic)
     _kv(ctx, "linear", linear)
@@ -194,22 +209,31 @@ def datalog_check_cmd(ctx, program):
 @click.pass_context
 def experiment_cmd(ctx, experiment_id, params):
     "Run an experiment; PARAMS are key=value integers (e.g. n=3)."
+    experiment = EXPERIMENTS[experiment_id]
+    int_params = {name for name, hint in typing.get_type_hints(experiment).items()
+                  if hint is int}
     kwargs = {}
     for p in params:
         key, eq, value = p.partition("=")
         if not eq:
             raise click.UsageError(f"parameter {p!r} is not of the form key=value")
+        key = key.replace("-", "_")
+        if key not in int_params:
+            raise click.UsageError(
+                f"experiment {experiment_id}: no integer parameter {key!r}")
         try:
-            kwargs[key.replace("-", "_")] = int(value)
+            kwargs[key] = int(value)
         except ValueError:
             raise click.UsageError(
                 f"parameter {key!r}: {value!r} is not an integer") from None
-    experiment = EXPERIMENTS[experiment_id]
     try:
         inspect.signature(experiment).bind(**kwargs)
     except TypeError as exc:
         raise click.UsageError(f"experiment {experiment_id}: {exc}") from None
-    report = experiment(**kwargs)
+    try:
+        report = experiment(**kwargs)
+    except ExperimentParameterError as exc:
+        raise click.UsageError(f"experiment {experiment_id}: {exc}") from None
     click.echo(report.render(ctx.obj["fmt"]), nl=False)
     if not report.passed:
         sys.exit(1)

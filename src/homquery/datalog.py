@@ -1,7 +1,8 @@
 """
 A minimal Boolean Datalog evaluator: Horn rules over EDB predicates
 (the input structure's relations) and IDB predicates including a nullary
-goal, evaluated bottom-up by naive iteration to a fixpoint.
+goal, evaluated bottom-up to a fixpoint by semi-naive iteration with
+indexed, set-at-a-time joins.
 
 Rule text format, one rule per line:
 
@@ -14,9 +15,9 @@ body (equality atoms count as occurrences).
 
 from __future__ import annotations
 
-import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .structures import Structure
 
@@ -44,6 +45,15 @@ class DatalogProgram:
     rules: tuple[Rule, ...]
     idb: dict[str, int]   # predicate -> arity
     goal: str
+    # join plans, compiled once per program (see _compile_program)
+    first_plans: tuple = field(init=False, repr=False, compare=False)
+    delta_plans: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_safety(self)
+        first, later = _compile_program(self.rules, self.idb)
+        object.__setattr__(self, "first_plans", first)
+        object.__setattr__(self, "delta_plans", later)
 
     def edb_predicates(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -117,9 +127,7 @@ def parse_program(text: str) -> DatalogProgram:
              if idb[name] == 0 and name.lower() == "ans"]
     if len(goals) != 1:
         raise DatalogError("program needs exactly one nullary goal Ans()")
-    program = DatalogProgram(tuple(rules), idb, goals[0])
-    check_safety(program)
-    return program
+    return DatalogProgram(tuple(rules), idb, goals[0])
 
 
 def check_safety(program: DatalogProgram):
@@ -144,39 +152,171 @@ def classify_program(program: DatalogProgram) -> tuple[bool, bool]:
     return monadic, linear
 
 
-def _rule_matches(rule: Rule, structure: Structure, derived, out):
-    "Add all head tuples derivable from one rule under current facts."
-    variables = sorted({v for atom in rule.body for v in atom.variables}
-                       | set(rule.head.variables))
-    added = False
-    # nested-loop join, most constrained first is unnecessary at desk scale
-    for values in itertools.product(structure.domain, repeat=len(variables)):
-        env = dict(zip(variables, values))
-        ok = True
-        for atom in rule.body:
-            if atom.predicate == EQ:
-                if env[atom.variables[0]] != env[atom.variables[1]]:
-                    ok = False
-                    break
+def _tuple_getter(positions: tuple[int, ...]):
+    "The tuple of a tuple's values at the given positions."
+    if len(positions) == 1:
+        p, = positions
+        return lambda t: (t[p],)
+    if not positions:
+        return lambda t: ()
+    return itemgetter(*positions)
+
+
+EDB, FULL, DELTA = "edb", "full", "delta"   # where a probe reads its facts
+
+
+@dataclass(frozen=True)
+class _Probe:
+    """
+    Join the bindings with one relation atom through a hash index on the
+    atom's bound positions.  The index maps a key to the values of the
+    variables the atom binds first, over the tuples whose repeated new
+    variables agree.  Probes of one program with the same predicate,
+    source and positions share an index_id, and so one index.
+    """
+    predicate: str
+    source: str                             # EDB, FULL or DELTA
+    index_id: int
+    repeats: tuple[tuple[int, int], ...]    # (first, later) positions of a new variable
+    fact_key: object                        # fact -> key
+    fact_out: object                        # fact -> values of the new variables
+    probe_key: object                       # binding -> key
+
+
+@dataclass(frozen=True)
+class _Equality:
+    """
+    An equality atom: with both sides bound it filters (slots i, j); with
+    one bound it copies slot i; with neither it binds `new` fresh slots
+    (one or two) to each domain element.
+    """
+    slots: tuple[int, ...]
+    new: int
+
+
+@dataclass(frozen=True)
+class _Plan:
+    "One rule variant: join steps in order, then the head projection."
+    head: str
+    steps: tuple
+    project: object                         # binding -> head tuple
+
+
+def _index(facts, probe: _Probe) -> dict:
+    if probe.repeats:
+        facts = [t for t in facts if all(t[p] == t[q] for p, q in probe.repeats)]
+    key, out = probe.fact_key, probe.fact_out
+    index: dict = {}
+    for t in facts:
+        index.setdefault(key(t), []).append(out(t))
+    return index
+
+
+def _atom_step(atom: Atom, source: str, slot: dict[str, int], index_ids: dict):
+    "The step for one body atom; extends `slot` with the variables it binds."
+    if atom.predicate == EQ:
+        bound = tuple(slot[v] for v in atom.variables if v in slot)
+        fresh = [v for v in dict.fromkeys(atom.variables) if v not in slot]
+        for v in fresh:
+            slot[v] = len(slot)
+        return _Equality(bound, len(fresh))
+    key_positions, key_slots, out_positions, repeats = [], [], [], []
+    first: dict[str, int] = {}
+    for pos, v in enumerate(atom.variables):
+        if v in slot and v not in first:
+            key_positions.append(pos)
+            key_slots.append(slot[v])
+        elif v in first:
+            repeats.append((first[v], pos))
+        else:
+            first[v] = pos
+            out_positions.append(pos)
+    for pos in out_positions:
+        slot[atom.variables[pos]] = len(slot)
+    key_positions, out_positions, repeats = map(tuple, (key_positions, out_positions, repeats))
+    index_id = index_ids.setdefault(
+        (atom.predicate, source, key_positions, out_positions, repeats), len(index_ids))
+    return _Probe(atom.predicate, source, index_id, repeats, _tuple_getter(key_positions),
+                  _tuple_getter(out_positions), _tuple_getter(tuple(key_slots)))
+
+
+def _plan(rule: Rule, delta: int | None, idb, index_ids: dict) -> _Plan:
+    """
+    Join order: the delta atom (if any) first, then greedily the atom
+    with no unbound variable, else the one with the most bound variables;
+    an equality with neither side bound, which enumerates the domain,
+    comes last.
+    """
+    slot: dict[str, int] = {}
+    remaining = list(range(len(rule.body)))
+
+    def priority(i):
+        atom = rule.body[i]
+        bound = {v for v in atom.variables if v in slot}
+        unbound = set(atom.variables) - bound
+        if atom.predicate == EQ and not bound:
+            return (False, -1, 0)
+        return (not unbound, len(bound), -len(unbound))
+
+    steps = []
+    while remaining:
+        i = delta if delta in remaining else max(remaining, key=priority)
+        remaining.remove(i)
+        atom = rule.body[i]
+        source = DELTA if i == delta else FULL if atom.predicate in idb else EDB
+        steps.append(_atom_step(atom, source, slot, index_ids))
+    head_slots = tuple(slot[v] for v in rule.head.variables)
+    return _Plan(rule.head.predicate, tuple(steps), _tuple_getter(head_slots))
+
+
+def _compile_program(rules, idb) -> tuple[tuple[_Plan, ...], tuple[_Plan, ...]]:
+    """
+    (first-round plans, delta plans): a rule without IDB body atoms fires
+    once, in the first round; a rule with IDB body atoms gets one variant
+    per such atom, reading that atom from the last round's new facts.
+    """
+    index_ids: dict = {}
+    first, later = [], []
+    for rule in rules:
+        idb_atoms = [i for i, atom in enumerate(rule.body) if atom.predicate in idb]
+        if idb_atoms:
+            later.extend(_plan(rule, i, idb, index_ids) for i in idb_atoms)
+        else:
+            first.append(_plan(rule, None, idb, index_ids))
+    return tuple(first), tuple(later)
+
+
+def _fire(plans, relation, domain) -> dict[str, set]:
+    "Head tuples the plans derive; relation(probe) gives the probe's index."
+    out: dict[str, set] = {}
+    for plan in plans:
+        bindings = [()]
+        for step in plan.steps:
+            if step.__class__ is _Probe:
+                get, key = relation(step).get, step.probe_key
+                bindings = [b + o for b in bindings for o in get(key(b), ())]
+            elif len(step.slots) == 2:
+                i, j = step.slots
+                bindings = [b for b in bindings if b[i] == b[j]]
+            elif step.slots:
+                i, = step.slots
+                bindings = [b + (b[i],) for b in bindings]
             else:
-                t = tuple(env[v] for v in atom.variables)
-                if atom.predicate in derived:
-                    if t not in derived[atom.predicate]:
-                        ok = False
-                        break
-                elif t not in structure.relations.get(atom.predicate, ()):
-                    ok = False
-                    break
-        if ok:
-            head_tuple = tuple(env[v] for v in rule.head.variables)
-            if head_tuple not in out[rule.head.predicate]:
-                out[rule.head.predicate].add(head_tuple)
-                added = True
-    return added
+                bindings = [b + (x,) * step.new for b in bindings for x in domain]
+            if not bindings:
+                break
+        else:
+            out.setdefault(plan.head, set()).update(map(plan.project, bindings))
+    return out
 
 
 def evaluate(program: DatalogProgram, structure: Structure) -> bool:
-    "Naive bottom-up fixpoint; True iff the nullary goal is derived."
+    """
+    Semi-naive bottom-up fixpoint; True iff the nullary goal is derived.
+    Each round joins set-at-a-time through hash indexes (EDB ones built
+    once per call, IDB ones once per round) and tries only derivations
+    that use a fact new in the last round.  Stops once the goal holds.
+    """
     for name, arity in program.edb_predicates().items():
         try:
             if structure.signature.arity(name) != arity:
@@ -184,16 +324,36 @@ def evaluate(program: DatalogProgram, structure: Structure) -> bool:
         except KeyError:
             raise DatalogError(f"EDB predicate {name} missing from the structure")
 
-    derived: dict[str, set] = {name: set() for name in program.idb}
+    total: dict[str, set] = {name: set() for name in program.idb}
+    delta: dict[str, set] = {}
+    edb_indexes: dict[int, dict] = {}
+    round_indexes: dict[int, dict] = {}
+
+    def relation(probe: _Probe) -> dict:
+        cache = edb_indexes if probe.source == EDB else round_indexes
+        index = cache.get(probe.index_id)
+        if index is None:
+            facts = (structure.relations[probe.predicate] if probe.source == EDB
+                     else total[probe.predicate] if probe.source == FULL
+                     else delta.get(probe.predicate, ()))
+            index = cache[probe.index_id] = _index(facts, probe)
+        return index
+
     max_arity = max(program.idb.values(), default=0)
     round_bound = (structure.domain_size ** max_arity + 1) * len(program.rules) + 1
+    plans = program.first_plans
     for _ in range(round_bound):
-        changed = False
-        for rule in program.rules:
-            if _rule_matches(rule, structure, derived, derived):
-                changed = True
-        if not changed:
-            return () in derived[program.goal]
+        round_indexes.clear()
+        derived = _fire(plans, relation, structure.domain)
+        delta = {name: new for name, facts in derived.items()
+                 if (new := facts - total[name])}
+        if not delta:
+            return False
+        for name, facts in delta.items():
+            total[name] |= facts
+        if total[program.goal]:
+            return True
+        plans = program.delta_plans
     raise DatalogError("fixpoint round bound exceeded (should be impossible)")
 
 

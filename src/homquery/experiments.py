@@ -37,6 +37,16 @@ from .structures import (
 )
 
 
+class ExperimentParameterError(ValueError):
+    "An experiment parameter is outside the range the experiment accepts."
+
+
+def _check_positive(**params: int):
+    for name, value in params.items():
+        if value < 1:
+            raise ExperimentParameterError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass
 class ExperimentReport:
     experiment: str
@@ -70,6 +80,7 @@ def experiment_cycle_formula(max_vertices: int = 4, max_m: int = 3,
     m copies of C_n; the closed form must match the full-enumeration
     oracle everywhere.
     """
+    _check_positive(max_vertices=max_vertices, max_m=max_m, max_n=max_n)
     report = ExperimentReport(
         "cycle-formula", {"max_vertices": max_vertices, "max_m": max_m, "max_n": max_n})
     cases = mismatches = 0
@@ -97,6 +108,7 @@ def experiment_dn(n: int) -> ExperimentReport:
     the full promise family; for n <= 3 also cross-check every answer
     against the brute-force oracle.
     """
+    _check_positive(n=n)
     if n > 6:
         raise GuardExceeded("experiment_dn guard: n <= 6")
     report = ExperimentReport("dn", {"n": n})
@@ -138,7 +150,8 @@ def experiment_dn(n: int) -> ExperimentReport:
     return report
 
 
-def experiment_adaptive_not_better(k: int = 1, primes=None, seed: int = 0) -> ExperimentReport:
+def experiment_adaptive_not_better(k: int = 1, primes: tuple[int, ...] | None = None,
+                                   seed: int = 0) -> ExperimentReport:
     """
     Build the k-query instance, verify the hom matrix is nonzero exactly
     on the diagonal and the classification accepts exactly j <= k; for
@@ -147,6 +160,9 @@ def experiment_adaptive_not_better(k: int = 1, primes=None, seed: int = 0) -> Ex
     """
     if primes is None:
         primes = (2, 3) if k == 1 else (2, 3, 5, 7)
+    if k < 1 or len(primes) != 2 * k or len(set(primes)) != 2 * k:
+        raise ExperimentParameterError(
+            f"k={k} needs 2k distinct primes, got primes={tuple(primes)}")
     report = ExperimentReport("adaptive-not-better", {"k": k, "primes": tuple(primes), "seed": seed})
     algorithm, structures = alg.adaptive_not_better_instance(k, primes)
 
@@ -224,6 +240,7 @@ def experiment_nary(n: int = 3, d_max: int = 3) -> ExperimentReport:
     comparing the closed form against the oracle, and confirm the star
     transform of the n-ary cycle is the plain cycle.
     """
+    _check_positive(n=n, d_max=d_max)
     if n > 3 or d_max > 4:
         raise GuardExceeded("experiment_nary guard: n <= 3, d_max <= 4")
     report = ExperimentReport("nary", {"n": n, "d_max": d_max})
@@ -261,6 +278,7 @@ def experiment_unbounded_boolean(max_vertices: int = 4) -> ExperimentReport:
     agreement with ground truth, the halting bounds, and the Datalog
     programs on the same inputs.
     """
+    _check_positive(max_vertices=max_vertices)
     report = ExperimentReport("unbounded-boolean", {"max_vertices": max_vertices})
     programs = builtin_programs()
 

@@ -24,9 +24,9 @@ def oracle_hom_count(a: Structure, b: Structure, guard: int = 20_000_000) -> int
     if total_maps > guard:
         raise GuardExceeded(f"oracle guard: {nb}^{na} maps > {guard}")
 
-    # maps as rows: column e holds the image of source element e
-    grids = np.meshgrid(*([np.arange(nb)] * na), indexing="ij")
-    maps = np.stack([g.reshape(-1) for g in grids], axis=1)
+    # the map grid, one contiguous row per source element: maps[e, i] is
+    # the image of e under map i, maps enumerated in mixed radix base nb
+    maps = np.indices((nb,) * na).reshape(na, total_maps)
     ok = np.ones(total_maps, dtype=bool)
     for name, arity in a.signature.relations:
         # target tuple set as a flat lookup table in mixed radix base nb
@@ -37,9 +37,9 @@ def oracle_hom_count(a: Structure, b: Structure, guard: int = 20_000_000) -> int
                 idx = idx * nb + e
             table[idx] = True
         for t in a.relations[name]:
-            idx = np.zeros(total_maps, dtype=np.int64)
-            for e in t:
-                idx = idx * nb + maps[:, e]
+            idx = maps[t[0]]
+            for e in t[1:]:
+                idx = idx * nb + maps[e]
             ok &= table[idx]
     return int(ok.sum())
 

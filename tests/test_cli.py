@@ -126,6 +126,31 @@ def test_experiment_bad_parameters_are_usage_errors(runner):
         assert named in r.output.strip().splitlines()[-1]
 
 
+def test_experiment_out_of_range_parameters_are_usage_errors(runner):
+    for args, named in [(["dn", "n=0"], "n must be >= 1"),
+                        (["adaptive-not-better", "primes=5"], "'primes'"),
+                        (["adaptive-not-better", "k=3"], "k=3"),
+                        (["nary", "d_max=0"], "d_max must be >= 1")]:
+        r = runner.invoke(main, ["experiment", *args])
+        assert r.exit_code == 2, (args, r.output)
+        assert "Traceback" not in r.output
+        assert named in r.output.strip().splitlines()[-1]
+
+
+def test_datalog_errors_are_one_line(runner, tmp_path, files):
+    malformed = tmp_path / "malformed.dl"
+    malformed.write_text("X(x).\nAns() :- X(y).\n", encoding="utf-8")
+    for args in (["run", "--program", str(malformed), "--structure", files["c3"]],
+                 ["check", "--program", str(malformed)],
+                 # P and Q are missing from a digraph
+                 ["run", "--program", "pq-reachability", "--structure", files["c3"]]):
+        r = runner.invoke(main, ["datalog", *args])
+        assert r.exit_code == 2, (args, r.output)
+        assert "Traceback" not in r.output
+        assert r.output.strip().startswith("error: datalog: ")
+        assert len(r.output.strip().splitlines()) == 1
+
+
 def test_oracle_hom_command(runner, files):
     r = runner.invoke(main, ["oracle", "hom", "--from", files["c6"],
                              "--to", files["c3"]])

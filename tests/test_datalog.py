@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_digraphs
 from homquery.analysis import gamma
 from homquery.datalog import (
+    BUILTIN_PROGRAM_TEXTS,
     EQ,
     Atom,
     DatalogError,
@@ -31,6 +33,99 @@ X(x) :- P(x).
 X(y) :- X(x), R(x, y).
 Ans() :- X(y), Q(y).
 """
+
+RPQ_SIG = Signature((("R", 2), ("P", 1), ("Q", 1)))
+
+# hand-written programs over {R, P, Q}, one shape of rule each
+REFERENCE_PROGRAMS = {
+    # equality atoms with neither side (E, twice), one side (F) and
+    # both sides (G) bound when the join reaches them
+    "equalities": """\
+E(a, b) :- a = b.
+E(a, b) :- P(c), a = b.
+F(a, b) :- R(a, c), c = b.
+G(a) :- F(a, b), P(b), a = b.
+Ans() :- G(a), E(a, b), Q(b).
+""",
+    # a repeated variable in an EDB and in an IDB atom, one IDB predicate
+    # twice in a body, and a body of EDB atoms only
+    "loops": """\
+L(x, y) :- R(x, x), R(x, y).
+L(x, y) :- L(x, z), L(z, y).
+Ans() :- L(z, z), P(z).
+""",
+    "edb-only": """\
+Ans() :- R(x, y), R(y, x), P(x), Q(y).
+""",
+    # two IDB predicates in one body whose facts arrive in different
+    # rounds: A is complete after the first round, B keeps growing
+    "meet": """\
+A(x) :- P(x).
+B(x) :- Q(x).
+B(y) :- B(x), R(x, y).
+C(x) :- A(x), B(x).
+Ans() :- C(x).
+""",
+    # Y has no rule without Y in its body, so the goal is never derived
+    "never": """\
+X(x) :- P(x).
+Y(x) :- Y(x), X(x).
+Ans() :- Y(x), Q(x).
+""",
+}
+
+
+def _naive_rule_matches(rule, structure, derived):
+    "Add all head tuples derivable from one rule under current facts."
+    variables = sorted({v for atom in rule.body for v in atom.variables}
+                       | set(rule.head.variables))
+    added = False
+    for values in itertools.product(structure.domain, repeat=len(variables)):
+        env = dict(zip(variables, values))
+        ok = True
+        for atom in rule.body:
+            if atom.predicate == EQ:
+                if env[atom.variables[0]] != env[atom.variables[1]]:
+                    ok = False
+                    break
+            else:
+                t = tuple(env[v] for v in atom.variables)
+                if atom.predicate in derived:
+                    if t not in derived[atom.predicate]:
+                        ok = False
+                        break
+                elif t not in structure.relations.get(atom.predicate, ()):
+                    ok = False
+                    break
+        if ok:
+            head_tuple = tuple(env[v] for v in rule.head.variables)
+            if head_tuple not in derived[rule.head.predicate]:
+                derived[rule.head.predicate].add(head_tuple)
+                added = True
+    return added
+
+
+def _naive_evaluate(program, structure) -> bool:
+    "Reference: naive bottom-up fixpoint over the |D|^#vars product per rule."
+    derived = {name: set() for name in program.idb}
+    while True:
+        changed = False
+        for rule in program.rules:
+            if _naive_rule_matches(rule, structure, derived):
+                changed = True
+        if not changed:
+            return () in derived[program.goal]
+
+
+@st.composite
+def rpq_structures(draw, max_elements=4):
+    n = draw(st.integers(1, max_elements))
+    elements = st.integers(0, n - 1)
+    return make_structure(RPQ_SIG, n, {
+        "R": draw(st.sets(st.tuples(elements, elements))),
+        "P": draw(st.sets(st.tuples(elements))),
+        "Q": draw(st.sets(st.tuples(elements))),
+    })
 
 
 def test_parse_program():
@@ -91,7 +186,7 @@ def test_classify_program():
 
 
 def test_evaluate_reachability():
-    sig = Signature((("R", 2), ("P", 1), ("Q", 1)))
+    sig = RPQ_SIG
     p = parse_program(REACH)
     chain = make_structure(sig, 3, {"R": {(0, 1), (1, 2)},
                                     "P": {(0,)}, "Q": {(2,)}})
@@ -143,3 +238,32 @@ def test_builtin_queries_closed_under_homomorphisms(a, b):
         p = builtin_programs()[name]
         if evaluate(p, a):
             assert evaluate(p, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rpq_structures())
+def test_evaluate_matches_naive_reference(s):
+    texts = {**BUILTIN_PROGRAM_TEXTS, **REFERENCE_PROGRAMS}
+    for name, text in texts.items():
+        program = parse_program(text)
+        assert evaluate(program, s) == _naive_evaluate(program, s), name
+
+
+def test_reference_programs_frozen_cases():
+    programs = {name: parse_program(text) for name, text in REFERENCE_PROGRAMS.items()}
+    loop_p = make_structure(RPQ_SIG, 2, {"R": {(0, 0), (0, 1)}, "P": {(0,)}, "Q": set()})
+    assert evaluate(programs["loops"], loop_p)
+    assert not evaluate(programs["loops"], make_structure(
+        RPQ_SIG, 2, {"R": {(0, 1), (1, 0)}, "P": {(0,), (1,)}, "Q": set()}))
+    two_cycle = make_structure(RPQ_SIG, 2, {"R": {(0, 1), (1, 0)},
+                                            "P": {(0,)}, "Q": {(1,)}})
+    assert evaluate(programs["edb-only"], two_cycle)
+    assert not evaluate(programs["never"], two_cycle)
+    # B reaches the P element 2 only in the third round
+    chain = make_structure(RPQ_SIG, 3, {"R": {(0, 1), (1, 2)}, "P": {(2,)}, "Q": {(0,)}})
+    assert evaluate(programs["meet"], chain)
+    # G(a) needs an R-successor of a in P equal to a: a loop at a P element
+    looped = make_structure(RPQ_SIG, 1, {"R": {(0, 0)}, "P": {(0,)}, "Q": {(0,)}})
+    assert evaluate(programs["equalities"], looped)
+    assert not evaluate(programs["equalities"], make_structure(
+        RPQ_SIG, 2, {"R": {(0, 1)}, "P": {(0,), (1,)}, "Q": {(0,), (1,)}}))

@@ -2,7 +2,9 @@ import pytest
 
 from homquery.experiments import (
     EXPERIMENTS,
+    ExperimentParameterError,
     ExperimentReport,
+    experiment_cycle_formula,
     experiment_adaptive_not_better,
     experiment_dn,
     experiment_nary,
@@ -95,6 +97,18 @@ def test_dn_experiment_guard():
     from homquery.structures import GuardExceeded
     with pytest.raises(GuardExceeded):
         experiment_dn(7)
+
+
+def test_out_of_range_parameters_raise_parameter_error():
+    for call in (lambda: experiment_dn(0),
+                 lambda: experiment_cycle_formula(max_vertices=0),
+                 lambda: experiment_adaptive_not_better(k=0),
+                 lambda: experiment_adaptive_not_better(k=3),
+                 lambda: experiment_adaptive_not_better(k=1, primes=(2, 2)),
+                 lambda: experiment_nary(n=0),
+                 lambda: experiment_unbounded_boolean(max_vertices=0)):
+        with pytest.raises(ExperimentParameterError):
+            call()
 
 
 def test_adaptive_not_better_passes():

@@ -33,6 +33,31 @@ def test_oracle_hom_count_frozen_values():
     assert oracle_hom_count(a, b) == 3
 
 
+def test_oracle_hom_count_hand_counted():
+    # (h0, h1, h0) must be a T tuple of b: (0, 0, 0) and (1, 0, 1) are,
+    # (0, 1, 1) and (1, 1, 0) are not; a third, isolated element of a
+    # may go anywhere
+    tern = Signature((("T", 3),))
+    b = make_structure(tern, 2, {"T": {(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)}})
+    assert oracle_hom_count(make_structure(tern, 2, {"T": {(0, 1, 0)}}), b) == 2
+    assert oracle_hom_count(make_structure(tern, 3, {"T": {(0, 1, 0)}}), b) == 4
+    # R alone allows the 3 arcs of b; P keeps those whose tail is 1 or 2
+    rp = Signature((("R", 2), ("P", 1)))
+    a = make_structure(rp, 2, {"R": {(0, 1)}, "P": {(0,)}})
+    b = make_structure(rp, 3, {"R": {(0, 1), (1, 2), (2, 2)}, "P": {(1,), (2,)}})
+    assert oracle_hom_count(a, b) == 2
+    assert oracle_hom_count(make_structure(rp, 2, {"R": {(0, 1)}}), b) == 3
+    # one source element: a loop goes to a loop of b, a bare element anywhere
+    loops = digraph(3, {(0, 0), (1, 1), (0, 1)})
+    assert oracle_hom_count(directed_cycle(1), loops) == 2
+    assert oracle_hom_count(digraph(1, set()), loops) == 3
+    # one target element: everything maps to it iff it has a loop or a has no arcs
+    assert oracle_hom_count(directed_cycle(3), directed_cycle(1)) == 1
+    assert oracle_hom_count(digraph(4, set()), digraph(1, set())) == 1
+    assert oracle_hom_count(directed_path(2), digraph(1, set())) == 0
+    assert oracle_hom_count(directed_cycle(1), digraph(1, set())) == 0
+
+
 def test_oracle_guard():
     with pytest.raises(GuardExceeded):
         oracle_hom_count(digraph(10, set()), digraph(10, set()), guard=1000)
