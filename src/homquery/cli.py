@@ -3,10 +3,16 @@ Command line interface: hom counting, structural analysis, running the
 registered query algorithms, family generation, iso-class enumeration,
 Datalog evaluation, experiments and the brute-force oracle.
 
-Exit code is 0 iff every assertion made by the invoked command passed;
-bad usage (such as a missing, unknown, non-integer or out-of-range
-experiment parameter, or a Datalog program that does not parse or does
-not fit the structure) exits 2 with a one-line message.
+Exit codes:
+  0  every assertion made by the invoked command passed;
+  1  an assertion failed (an experiment reports FAIL);
+  2  bad usage or input, with a one-line message: a missing, unknown,
+     non-integer or out-of-range experiment parameter, or a Datalog
+     program that is neither a builtin nor a file, does not parse or
+     does not fit the structure;
+  3  a size guard refused the input, with the one-line message
+     "error: guard: <msg>"; --guard-override lifts the guards of
+     analyze, enumerate and oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +48,18 @@ from .structures import (
 BIG_GUARD = 10 ** 9
 
 
-@click.group()
+class _Main(click.Group):
+    "Turns a size guard's refusal, from any command, into exit code 3."
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except GuardExceeded as exc:
+            click.echo(f"error: guard: {exc}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Main)
 @click.option("--guard-override", is_flag=True,
               help="Lift desk-scale size guards (may take very long).")
 @click.option("--seed", type=int, default=0, show_default=True,
@@ -165,7 +182,12 @@ def datalog_group():
 def _load_program(spec: str):
     if spec in BUILTIN_PROGRAM_TEXTS:
         return parse_program(BUILTIN_PROGRAM_TEXTS[spec])
-    return parse_program(Path(spec).read_text(encoding="utf-8"))
+    path = Path(spec)
+    if not path.is_file():
+        raise DatalogError(
+            f"{spec!r} is neither a builtin program "
+            f"({', '.join(sorted(BUILTIN_PROGRAM_TEXTS))}) nor a file")
+    return parse_program(path.read_text(encoding="utf-8"))
 
 
 def _datalog_usage_error(exc: DatalogError) -> typing.NoReturn:

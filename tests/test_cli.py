@@ -151,6 +151,35 @@ def test_datalog_errors_are_one_line(runner, tmp_path, files):
         assert len(r.output.strip().splitlines()) == 1
 
 
+def test_unknown_datalog_program_is_usage_error(runner, tmp_path, files):
+    for spec in ("nosuch", "directed_cycle", str(tmp_path / "missing.dl"), str(tmp_path)):
+        for args in (["run", "--program", spec, "--structure", files["c3"]],
+                     ["check", "--program", spec]):
+            r = runner.invoke(main, ["datalog", *args])
+            assert r.exit_code == 2, (args, r.output)
+            assert "Traceback" not in r.output
+            lines = r.output.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: datalog: ")
+            assert repr(spec) in lines[0]
+            assert "directed-cycle, nonzero-net-cycle, pq-reachability" in lines[0]
+
+
+def test_guard_refusals_exit_3(runner, tmp_path):
+    c9 = tmp_path / "c9.json"
+    c9.write_text(encode_structure(directed_cycle(9)), encoding="utf-8")
+    for args in (["experiment", "dn", "n=7"],
+                 ["experiment", "cycle-formula", "max_vertices=5"],
+                 ["experiment", "nary", "n=4"],
+                 ["--format", "machine", "experiment", "dn", "n=7"],
+                 ["oracle", "hom", "--from", str(c9), "--to", str(c9)],
+                 ["enumerate", "--size", "5"]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 3, (args, r.output)
+        assert "Traceback" not in r.output
+        lines = r.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: guard: "), args
+
+
 def test_oracle_hom_command(runner, files):
     r = runner.invoke(main, ["oracle", "hom", "--from", files["c6"],
                              "--to", files["c3"]])

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homquery.homs import hom_count
 from homquery.oracle import (
@@ -56,6 +58,75 @@ def test_oracle_hom_count_hand_counted():
     assert oracle_hom_count(digraph(4, set()), digraph(1, set())) == 1
     assert oracle_hom_count(directed_path(2), digraph(1, set())) == 0
     assert oracle_hom_count(directed_cycle(1), digraph(1, set())) == 0
+
+
+def test_oracle_one_element_targets_of_large_sources():
+    # one map, the constant one, even where (1,) * |A| has more axes than
+    # numpy allows
+    assert oracle_hom_count(directed_cycle(100), directed_cycle(1)) == 1
+    assert oracle_hom_count(directed_path(69), digraph(1, set())) == 0
+    assert oracle_hom_count(digraph(70, set()), digraph(1, set())) == 1
+    # a 60-element source with repeated-element facts
+    tern = Signature((("R", 2), ("T", 3)))
+    a = make_structure(tern, 60, {"R": {(i, i + 1) for i in range(59)},
+                                  "T": {(0, 59, 0), (7, 7, 7)}})
+    full = make_structure(tern, 1, {"R": {(0, 0)}, "T": {(0, 0, 0)}})
+    no_t = make_structure(tern, 1, {"R": {(0, 0)}})
+    assert oracle_hom_count(a, full) == 1
+    assert oracle_hom_count(a, no_t) == 0
+    assert oracle_hom_count(make_structure(tern, 60, {"R": {(3, 4)}}), no_t) == 1
+
+
+RPT_SIG = Signature((("R", 2), ("P", 1), ("T", 3)))
+
+
+def _reference_hom_count(a, b) -> int:
+    "Count maps that send every fact of a to a fact of b, one map at a time."
+    facts = [(name, t) for name in RPT_SIG.names for t in a.relations[name]]
+    return sum(
+        all(tuple(h[e] for e in t) in b.relations[name] for name, t in facts)
+        for h in itertools.product(range(b.domain_size), repeat=a.domain_size))
+
+
+@st.composite
+def rpt_structures(draw):
+    n = draw(st.integers(1, 4))
+    element = st.integers(0, n - 1)
+    return make_structure(RPT_SIG, n, {
+        "R": draw(st.sets(st.tuples(element, element), max_size=6)),
+        "P": draw(st.sets(st.tuples(element), max_size=3)),
+        "T": draw(st.sets(st.tuples(element, element, element), max_size=6)),
+    })
+
+
+@settings(max_examples=200, deadline=None)
+@given(rpt_structures(), rpt_structures())
+@example(make_structure(RPT_SIG, 2, {"R": {(1, 1)}, "T": {(0, 1, 0)}}),
+         make_structure(RPT_SIG, 3, {"R": {(0, 0), (2, 2), (0, 1)},
+                                     "T": {(1, 2, 1), (2, 2, 2), (0, 1, 2)}}))
+@example(make_structure(RPT_SIG, 3, {"P": {(2,)}, "T": {(2, 0, 2), (1, 1, 0)}}),
+         make_structure(RPT_SIG, 2, {"P": {(0,)}, "T": {(0, 1, 0), (1, 1, 0)}}))
+@example(make_structure(RPT_SIG, 4, {"R": {(3, 1)}}),
+         make_structure(RPT_SIG, 4, {}))
+@example(make_structure(RPT_SIG, 3, {}), make_structure(RPT_SIG, 1, {}))
+def test_oracle_hom_count_matches_reference(a, b):
+    assert oracle_hom_count(a, b) == _reference_hom_count(a, b)
+
+
+def test_oracle_walk_count_over_a_million_maps():
+    # hom(P_5, G) counts the walks of length 5 in G, the sum of the
+    # entries of A^5; P_5 has 6 vertices, so the oracle checks 10^6 maps
+    rng = random.Random(5)
+    n = 10
+    edges = {(u, v) for u in range(n) for v in range(n) if rng.random() < 0.3}
+    adjacency = [[int((u, v) in edges) for v in range(n)] for u in range(n)]
+    power = adjacency
+    for _ in range(4):
+        power = [[sum(power[u][w] * adjacency[w][v] for w in range(n))
+                  for v in range(n)] for u in range(n)]
+    walks = sum(map(sum, power))
+    assert oracle_hom_count(directed_path(5), digraph(n, edges)) == walks
+    assert walks == 5094  # pins the seeded draw
 
 
 def test_oracle_guard():
