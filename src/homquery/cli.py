@@ -7,12 +7,14 @@ Exit codes:
   0  every assertion made by the invoked command passed;
   1  an assertion failed (an experiment reports FAIL);
   2  bad usage or input, with a one-line message: a missing, unknown,
-     non-integer or out-of-range experiment parameter, or a Datalog
-     program that is neither a builtin nor a file, does not parse or
-     does not fit the structure;
-  3  a size guard refused the input, with the one-line message
-     "error: guard: <msg>"; --guard-override lifts the guards of
-     analyze, enumerate and oracle.
+     non-integer or out-of-range experiment parameter, a structure file
+     that decode_structure rejects ("error: input: <file>: <msg>"), or a
+     Datalog program that is neither a builtin nor a file, does not parse
+     or does not fit the structure;
+  3  a refusal, with a one-line message: a size guard ("error: guard:
+     <msg>"; --guard-override lifts the guards of analyze, enumerate and
+     oracle), the search's work budget ("error: budget: <msg>") or an
+     adaptive run's step cap ("error: step-limit: <msg>").
 """
 
 from __future__ import annotations
@@ -35,28 +37,41 @@ from .datalog import (
     parse_program,
 )
 from .experiments import EXPERIMENTS, ExperimentParameterError
-from .homs import BOOLEAN, COUNT, hom_count, hom_exists
+from .homs import BOOLEAN, COUNT, WorkBudgetExceeded, hom_count, hom_exists
 from .oracle import oracle_hom_count
+from .query import StepLimitExceeded
 from .registry import REGISTRY, run_registered
 from .structures import (
     GuardExceeded,
     Structure,
+    StructureDecodeError,
     decode_structure,
     encode_structure,
 )
 
 BIG_GUARD = 10 ** 9
 
+# a directory passes exists=True and then fails to read with a traceback
+STRUCTURE_FILE = click.Path(exists=True, dir_okay=False)
+
+
+def _error(kind: str, message, code: int) -> typing.NoReturn:
+    click.echo(f"error: {kind}: {message}", err=True)
+    sys.exit(code)
+
 
 class _Main(click.Group):
-    "Turns a size guard's refusal, from any command, into exit code 3."
+    "Turns a refusal by a guard, budget or step cap, from any command, into exit code 3."
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except GuardExceeded as exc:
-            click.echo(f"error: guard: {exc}", err=True)
-            sys.exit(3)
+            _error("guard", exc, 3)
+        except WorkBudgetExceeded as exc:
+            _error("budget", exc, 3)
+        except StepLimitExceeded as exc:
+            _error("step-limit", exc, 3)
 
 
 @click.group(cls=_Main)
@@ -77,7 +92,10 @@ def main(ctx, guard_override, seed, fmt):
 
 
 def _load(path: str) -> Structure:
-    return decode_structure(Path(path).read_text(encoding="utf-8"))
+    try:
+        return decode_structure(Path(path).read_text(encoding="utf-8"))
+    except (StructureDecodeError, UnicodeDecodeError) as exc:
+        _error("input", f"{path}: {exc}", 2)
 
 
 def _kv(ctx, key, value):
@@ -87,8 +105,8 @@ def _kv(ctx, key, value):
 
 @main.command("hom")
 @click.argument("mode", type=click.Choice(["count", "exists"]))
-@click.option("--from", "source", required=True, type=click.Path(exists=True))
-@click.option("--to", "target", required=True, type=click.Path(exists=True))
+@click.option("--from", "source", required=True, type=STRUCTURE_FILE)
+@click.option("--to", "target", required=True, type=STRUCTURE_FILE)
 @click.option("--semiring", type=click.Choice([COUNT, BOOLEAN]), default=COUNT,
               show_default=True)
 def hom_cmd(mode, source, target, semiring):
@@ -101,7 +119,7 @@ def hom_cmd(mode, source, target, semiring):
 
 
 @main.command("analyze")
-@click.argument("structure_file", type=click.Path(exists=True))
+@click.argument("structure_file", type=STRUCTURE_FILE)
 @click.pass_context
 def analyze_cmd(ctx, structure_file):
     "Print structural parameters of a structure file."
@@ -121,7 +139,7 @@ def analyze_cmd(ctx, structure_file):
 @main.command("run")
 @click.option("--algorithm", "name", required=True,
               type=click.Choice(sorted(REGISTRY)))
-@click.option("--input", "input_file", required=True, type=click.Path(exists=True))
+@click.option("--input", "input_file", required=True, type=STRUCTURE_FILE)
 @click.option("--trace", is_flag=True)
 @click.option("--n", "n_param", type=int, default=None,
               help="Family parameter for dn-sep / dn-binsearch.")
@@ -190,24 +208,19 @@ def _load_program(spec: str):
     return parse_program(path.read_text(encoding="utf-8"))
 
 
-def _datalog_usage_error(exc: DatalogError) -> typing.NoReturn:
-    click.echo(f"error: datalog: {exc}", err=True)
-    sys.exit(2)
-
-
 @datalog_group.command("run")
 @click.option("--program", required=True,
               help="Program file or builtin name "
                    f"({', '.join(sorted(BUILTIN_PROGRAM_TEXTS))}).")
 @click.option("--structure", "structure_file", required=True,
-              type=click.Path(exists=True))
+              type=STRUCTURE_FILE)
 def datalog_run_cmd(program, structure_file):
     "Evaluate a Boolean Datalog program on a structure file."
     structure = _load(structure_file)
     try:
         holds = evaluate(_load_program(program), structure)
     except DatalogError as exc:
-        _datalog_usage_error(exc)
+        _error("datalog", exc, 2)
     click.echo("true" if holds else "false")
 
 
@@ -219,7 +232,7 @@ def datalog_check_cmd(ctx, program):
     try:
         p = _load_program(program)
     except DatalogError as exc:
-        _datalog_usage_error(exc)
+        _error("datalog", exc, 2)
     monadic, linear = classify_program(p)
     _kv(ctx, "monadic", monadic)
     _kv(ctx, "linear", linear)
@@ -267,8 +280,8 @@ def oracle_group():
 
 
 @oracle_group.command("hom")
-@click.option("--from", "source", required=True, type=click.Path(exists=True))
-@click.option("--to", "target", required=True, type=click.Path(exists=True))
+@click.option("--from", "source", required=True, type=STRUCTURE_FILE)
+@click.option("--to", "target", required=True, type=STRUCTURE_FILE)
 @click.pass_context
 def oracle_hom_cmd(ctx, source, target):
     "Count homomorphisms by full enumeration of all maps."

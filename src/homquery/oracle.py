@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from collections import deque
 
-import numpy as np
-
 from .structures import GuardExceeded, Structure, edges_of
 
 
@@ -41,6 +39,8 @@ def oracle_hom_count(a: Structure, b: Structure, guard: int = 20_000_000) -> int
     if nb == 1:
         return int(all((0,) * arity in b.relations[name]
                        for name, arity in a.signature.relations if a.relations[name]))
+
+    import numpy as np  # here, its only use: processes that never call the oracle skip loading it
 
     shape = (nb,) * na
     ok = np.ones(shape, dtype=bool)

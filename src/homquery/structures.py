@@ -298,9 +298,79 @@ def encode_structure(s: Structure) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+class StructureDecodeError(ValueError):
+    "A structure document that is not JSON or does not describe a structure."
+
+
+def _unique_keys(pairs):
+    seen = set()
+    for k, _ in pairs:
+        if k in seen:
+            raise StructureDecodeError(f"duplicate key {k!r}")
+        seen.add(k)
+    return dict(pairs)
+
+
+def _integer(value, what: str, low: int, high: int | None = None) -> int:
+    # bool is an int subclass: true must not read as 1
+    if type(value) is not int:
+        raise StructureDecodeError(f"{what} must be an integer, not {json.dumps(value)}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise StructureDecodeError(f"{what} must be {bound}, not {value}")
+    return value
+
+
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise StructureDecodeError(f"{what} must be {_JSON_KINDS[kind]}, not {json.dumps(value)}")
+    return value
+
+
+def _object(value, what: str, keys: set[str], optional: set[str] = frozenset()) -> dict:
+    _typed(value, dict, what)
+    missing = sorted(keys - value.keys())
+    if missing:
+        raise StructureDecodeError(f"{what} has no {missing[0]!r}")
+    unknown = sorted(value.keys() - keys - optional)
+    if unknown:
+        raise StructureDecodeError(f"{what} has unknown key {unknown[0]!r}")
+    return value
+
+
 def decode_structure(text: str) -> Structure:
-    doc = json.loads(text)
-    sig = Signature(tuple((r["name"], int(r["arity"])) for r in doc["signature"]))
-    rels = {name: {tuple(int(e) for e in t) for t in tuples}
-            for name, tuples in doc.get("relations", {}).items()}
-    return make_structure(sig, int(doc["domain"]), rels)
+    """
+    Read encode_structure's JSON form.  Anything else raises
+    StructureDecodeError with a one-line message, nothing is coerced:
+    invalid JSON, duplicate or unknown keys, a boolean or non-integer where
+    an integer belongs, a repeated relation name, a relation outside the
+    signature, a tuple of the wrong arity or an element outside the domain.
+    """
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise StructureDecodeError(f"invalid JSON: {exc}") from None
+    _object(doc, "structure", {"signature", "domain"}, {"relations"})
+    arities: dict[str, int] = {}
+    for r in _typed(doc["signature"], list, "signature"):
+        name = _typed(_object(r, "signature entry", {"name", "arity"})["name"], str,
+                      "relation name")
+        if name in arities:
+            raise StructureDecodeError(f"relation {name!r} is declared twice")
+        arities[name] = _integer(r["arity"], f"arity of {name!r}", 1)
+    domain_size = _integer(doc["domain"], "domain", 1)
+    rels = {}
+    for name, tuples in _typed(doc.get("relations", {}), dict, "relations").items():
+        if name not in arities:
+            raise StructureDecodeError(f"relation {name!r} is not in the signature")
+        rel = set()
+        for t in _typed(tuples, list, f"relation {name!r}"):
+            if not isinstance(t, list) or len(t) != arities[name]:
+                raise StructureDecodeError(
+                    f"relation {name!r}: {json.dumps(t)} is not a list of {arities[name]} elements")
+            rel.add(tuple(_integer(e, f"element of {name!r}", 0, domain_size - 1) for e in t))
+        rels[name] = rel
+    return make_structure(Signature(tuple(arities.items())), domain_size, rels)

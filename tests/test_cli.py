@@ -3,7 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from homquery import cli
 from homquery.cli import main
+from homquery.homs import WorkBudgetExceeded
+from homquery.query import StepLimitExceeded
 from homquery.structures import (
     Signature,
     directed_cycle,
@@ -178,6 +181,87 @@ def test_guard_refusals_exit_3(runner, tmp_path):
         assert "Traceback" not in r.output
         lines = r.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: guard: "), args
+
+
+def _one_error_line(r, code, prefix):
+    assert r.exit_code == code, r.output
+    assert "Traceback" not in r.output
+    lines = r.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), r.output
+    return lines[0]
+
+
+def test_budget_and_step_cap_refusals_exit_3(runner, files, monkeypatch):
+    def over_budget(a, b):
+        raise WorkBudgetExceeded("search exceeded 10 nodes")
+
+    def over_cap(name, s, **params):
+        raise StepLimitExceeded("exceeded step cap 4")
+
+    monkeypatch.setattr(cli, "hom_count", over_budget)
+    monkeypatch.setattr(cli, "run_registered", over_cap)
+    r = runner.invoke(main, ["hom", "count", "--from", files["c6"], "--to", files["c3"]])
+    assert _one_error_line(r, 3, "error: budget: ") == \
+        "error: budget: search exceeded 10 nodes"
+    r = runner.invoke(main, ["run", "--algorithm", "cycle2q", "--input", files["c3"]])
+    assert _one_error_line(r, 3, "error: step-limit: ") == \
+        "error: step-limit: exceeded step cap 4"
+
+
+R2 = '"signature": [{"name": "R", "arity": 2}]'
+MALFORMED_STRUCTURES = [
+    ('{"signature": [', "invalid JSON"),
+    ('[]', "structure must be an object"),
+    ('{"signature": [{"name": "R", "arity": true}], "domain": 2}',
+     "arity of 'R' must be an integer, not true"),
+    ('{"signature": [{"name": "R", "arity": 1.9}], "domain": 2}',
+     "arity of 'R' must be an integer, not 1.9"),
+    ('{' + R2 + ', "domain": 2.7}', "domain must be an integer, not 2.7"),
+    ('{' + R2 + ', "domain": "2"}', 'domain must be an integer, not "2"'),
+    ('{' + R2 + ', "domain": 2, "relations": {"R": [[0, true]]}}',
+     "element of 'R' must be an integer, not true"),
+    ('{' + R2 + ', "domain": 2, "relations": {"R": [[0, 1.0]]}}',
+     "element of 'R' must be an integer, not 1.0"),
+    ('{' + R2 + ', "domain": 2, "edges": []}', "structure has unknown key 'edges'"),
+    ('{"signature": [{"name": "R", "arity": 2, "kind": "x"}], "domain": 2}',
+     "signature entry has unknown key 'kind'"),
+    ('{' + R2 + '}', "structure has no 'domain'"),
+    ('{"signature": [{"name": "R", "arity": 2}, {"name": "R", "arity": 1}], "domain": 2}',
+     "relation 'R' is declared twice"),
+    ('{' + R2 + ', "domain": 2, "relations": {"R": [], "R": [[0, 1]]}}',
+     "duplicate key 'R'"),
+    ('{' + R2 + ', "domain": 2, "relations": {"S": [[0, 1]]}}',
+     "relation 'S' is not in the signature"),
+    ('{' + R2 + ', "domain": 2, "relations": {"R": [[0, 2]]}}',
+     "element of 'R' must be in 0..1, not 2"),
+    ('{' + R2 + ', "domain": 2, "relations": {"R": [[0, -1]]}}',
+     "element of 'R' must be in 0..1, not -1"),
+    ('{' + R2 + ', "domain": 2, "relations": {"R": [[0]]}}',
+     "relation 'R': [0] is not a list of 2 elements"),
+    ('{' + R2 + ', "domain": 0}', "domain must be >= 1, not 0"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_STRUCTURES)
+def test_malformed_structure_files_are_input_errors(runner, tmp_path, files, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    for args in (["analyze", str(bad)],
+                 ["hom", "count", "--from", files["c3"], "--to", str(bad)]):
+        r = runner.invoke(main, args)
+        line = _one_error_line(r, 2, f"error: input: {bad}: ")
+        assert message in line, (args, line)
+
+
+def test_structure_file_that_is_not_utf8_or_a_file_is_input_error(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"domain": 1\xff}')
+    _one_error_line(runner.invoke(main, ["analyze", str(bad)]), 2, f"error: input: {bad}: ")
+    for args in (["analyze", str(tmp_path)],
+                 ["hom", "count", "--from", str(tmp_path), "--to", str(tmp_path)]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2 and "Traceback" not in r.output, r.output
+        assert "is a directory" in r.output
 
 
 def test_oracle_hom_command(runner, files):

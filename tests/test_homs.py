@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_digraphs
@@ -11,7 +11,9 @@ from homquery.analysis import component_count, gamma
 from homquery.homs import (
     BOOLEAN,
     COUNT,
+    TABLE_CACHE_SIZE,
     WorkBudgetExceeded,
+    _table,
     find_hom,
     hom_count,
     hom_equivalent,
@@ -158,6 +160,67 @@ def test_large_counts_within_small_budget():
         edges.add((rng.randrange(40), rng.randrange(40)))
     g = digraph(40, edges)
     assert hom_count(directed_path(6), g, budget=200_000) == _walks(g, 6)
+
+
+def _grouped_table(relation, mask):
+    "Reference for _table: group each tuple whose mask positions agree."
+    grouped = {}
+    for t in relation:
+        new = {e for k, e in enumerate(t) if mask >> k & 1}
+        if len(new) != 1:
+            continue
+        fixed = tuple(e for k, e in enumerate(t) if not mask >> k & 1)
+        grouped.setdefault(fixed[0] if len(fixed) == 1 else fixed, set()).update(new)
+    return {key: tuple(sorted(images)) for key, images in grouped.items()}
+
+
+@st.composite
+def relations(draw):
+    arity, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return arity, frozenset(draw(st.sets(st.sampled_from(
+        list(itertools.product(range(n), repeat=arity))), max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations())
+@example((2, frozenset()))
+@example((3, frozenset()))
+@example((2, frozenset({(0, 0), (0, 1), (2, 2), (1, 0)})))
+@example((3, frozenset({(0, 1, 0), (1, 1, 0), (2, 0, 2), (1, 2, 1)})))
+def test_table_matches_grouping_reference(rel):
+    # every mask: one new position with zero, one or two fixed ones, and
+    # several new positions (R(x, x) is mask 3, T(0, 1, 0) is mask 5)
+    arity, relation = rel
+    for mask in range(1, 2 ** arity):
+        assert _table(relation, mask) == _grouped_table(relation, mask)
+
+
+def test_sweep_past_the_table_cache_agrees_with_matrix_powers():
+    # each target is read through masks 1, 2 and 3; two passes over more
+    # targets than the cache holds evict every table before it is read again
+    rng = random.Random(7)
+    targets = []
+    for _ in range(TABLE_CACHE_SIZE // 2 + 8):
+        edges = {(rng.randrange(8), rng.randrange(8)) for _ in range(14)}
+        targets.append(digraph(8, edges))
+    sources = {"P_1": directed_path(1), "P_3": directed_path(3),
+               "in-star": digraph(3, {(1, 0), (2, 0)}), "loop": digraph(1, {(0, 0)})}
+
+    def sweep():
+        return [{name: hom_count(a, g) for name, a in sources.items()} for g in targets]
+
+    before = _table.cache_info().misses
+    first = sweep()
+    between = _table.cache_info().misses
+    second = sweep()
+    assert _table.cache_info().misses - between > TABLE_CACHE_SIZE
+    assert between > before
+    assert first == second
+    for g, counts in zip(targets, first):
+        in_degree = [sum(1 for _, v in g.relations["R"] if v == u) for u in g.domain]
+        assert counts == {"P_1": _walks(g, 1), "P_3": _walks(g, 3),
+                          "in-star": sum(d * d for d in in_degree),
+                          "loop": sum(1 for u, v in g.relations["R"] if u == v)}
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,10 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import homquery
 from homquery.homs import hom_count
 from homquery.oracle import (
     has_directed_cycle,
@@ -127,6 +132,24 @@ def test_oracle_walk_count_over_a_million_maps():
     walks = sum(map(sum, power))
     assert oracle_hom_count(directed_path(5), digraph(n, edges)) == walks
     assert walks == 5094  # pins the seeded draw
+
+
+def test_numpy_is_loaded_only_by_the_oracle():
+    # a fresh interpreter: this one may have loaded numpy already
+    script = (
+        "import sys\n"
+        "import homquery, homquery.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded on import'\n"
+        "from homquery import directed_cycle, hom_count, oracle_hom_count\n"
+        "assert hom_count(directed_cycle(6), directed_cycle(3)) == 3\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded by the engine'\n"
+        "assert oracle_hom_count(directed_cycle(6), directed_cycle(3)) == 3\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    src = str(Path(homquery.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 def test_oracle_guard():
