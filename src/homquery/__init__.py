@@ -30,7 +30,6 @@ from .analysis import (
     gamma,
     hom_equiv_to_acyclic,
     is_berge_acyclic,
-    maps_to_cycle,
     star_transform,
 )
 from .homs import (
@@ -38,11 +37,9 @@ from .homs import (
     COUNT,
     WorkBudgetExceeded,
     hom_count,
-    hom_equivalent,
     hom_exists,
     hom_into_cycle_union_formula,
     hom_into_nary_cycle_union_formula,
-    nu2,
 )
 from .query import (
     LEFT,
@@ -52,9 +49,7 @@ from .query import (
     Query,
     RunReport,
     StrategyContractError,
-    bounded_depth_check,
     flatten_adaptive_boolean,
-    lift_non_adaptive,
     run_adaptive,
     run_non_adaptive,
 )

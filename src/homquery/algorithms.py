@@ -11,13 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from .catalog import enumerate_digraphs, enumerate_digraphs_upto
 from .homs import hom_count, hom_into_cycle_union_formula
 from .query import (
     LEFT,
-    RIGHT,
     Halt,
     NonAdaptiveAlgorithm,
     Query,
@@ -39,13 +37,14 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class ClassPredicate:
-    name: str
-    membership: Callable[[Structure], bool]
+# The largest inputs lovasz and right2q identify, stated once: the registry's
+# lovasz step cap reads the first; the second also guards the distinguisher.
+LOVASZ_SIZE_CAP = 3
+RIGHT2Q_SIZE_CAP = 2
 
-    def __call__(self, s: Structure) -> bool:
-        return bool(self.membership(s))
+
+class ParameterError(ValueError):
+    "A parameter is outside the range its construction or experiment accepts."
 
 
 EDGELESS_SINGLETON = digraph(1, set())
@@ -88,23 +87,24 @@ def identify_by_hom_vector(answers, size: int):
     return match
 
 
-def lovasz_universal_decider(predicate: ClassPredicate, size_cap: int = 3) -> Strategy:
+def lovasz_universal_decider(predicate) -> Strategy:
     """
     Left counting strategy: query the input's size, then hom counts from
     every iso-class of digraphs up to that size (frozen enumeration
     order); the answer vector pins the input down up to isomorphism, and
-    the verdict is the class predicate on the identified candidate.
+    the verdict is the class predicate (Structure -> bool) on the
+    identified candidate.
     """
     def strategy(t: Transcript):
         if len(t) == 0:
             return Query(EDGELESS_SINGLETON)
         n = t[0]
-        if n > size_cap:
-            raise GuardExceeded(f"input size {n} > cap {size_cap}")
+        if n > LOVASZ_SIZE_CAP:
+            raise GuardExceeded(f"input size {n} > cap {LOVASZ_SIZE_CAP}")
         probes = enumerate_digraphs_upto(n)
         if len(t) - 1 < len(probes):
             return Query(probes[len(t) - 1])
-        return Halt(predicate(identify_by_hom_vector(t[1:], n)))
+        return Halt(bool(predicate(identify_by_hom_vector(t[1:], n))))
     return strategy
 
 
@@ -144,7 +144,7 @@ def dn_nonadaptive_separator(n: int) -> NonAdaptiveAlgorithm:
     accepting exactly the even-parity family members' answer vectors.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParameterError(f"n must be >= 1, got {n}")
     queries = tuple(directed_cycle(2 ** r) for r in range(n))
     accept = frozenset(_dn_answer_vector(n, m) for m in range(0, n + 1, 2))
     return NonAdaptiveAlgorithm(LEFT, queries, accept)
@@ -157,7 +157,7 @@ def dn_adaptive_binary_search(n: int) -> Strategy:
     m in [0, n] finds m in ceil(log2(n+1)) queries; accept iff m even.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParameterError(f"n must be >= 1, got {n}")
 
     def strategy(t: Transcript):
         lo, hi = 0, n
@@ -172,23 +172,6 @@ def dn_adaptive_binary_search(n: int) -> Strategy:
         mid = (lo + hi) // 2
         return Query(directed_cycle(2 ** mid))
     return strategy
-
-
-def even_power_cycle_class() -> ClassPredicate:
-    """
-    Digraphs whose shortest directed cycle length is a power of four;
-    cycle-free digraphs are members (vacuous reading).
-    """
-    from .oracle import shortest_directed_cycle
-
-    def member(s: Structure) -> bool:
-        length = shortest_directed_cycle(s)
-        if length is None:
-            return True
-        while length % 4 == 0:
-            length //= 4
-        return length == 1
-    return ClassPredicate("shortest-cycle-is-power-of-four", member)
 
 
 def adaptive_not_better_instance(k: int, primes, guard: int = 250):
@@ -268,7 +251,7 @@ def reconstruct_unary_structure(sig: Signature, answers) -> Structure:
     return make_structure(sig, max(total, 1), rels)
 
 
-def unary_full_decider(sig: Signature, predicate: ClassPredicate) -> NonAdaptiveAlgorithm:
+def unary_full_decider(sig: Signature, predicate) -> NonAdaptiveAlgorithm:
     """
     For a unary signature with k predicates: the 2^k singleton queries
     F_S; hom(F_S, A) counts elements satisfying at least S, and the exact
@@ -285,43 +268,36 @@ def unary_full_decider(sig: Signature, predicate: ClassPredicate) -> NonAdaptive
     return NonAdaptiveAlgorithm(LEFT, queries, accept)
 
 
-def brute_force_distinguisher(n: int, sig: Signature = DIGRAPH_SIG,
-                              search_cap: int = 4, guard: int = 2) -> Structure:
+def brute_force_distinguisher(n: int, sig: Signature = DIGRAPH_SIG) -> Structure:
     """
-    First digraph F in enumeration order whose hom counts hom(H, F) are
-    pairwise distinct over the iso-classes H of size n.
+    First digraph F of at most 4 vertices, in enumeration order, whose hom
+    counts hom(H, F) are pairwise distinct over the iso-classes H of size n.
     """
     # lru_cache keys on the call form: pass every argument positionally so
     # that (2) and (2, DIGRAPH_SIG) share one entry
-    return _brute_force_distinguisher(n, sig, search_cap, guard)
+    return _brute_force_distinguisher(n, sig)
 
 
 @lru_cache(maxsize=None)
-def _brute_force_distinguisher(n: int, sig: Signature, search_cap: int,
-                               guard: int) -> Structure:
+def _brute_force_distinguisher(n: int, sig: Signature) -> Structure:
     if sig != DIGRAPH_SIG:
         raise ValueError("only digraph signatures are supported")
-    if n > guard:
-        raise GuardExceeded(f"distinguisher guard: n = {n} > {guard}")
+    if n > RIGHT2Q_SIZE_CAP:
+        raise GuardExceeded(f"distinguisher guard: n = {n} > {RIGHT2Q_SIZE_CAP}")
     classes = enumerate_digraphs(n).representatives
-    for candidate in enumerate_digraphs_upto(search_cap):
+    for candidate in enumerate_digraphs_upto(4):
         counts = [hom_count(h, candidate) for h in classes]
         if len(set(counts)) == len(counts):
             return candidate
-    raise GuardExceeded(f"no distinguisher found up to size {search_cap}")
+    raise GuardExceeded("no distinguisher found up to size 4")
 
 
-def right_two_query_decider(predicate: ClassPredicate,
-                            distinguisher: Callable[[int, Signature], Structure] = None,
-                            size_cap: int = 2) -> Strategy:
+def right_two_query_decider(predicate) -> Strategy:
     """
     Right counting strategy: hom(input, complete pair) = 2^|input|
     recovers the size; a second query against a structure whose hom
     counts separate all iso-classes of that size identifies the input.
     """
-    if distinguisher is None:
-        distinguisher = lambda n, sig: brute_force_distinguisher(n, sig)
-
     def strategy(t: Transcript):
         if len(t) == 0:
             return Query(complete_pair(DIGRAPH_SIG))
@@ -329,16 +305,16 @@ def right_two_query_decider(predicate: ClassPredicate,
         if answer <= 0 or answer & (answer - 1):
             raise StrategyContractError(f"first answer {answer} is not a power of two")
         n = answer.bit_length() - 1
-        if n > size_cap:
-            raise GuardExceeded(f"input size {n} > cap {size_cap}")
-        separator = distinguisher(n, DIGRAPH_SIG)
+        if n > RIGHT2Q_SIZE_CAP:
+            raise GuardExceeded(f"input size {n} > cap {RIGHT2Q_SIZE_CAP}")
+        separator = brute_force_distinguisher(n, DIGRAPH_SIG)
         if len(t) == 1:
             return Query(separator)
         matches = [h for h in enumerate_digraphs(n).representatives
                    if hom_count(h, separator) == t[1]]
         if len(matches) != 1:
             raise StrategyContractError("distinguisher failed to identify the input")
-        return Halt(predicate(matches[0]))
+        return Halt(bool(predicate(matches[0])))
     return strategy
 
 

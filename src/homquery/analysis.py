@@ -19,33 +19,30 @@ from .structures import (
 )
 
 
-def element_components(s: Structure) -> list[list[int]]:
-    "Partition of the domain by connectivity in the incidence multigraph."
+# core's default size guard, which hom_equiv_to_acyclic shares
+CORE_GUARD = 7
+
+
+def component_count(s: Structure) -> int:
+    "Number of connected components of the incidence multigraph."
     adjacency: dict[int, set[int]] = {e: set() for e in s.domain}
     for _, t in s.facts():
         for a in t:
             adjacency[a].update(t)
     seen: set[int] = set()
-    components = []
+    count = 0
     for start in s.domain:
         if start in seen:
             continue
-        comp = []
-        queue = deque([start])
+        count += 1
         seen.add(start)
+        queue = deque([start])
         while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in adjacency[v]:
+            for w in adjacency[queue.popleft()]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
-        components.append(sorted(comp))
-    return components
-
-
-def component_count(s: Structure) -> int:
-    return len(element_components(s))
+    return count
 
 
 def is_berge_acyclic(s: Structure) -> bool:
@@ -104,13 +101,6 @@ def gamma(d: Structure) -> int:
     return g
 
 
-def maps_to_cycle(d: Structure, n: int) -> bool:
-    "Whether d admits a homomorphism into the directed n-cycle: n | gamma(d)."
-    if n < 1:
-        raise ValueError("cycle length must be >= 1")
-    return gamma(d) % n == 0
-
-
 def star_transform(s: Structure) -> Structure:
     """
     For a structure with one relation of arity >= 2: the digraph on the
@@ -139,7 +129,7 @@ def induced_substructure(s: Structure, keep) -> Structure:
     return make_structure(s.signature, len(keep), rels)
 
 
-def core(s: Structure, guard: int = 7) -> Structure:
+def core(s: Structure, guard: int = CORE_GUARD) -> Structure:
     """
     A minimal retract: repeatedly find an endomorphism missing some element
     and restrict to the induced image, until none exists.  Returned in
@@ -166,6 +156,6 @@ def core(s: Structure, guard: int = 7) -> Structure:
     return canonical_form(current)
 
 
-def hom_equiv_to_acyclic(s: Structure, guard: int = 7) -> bool:
+def hom_equiv_to_acyclic(s: Structure, guard: int = CORE_GUARD) -> bool:
     "Whether s is homomorphically equivalent to a Berge-acyclic structure."
     return is_berge_acyclic(core(s, guard=guard))

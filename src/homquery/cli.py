@@ -7,14 +7,16 @@ Exit codes:
   0  every assertion made by the invoked command passed;
   1  an assertion failed (an experiment reports FAIL);
   2  bad usage or input, with a one-line message: a missing, unknown,
-     non-integer or out-of-range experiment parameter, a structure file
-     that decode_structure rejects ("error: input: <file>: <msg>"), or a
-     Datalog program that is neither a builtin nor a file, does not parse
-     or does not fit the structure;
+     non-integer or out-of-range experiment parameter, a run --n that the
+     algorithm does not take or that is out of range ("error: usage:
+     <msg>"), a structure file that decode_structure rejects ("error:
+     input: <file>: <msg>"), or a Datalog program that is neither a
+     builtin nor a file, does not parse or does not fit the structure;
   3  a refusal, with a one-line message: a size guard ("error: guard:
      <msg>"; --guard-override lifts the guards of analyze, enumerate and
-     oracle), the search's work budget ("error: budget: <msg>") or an
-     adaptive run's step cap ("error: step-limit: <msg>").
+     oracle, which otherwise keep their functions' defaults), the
+     search's work budget ("error: budget: <msg>") or an adaptive run's
+     step cap ("error: step-limit: <msg>").
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .datalog import (
     evaluate,
     parse_program,
 )
-from .experiments import EXPERIMENTS, ExperimentParameterError
+from .experiments import EXPERIMENTS
 from .homs import BOOLEAN, COUNT, WorkBudgetExceeded, hom_count, hom_exists
 from .oracle import oracle_hom_count
 from .query import StepLimitExceeded
@@ -77,15 +79,12 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 @click.option("--guard-override", is_flag=True,
               help="Lift desk-scale size guards (may take very long).")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for randomized checks.")
 @click.option("--format", "fmt", type=click.Choice(["text", "machine"]),
               default="text", show_default=True)
 @click.pass_context
-def main(ctx, guard_override, seed, fmt):
+def main(ctx, guard_override, fmt):
     ctx.ensure_object(dict)
     ctx.obj["guard_override"] = guard_override
-    ctx.obj["seed"] = seed
     ctx.obj["fmt"] = fmt
     if guard_override:
         click.echo("warning: size guards lifted", err=True)
@@ -96,6 +95,11 @@ def _load(path: str) -> Structure:
         return decode_structure(Path(path).read_text(encoding="utf-8"))
     except (StructureDecodeError, UnicodeDecodeError) as exc:
         _error("input", f"{path}: {exc}", 2)
+
+
+def _guard(ctx) -> dict:
+    "guard=BIG_GUARD under --guard-override, else nothing: the callee's default applies."
+    return {"guard": BIG_GUARD} if ctx.obj["guard_override"] else {}
 
 
 def _kv(ctx, key, value):
@@ -124,14 +128,13 @@ def hom_cmd(mode, source, target, semiring):
 def analyze_cmd(ctx, structure_file):
     "Print structural parameters of a structure file."
     s = _load(structure_file)
-    guard = BIG_GUARD if ctx.obj["guard_override"] else 7
     _kv(ctx, "domain", s.domain_size)
     _kv(ctx, "components", component_count(s))
     _kv(ctx, "berge-acyclic", is_berge_acyclic(s))
     if s.is_digraph():
         _kv(ctx, "gamma", gamma(s))
     try:
-        _kv(ctx, "core-size", core(s, guard=guard).domain_size)
+        _kv(ctx, "core-size", core(s, **_guard(ctx)).domain_size)
     except GuardExceeded:
         _kv(ctx, "core-size", "skipped (size guard)")
 
@@ -146,9 +149,16 @@ def analyze_cmd(ctx, structure_file):
 @click.pass_context
 def run_cmd(ctx, name, input_file, trace, n_param):
     "Run a registered query algorithm against a structure file."
-    s = _load(input_file)
     params = {} if n_param is None else {"n": n_param}
-    report = run_registered(name, s, **params)
+    try:
+        inspect.signature(REGISTRY[name].build).bind(**params)
+    except TypeError as exc:
+        _error("usage", f"algorithm {name}: {exc}", 2)
+    s = _load(input_file)
+    try:
+        report = run_registered(name, s, **params)
+    except alg.ParameterError as exc:
+        _error("usage", f"algorithm {name}: {exc}", 2)
     if trace:
         for i, (query, answer) in enumerate(
                 zip(report.queries_issued, report.transcript), start=1):
@@ -185,8 +195,7 @@ def gen_dn_cmd(n, parity, out_dir):
 @click.pass_context
 def enumerate_cmd(ctx, size):
     "List all digraph iso-classes of the given size."
-    guard = BIG_GUARD if ctx.obj["guard_override"] else 4
-    catalog = enumerate_digraphs(size, guard=guard)
+    catalog = enumerate_digraphs(size, **_guard(ctx))
     _kv(ctx, "classes", len(catalog.representatives))
     for i, rep in enumerate(catalog.representatives):
         _kv(ctx, f"class.{i}", sorted(rep.relations["R"]))
@@ -267,7 +276,7 @@ def experiment_cmd(ctx, experiment_id, params):
         raise click.UsageError(f"experiment {experiment_id}: {exc}") from None
     try:
         report = experiment(**kwargs)
-    except ExperimentParameterError as exc:
+    except alg.ParameterError as exc:
         raise click.UsageError(f"experiment {experiment_id}: {exc}") from None
     click.echo(report.render(ctx.obj["fmt"]), nl=False)
     if not report.passed:
@@ -285,8 +294,7 @@ def oracle_group():
 @click.pass_context
 def oracle_hom_cmd(ctx, source, target):
     "Count homomorphisms by full enumeration of all maps."
-    guard = BIG_GUARD if ctx.obj["guard_override"] else 20_000_000
-    click.echo(str(oracle_hom_count(_load(source), _load(target), guard=guard)))
+    click.echo(str(oracle_hom_count(_load(source), _load(target), **_guard(ctx))))
 
 
 if __name__ == "__main__":

@@ -37,14 +37,10 @@ from .structures import (
 )
 
 
-class ExperimentParameterError(ValueError):
-    "An experiment parameter is outside the range the experiment accepts."
-
-
 def _check_positive(**params: int):
     for name, value in params.items():
         if value < 1:
-            raise ExperimentParameterError(f"{name} must be >= 1, got {value}")
+            raise alg.ParameterError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -150,20 +146,17 @@ def experiment_dn(n: int) -> ExperimentReport:
     return report
 
 
-def experiment_adaptive_not_better(k: int = 1, primes: tuple[int, ...] | None = None,
-                                   seed: int = 0) -> ExperimentReport:
+def experiment_adaptive_not_better(k: int = 1, seed: int = 0) -> ExperimentReport:
     """
-    Build the k-query instance, verify the hom matrix is nonzero exactly
-    on the diagonal and the classification accepts exactly j <= k; for
-    k=1 also brute-force the matrix and replay the adversary argument
-    over a finite query pool (illustrative, not a proof).
+    Build the k-query instance on the primes (2, 3, 5, 7)[:2k], verify the
+    hom matrix is nonzero exactly on the diagonal and the classification
+    accepts exactly j <= k; for k=1 also brute-force the matrix and replay
+    the adversary argument over a finite query pool (illustrative).
     """
-    if primes is None:
-        primes = (2, 3) if k == 1 else (2, 3, 5, 7)
-    if k < 1 or len(primes) != 2 * k or len(set(primes)) != 2 * k:
-        raise ExperimentParameterError(
-            f"k={k} needs 2k distinct primes, got primes={tuple(primes)}")
-    report = ExperimentReport("adaptive-not-better", {"k": k, "primes": tuple(primes), "seed": seed})
+    primes = (2, 3, 5, 7)[:2 * k]
+    if k < 1 or len(primes) != 2 * k:
+        raise alg.ParameterError(f"k={k} needs 2k distinct primes, got primes={primes}")
+    report = ExperimentReport("adaptive-not-better", {"k": k, "primes": primes, "seed": seed})
     algorithm, structures = alg.adaptive_not_better_instance(k, primes)
 
     diagonal_ok = True

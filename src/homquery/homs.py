@@ -262,10 +262,6 @@ def hom_exists(a: Structure, b: Structure, budget: int | None = DEFAULT_BUDGET) 
     return find_hom(a, b, budget=budget) is not None
 
 
-def hom_equivalent(a: Structure, b: Structure, budget: int | None = DEFAULT_BUDGET) -> bool:
-    return hom_exists(a, b, budget=budget) and hom_exists(b, a, budget=budget)
-
-
 def hom_value(a: Structure, b: Structure, semiring: str,
               budget: int | None = DEFAULT_BUDGET) -> int:
     "hom count under COUNT, 0/1 existence under BOOLEAN."
@@ -306,12 +302,3 @@ def hom_into_nary_cycle_union_formula(a: Structure, m: int, d: int) -> int:
     if g % d != 0:
         return 0
     return (m * d) ** component_count(a)
-
-
-def nu2(k: int):
-    "2-adic valuation; nu2(0) is +infinity."
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return math.inf
-    return (k & -k).bit_length() - 1

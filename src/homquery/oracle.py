@@ -58,10 +58,6 @@ def oracle_hom_count(a: Structure, b: Structure, guard: int = 20_000_000) -> int
     return int(np.count_nonzero(ok))
 
 
-def oracle_hom_exists(a: Structure, b: Structure, guard: int = 20_000_000) -> bool:
-    return oracle_hom_count(a, b, guard=guard) > 0
-
-
 def oracle_gamma(d: Structure) -> int:
     """
     gcd of net lengths of positive-net-length oriented cycles, found by

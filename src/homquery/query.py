@@ -13,14 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .homs import BOOLEAN, COUNT, hom_value
-from .structures import GuardExceeded, Structure
+from .homs import COUNT, hom_value
+from .structures import Structure
 
 LEFT = "left"
 RIGHT = "right"
-
-YES = True
-NO = False
 
 Transcript = tuple[int, ...]
 
@@ -104,7 +101,9 @@ def run_adaptive(strategy: Strategy, input_structure: Structure,
     """
     Iterate the strategy on the growing transcript until it halts.
     max_steps=None applies default_step_cap, 2*|input| + |input|^2;
-    exceeding the cap is an error, never a verdict.
+    exceeding the cap is an error, never a verdict.  A LookupError raised
+    by the strategy means it is undefined on a transcript the run reached,
+    and becomes StrategyContractError; every other exception keeps its type.
     """
     if max_steps is None:
         max_steps = default_step_cap(input_structure)
@@ -113,9 +112,7 @@ def run_adaptive(strategy: Strategy, input_structure: Structure,
     while True:
         try:
             decision = strategy(transcript)
-        except (StrategyContractError, GuardExceeded):
-            raise
-        except Exception as exc:
+        except LookupError as exc:
             raise StrategyContractError(
                 f"strategy undefined on reachable transcript {transcript}") from exc
         if isinstance(decision, Halt):
@@ -129,41 +126,21 @@ def run_adaptive(strategy: Strategy, input_structure: Structure,
         transcript = transcript + (answer,)
 
 
-def bounded_depth_check(strategy: Strategy, inputs, orientation: str,
-                        semiring: str, k: int) -> bool:
-    "Empirically: do all runs on the given inputs use at most k queries?"
-    for s in inputs:
-        report = run_adaptive(strategy, s, orientation, semiring,
-                              max_steps=max(k + 1, default_step_cap(s)))
-        if report.query_count > k:
-            return False
-    return True
-
-
-def lift_non_adaptive(alg: NonAdaptiveAlgorithm) -> Strategy:
-    "The adaptive strategy issuing the fixed queries in order, then halting."
-    def strategy(transcript: Transcript) -> StrategyDecision:
-        if len(transcript) < len(alg.queries):
-            return Query(alg.queries[len(transcript)])
-        if len(transcript) == len(alg.queries):
-            return Halt(alg.accepts(transcript))
-        raise StrategyContractError("probed past the halting transcript")
-    return strategy
-
-
 def flatten_adaptive_boolean(strategy: Strategy, k: int,
                              orientation: str) -> NonAdaptiveAlgorithm:
     """
     Turn a depth-<=k Boolean adaptive strategy into a non-adaptive
     algorithm by materializing every query reachable within k steps
-    (at most 2^k - 1 of them, one per internal tree node).
+    (at most 2^k - 1 of them, one per internal tree node).  As in
+    run_adaptive, only a LookupError from the strategy becomes
+    StrategyContractError.
     """
     nodes: dict[Transcript, Structure] = {}
 
     def explore(transcript: Transcript):
         try:
             decision = strategy(transcript)
-        except Exception as exc:
+        except LookupError as exc:
             raise StrategyContractError(
                 f"strategy undefined on transcript {transcript}") from exc
         if isinstance(decision, Halt):

@@ -2,8 +2,8 @@
 Stable algorithm registry for the CLI and the experiment harness.
 
 Each entry knows its orientation, semiring, how to build the runnable
-(non-adaptive algorithm or adaptive strategy) and a safe step cap for
-adaptive runs on a given input.  These caps are the one statement of
+(non-adaptive algorithm or adaptive strategy) and, for an adaptive one,
+a safe step cap on a given input.  These caps are the one statement of
 each step cap: the experiments run the adaptive algorithms through
 run_registered.
 """
@@ -33,23 +33,16 @@ class AlgorithmEntry:
     name: str
     orientation: str
     semiring: str
-    adaptive: bool
     build: Callable[..., object]          # (**params) -> strategy or NonAdaptiveAlgorithm
-    step_cap: Optional[Callable[[Structure], int]] = None
-    description: str = ""
+    step_cap: Optional[Callable[[Structure], int]] = None   # adaptive entries only
 
-
-DEFAULT_DIGRAPH_CLASS = alg.ClassPredicate("has-directed-cycle", has_directed_cycle)
 
 UNARY_PQ_SIG = Signature((("P", 1), ("Q", 1)))
-DEFAULT_UNARY_CLASS = alg.ClassPredicate(
-    "some-element-in-all-predicates",
-    lambda s: any(all((e,) in s.relations[name] for name in s.signature.names)
-                  for e in s.domain))
 
 
-def _lovasz_cap(size_cap: int) -> Callable[[Structure], int]:
-    return lambda s: 1 + len(enumerate_digraphs_upto(min(s.domain_size, size_cap)))
+def some_element_in_all_predicates(s: Structure) -> bool:
+    return any(all((e,) in s.relations[name] for name in s.signature.names)
+               for e in s.domain)
 
 
 REGISTRY: dict[str, AlgorithmEntry] = {}
@@ -60,62 +53,49 @@ def _register(entry: AlgorithmEntry):
 
 
 _register(AlgorithmEntry(
-    "cycle2q", LEFT, COUNT, adaptive=True,
-    build=lambda **_: alg.cycle_detector_2query(),
-    step_cap=lambda s: 2,
-    description="two counting queries deciding 'has a directed cycle'"))
+    "cycle2q", LEFT, COUNT,
+    build=alg.cycle_detector_2query,
+    step_cap=lambda s: 2))
 
 _register(AlgorithmEntry(
-    "lovasz", LEFT, COUNT, adaptive=True,
-    build=lambda predicate=DEFAULT_DIGRAPH_CLASS, size_cap=3, **_:
-        alg.lovasz_universal_decider(predicate, size_cap=size_cap),
-    step_cap=_lovasz_cap(3),
-    description="identify the input up to isomorphism, then apply the class predicate"))
+    "lovasz", LEFT, COUNT,
+    build=lambda: alg.lovasz_universal_decider(has_directed_cycle),
+    step_cap=lambda s: 1 + len(enumerate_digraphs_upto(
+        min(s.domain_size, alg.LOVASZ_SIZE_CAP)))))
 
 _register(AlgorithmEntry(
-    "dn-sep", LEFT, COUNT, adaptive=False,
-    build=lambda n=2, **_: alg.dn_nonadaptive_separator(n),
-    description="n fixed cycle queries separating the even/odd power-cycle families"))
+    "dn-sep", LEFT, COUNT,
+    build=lambda n=2: alg.dn_nonadaptive_separator(n)))
 
 _register(AlgorithmEntry(
-    "dn-binsearch", LEFT, COUNT, adaptive=True,
-    build=lambda n=2, **_: alg.dn_adaptive_binary_search(n),
-    step_cap=lambda s: max(1, (s.domain_size + 1).bit_length()),
-    description="binary search over the power-cycle promise family"))
+    "dn-binsearch", LEFT, COUNT,
+    build=lambda n=2: alg.dn_adaptive_binary_search(n),
+    step_cap=lambda s: max(1, (s.domain_size + 1).bit_length())))
 
 _register(AlgorithmEntry(
-    "unary-full", LEFT, COUNT, adaptive=False,
-    build=lambda sig=UNARY_PQ_SIG, predicate=DEFAULT_UNARY_CLASS, **_:
-        alg.unary_full_decider(sig, predicate),
-    description="2^k singleton queries deciding any class over a unary signature"))
+    "unary-full", LEFT, COUNT,
+    build=lambda: alg.unary_full_decider(UNARY_PQ_SIG, some_element_in_all_predicates)))
 
 _register(AlgorithmEntry(
-    "right2q", RIGHT, COUNT, adaptive=True,
-    build=lambda predicate=DEFAULT_DIGRAPH_CLASS, size_cap=2, **_:
-        alg.right_two_query_decider(predicate, size_cap=size_cap),
-    step_cap=lambda s: 2,
-    description="size from the complete pair, then one distinguishing query"))
+    "right2q", RIGHT, COUNT,
+    build=lambda: alg.right_two_query_decider(has_directed_cycle),
+    step_cap=lambda s: 2))
 
 _register(AlgorithmEntry(
-    "ub-bool-cycle", LEFT, BOOLEAN, adaptive=True,
-    build=lambda **_: alg.unbounded_boolean_cycle_detector(),
-    step_cap=lambda s: 2 * (s.domain_size + 1),
-    description="unbounded Boolean left detector for directed cycles"))
+    "ub-bool-cycle", LEFT, BOOLEAN,
+    build=alg.unbounded_boolean_cycle_detector,
+    step_cap=lambda s: 2 * (s.domain_size + 1)))
 
 _register(AlgorithmEntry(
-    "ub-bool-netcycle", RIGHT, BOOLEAN, adaptive=True,
-    build=lambda **_: alg.unbounded_boolean_nonzero_net_cycle_detector(),
-    step_cap=lambda s: 2 * max(s.domain_size + 1, 2),
-    description="unbounded Boolean right detector for nonzero-net-length cycles"))
+    "ub-bool-netcycle", RIGHT, BOOLEAN,
+    build=alg.unbounded_boolean_nonzero_net_cycle_detector,
+    step_cap=lambda s: 2 * max(s.domain_size + 1, 2)))
 
 
 def run_registered(name: str, input_structure: Structure, **params) -> RunReport:
     entry = REGISTRY[name]
     runnable = entry.build(**params)
-    if entry.adaptive:
-        cap = entry.step_cap(input_structure) if entry.step_cap else None
-        return run_adaptive(runnable, input_structure, entry.orientation,
-                            entry.semiring, max_steps=cap)
-    if not isinstance(runnable, NonAdaptiveAlgorithm):
-        raise TypeError(f"{name} did not build a non-adaptive algorithm")
-    return run_non_adaptive(runnable, input_structure, entry.semiring)
+    if isinstance(runnable, NonAdaptiveAlgorithm):
+        return run_non_adaptive(runnable, input_structure, entry.semiring)
+    return run_adaptive(runnable, input_structure, entry.orientation,
+                        entry.semiring, max_steps=entry.step_cap(input_structure))

@@ -69,9 +69,6 @@ class Structure:
     def domain(self) -> range:
         return range(self.domain_size)
 
-    def tuples(self, name: str) -> frozenset[tuple[int, ...]]:
-        return self.relations[name]
-
     def facts(self):
         "All (relation name, tuple) pairs, in deterministic order."
         for name in self.signature.names:

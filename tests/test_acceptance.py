@@ -8,24 +8,23 @@ import itertools
 import random
 from functools import lru_cache
 
+from conftest import (
+    adaptive_not_better_report,
+    nary_report,
+    shortest_cycle_is_power_of_four,
+)
 from homquery import algorithms as alg
 from homquery.analysis import (
     core,
     gamma,
     hom_equiv_to_acyclic,
     is_berge_acyclic,
-    maps_to_cycle,
 )
 from homquery.catalog import enumerate_digraphs, enumerate_digraphs_upto
 from homquery.datalog import builtin_programs, evaluate
-from homquery.experiments import (
-    experiment_adaptive_not_better,
-    experiment_cycle_formula,
-    experiment_dn,
-    experiment_nary,
-)
+from homquery.experiments import experiment_cycle_formula, experiment_dn
 from homquery.homs import BOOLEAN, COUNT, hom_count, hom_exists
-from homquery.oracle import oracle_gamma, oracle_hom_exists
+from homquery.oracle import oracle_gamma, oracle_hom_count
 from homquery.query import LEFT, RIGHT, run_adaptive, run_non_adaptive
 from homquery.registry import UNARY_PQ_SIG
 from homquery.structures import (
@@ -52,11 +51,6 @@ def _dn_report(n: int):
     return experiment_dn(n)
 
 
-@lru_cache(maxsize=None)
-def _adaptive_not_better_report():
-    return experiment_adaptive_not_better()
-
-
 def test_criterion_01_cycle_union_formula_matches_oracle():
     report = experiment_cycle_formula()
     _report(1, "closed-form cycle-union counts match the enumeration oracle",
@@ -67,7 +61,7 @@ def test_criterion_02_cycle_target_existence_iff_gamma_divisible():
     ok = True
     for a in enumerate_digraphs_upto(4):
         for n in range(1, 7):
-            if maps_to_cycle(a, n) != oracle_hom_exists(a, directed_cycle(n)):
+            if (gamma(a) % n == 0) != (oracle_hom_count(a, directed_cycle(n)) > 0):
                 ok = False
     _report(2, "hom into C_n exists iff n divides gamma (catalog <= 4, n <= 6)", ok)
 
@@ -111,7 +105,7 @@ def test_criterion_05_power_cycle_binary_search():
 
 
 def test_criterion_06_one_query_instance_diagonal_matrix():
-    report = _adaptive_not_better_report()
+    report = adaptive_not_better_report()
     rows = dict(report.rows)
     ok = (report.passed
           and rows.get("brute-force-diagonal-value-36") == "ok"
@@ -135,13 +129,11 @@ def test_criterion_07_two_query_cycle_detection():
 def _five_predicates():
     from homquery.oracle import has_directed_cycle
     return (
-        alg.ClassPredicate("has-directed-cycle", has_directed_cycle),
-        alg.even_power_cycle_class(),
-        alg.ClassPredicate("berge-acyclic", is_berge_acyclic),
-        alg.ClassPredicate("has-loop",
-                           lambda s: any(a == b for a, b in s.relations["R"])),
-        alg.ClassPredicate("at-most-two-edges",
-                           lambda s: len(s.relations["R"]) <= 2),
+        has_directed_cycle,
+        shortest_cycle_is_power_of_four,
+        is_berge_acyclic,
+        lambda s: any(a == b for a, b in s.relations["R"]),  # has a loop
+        lambda s: len(s.relations["R"]) <= 2,                # at most two edges
     )
 
 
@@ -245,8 +237,7 @@ def test_criterion_12_right_two_query_decider():
     predicate_sets = [frozenset(k for i, k in enumerate(keys1) if mask >> i & 1)
                       for mask in range(2 ** len(keys1))]
     for accepted in predicate_sets:  # all 4 class predicates on size 1
-        predicate = alg.ClassPredicate(
-            "member-of-set", lambda s, acc=accepted: canonical_key(s) in acc)
+        predicate = lambda s, acc=accepted: canonical_key(s) in acc
         strategy = alg.right_two_query_decider(predicate)
         for s in classes1:
             rep = run_adaptive(strategy, s, RIGHT, COUNT, max_steps=2)
@@ -257,8 +248,7 @@ def test_criterion_12_right_two_query_decider():
     rng = random.Random(SEED)
     for _ in range(10):  # 10 sampled class predicates on size 2
         accepted = frozenset(k for k in keys2 if rng.random() < 0.5)
-        predicate = alg.ClassPredicate(
-            "member-of-set", lambda s, acc=accepted: canonical_key(s) in acc)
+        predicate = lambda s, acc=accepted: canonical_key(s) in acc
         strategy = alg.right_two_query_decider(predicate)
         for s in classes2:
             rep = run_adaptive(strategy, s, RIGHT, COUNT, max_steps=2)
@@ -270,9 +260,9 @@ def test_criterion_12_right_two_query_decider():
 
 def test_criterion_13_unary_full_reconstruction():
     sig = UNARY_PQ_SIG
-    predicate = alg.ClassPredicate(
-        "p-majority",
-        lambda s: len(s.relations["P"]) > len(s.relations["Q"]))
+
+    def predicate(s):  # P holds on more elements than Q
+        return len(s.relations["P"]) > len(s.relations["Q"])
     decider = alg.unary_full_decider(sig, predicate)
     ok = len(decider.queries) == 4
     for n in (1, 2):  # every labeled {P,Q}-structure on <= 2 elements
@@ -292,7 +282,7 @@ def test_criterion_13_unary_full_reconstruction():
 
 
 def test_criterion_14_nary_sweep_and_star_transform():
-    report = experiment_nary()
+    report = nary_report()
     _report(14, "n-ary closed form matches the oracle and the star transform "
                 "of the n-ary cycle is the plain cycle", report.passed)
 
@@ -319,7 +309,7 @@ def test_criterion_16_declared_desk_scale_limits():
     # universally-quantified lower bounds are out of reach of a finite
     # sweep; the illustrative finite-pool replays must pass as declared
     dn_ok = all(_dn_report(n).passed for n in (1, 2, 3))
-    anb = _adaptive_not_better_report()
+    anb = adaptive_not_better_report()
     rows = dict(anb.rows)
     labeled = rows.get("lower-bound-status") == "illustrative at desk scale"
     _report(16, "lower bounds covered only by declared illustrative "

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_digraphs
+from conftest import shortest_cycle_is_power_of_four, small_digraphs
 from homquery import algorithms as alg
 from homquery.analysis import gamma
 from homquery.catalog import enumerate_digraphs, enumerate_digraphs_upto
@@ -13,15 +13,17 @@ from homquery.oracle import has_directed_cycle, oracle_hom_count
 from homquery.query import (
     LEFT,
     RIGHT,
+    NonAdaptiveAlgorithm,
+    StepLimitExceeded,
     StrategyContractError,
     run_adaptive,
     run_non_adaptive,
 )
 from homquery.registry import (
-    DEFAULT_UNARY_CLASS,
     REGISTRY,
     UNARY_PQ_SIG,
     run_registered,
+    some_element_in_all_predicates,
 )
 from homquery.structures import (
     DIGRAPH_SIG,
@@ -45,10 +47,10 @@ def test_cycle_detector_2query_on_catalog():
 
 
 def test_lovasz_universal_decider():
-    strategy = alg.lovasz_universal_decider(alg.even_power_cycle_class())
+    strategy = alg.lovasz_universal_decider(shortest_cycle_is_power_of_four)
     for s in enumerate_digraphs_upto(2):
         report = run_adaptive(strategy, s, LEFT, max_steps=20)
-        assert report.verdict == alg.even_power_cycle_class()(s)
+        assert report.verdict == shortest_cycle_is_power_of_four(s)
     with pytest.raises(GuardExceeded):
         run_adaptive(strategy, directed_cycle(4), LEFT, max_steps=200)
 
@@ -90,7 +92,7 @@ def test_dn_separator_and_binsearch_agree():
 
 
 def test_even_power_cycle_class():
-    member = alg.even_power_cycle_class()
+    member = shortest_cycle_is_power_of_four
     assert member(directed_cycle(1))
     assert member(directed_cycle(4))
     assert member(directed_cycle(16))
@@ -131,7 +133,7 @@ def test_unary_reconstruction():
 
 def test_unary_full_decider_decides_everything():
     sig = UNARY_PQ_SIG
-    decider = alg.unary_full_decider(sig, DEFAULT_UNARY_CLASS)
+    decider = alg.unary_full_decider(sig, some_element_in_all_predicates)
     assert len(decider.queries) == 4
     # every {P,Q}-structure on <= 2 elements
     for n in (1, 2):
@@ -141,9 +143,9 @@ def test_unary_full_decider_decides_everything():
                 s = make_structure(sig, n, {
                     "P": {(i,) for i in range(n) if p_bits >> i & 1},
                     "Q": {(i,) for i in range(n) if q_bits >> i & 1}})
-                assert run_non_adaptive(decider, s).verdict == DEFAULT_UNARY_CLASS(s)
+                assert run_non_adaptive(decider, s).verdict == some_element_in_all_predicates(s)
     with pytest.raises(ValueError):
-        alg.unary_full_decider(Signature((("R", 2),)), DEFAULT_UNARY_CLASS)
+        alg.unary_full_decider(Signature((("R", 2),)), some_element_in_all_predicates)
 
 
 def test_brute_force_distinguisher():
@@ -160,17 +162,17 @@ def test_brute_force_distinguisher_call_forms_share_one_cache_entry():
     alg._brute_force_distinguisher.cache_clear()
     first = alg.brute_force_distinguisher(2)
     assert alg.brute_force_distinguisher(2, DIGRAPH_SIG) is first
-    assert alg.brute_force_distinguisher(n=2, sig=DIGRAPH_SIG, search_cap=4) is first
+    assert alg.brute_force_distinguisher(n=2, sig=DIGRAPH_SIG) is first
     info = alg._brute_force_distinguisher.cache_info()
     assert (info.misses, info.hits) == (1, 2)
 
 
 def test_right_two_query_decider():
-    strategy = alg.right_two_query_decider(alg.even_power_cycle_class())
+    strategy = alg.right_two_query_decider(shortest_cycle_is_power_of_four)
     for s in enumerate_digraphs_upto(2):
         report = run_adaptive(strategy, s, RIGHT)
         assert report.query_count == 2
-        assert report.verdict == alg.even_power_cycle_class()(s)
+        assert report.verdict == shortest_cycle_is_power_of_four(s)
 
 
 def test_unbounded_boolean_cycle_detector():
@@ -210,6 +212,30 @@ def test_registry_entries_run():
     assert set(REGISTRY) == {"cycle2q", "lovasz", "dn-sep", "dn-binsearch",
                              "unary-full", "right2q", "ub-bool-cycle",
                              "ub-bool-netcycle"}
+
+
+def test_registry_caps_cover_catalog_runs():
+    # each adaptive entry's step cap admits every run its size cap admits:
+    # a run ends in a verdict or a guard refusal, never at the step cap
+    adaptive = [name for name, entry in REGISTRY.items()
+                if not isinstance(entry.build(), NonAdaptiveAlgorithm)]
+    assert set(adaptive) == {"cycle2q", "lovasz", "dn-binsearch", "right2q",
+                             "ub-bool-cycle", "ub-bool-netcycle"}
+    refused = set()
+    for name in adaptive:
+        for s in enumerate_digraphs_upto(3):
+            try:
+                report = run_registered(name, s)
+            except GuardExceeded:
+                refused.add((name, s.domain_size))
+                continue
+            except StepLimitExceeded as exc:
+                pytest.fail(f"{name} on {s}: {exc}")
+            assert report.query_count <= REGISTRY[name].step_cap(s)
+    # only right2q refuses here: its size cap is 2, lovasz's is 3
+    assert refused == {("right2q", 3)}
+    with pytest.raises(GuardExceeded):
+        run_registered("lovasz", directed_cycle(alg.LOVASZ_SIZE_CAP + 1))
 
 
 @settings(max_examples=60, deadline=None)

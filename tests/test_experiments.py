@@ -1,8 +1,9 @@
 import pytest
 
+from conftest import adaptive_not_better_report, nary_report
+from homquery.algorithms import ParameterError
 from homquery.experiments import (
     EXPERIMENTS,
-    ExperimentParameterError,
     ExperimentReport,
     experiment_cycle_formula,
     experiment_adaptive_not_better,
@@ -104,28 +105,26 @@ def test_out_of_range_parameters_raise_parameter_error():
                  lambda: experiment_cycle_formula(max_vertices=0),
                  lambda: experiment_adaptive_not_better(k=0),
                  lambda: experiment_adaptive_not_better(k=3),
-                 lambda: experiment_adaptive_not_better(k=1, primes=(2, 2)),
                  lambda: experiment_nary(n=0),
                  lambda: experiment_unbounded_boolean(max_vertices=0)):
-        with pytest.raises(ExperimentParameterError):
+        with pytest.raises(ParameterError):
             call()
 
 
 def test_adaptive_not_better_passes():
-    report = experiment_adaptive_not_better()
+    report = adaptive_not_better_report()
     assert report.passed, report.render()
 
 
 def test_adaptive_not_better_is_deterministic():
-    a = experiment_adaptive_not_better(seed=0).render("machine")
-    b = experiment_adaptive_not_better(seed=0).render("machine")
-    assert a == b
-    # a different seed still passes (different adversary sample)
+    # the default (seed 0) report is pinned byte for byte by
+    # test_reports_match_frozen_text; a different seed still passes
+    # (different adversary sample)
     assert experiment_adaptive_not_better(seed=3).passed
 
 
 def test_nary_experiment_passes():
-    report = experiment_nary()
+    report = nary_report()
     assert report.passed, report.render()
 
 
@@ -138,4 +137,4 @@ def test_experiments_render_deterministically():
 def test_reports_match_frozen_text():
     assert experiment_dn(3).render() == DN_3_TEXT
     assert experiment_unbounded_boolean(3).render() == UNBOUNDED_BOOLEAN_3_TEXT
-    assert experiment_adaptive_not_better().render("machine") == ADAPTIVE_NOT_BETTER_MACHINE
+    assert adaptive_not_better_report().render("machine") == ADAPTIVE_NOT_BETTER_MACHINE

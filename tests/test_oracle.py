@@ -15,7 +15,6 @@ from homquery.oracle import (
     has_directed_cycle,
     oracle_gamma,
     oracle_hom_count,
-    oracle_hom_exists,
     shortest_directed_cycle,
 )
 from homquery.structures import (
@@ -167,11 +166,6 @@ def test_engine_matches_oracle_on_random_pairs():
               for _ in range(rng.randint(0, nb * nb))}
         a, b = digraph(na, ea), digraph(nb, eb)
         assert hom_count(a, b) == oracle_hom_count(a, b)
-
-
-def test_oracle_hom_exists():
-    assert oracle_hom_exists(directed_cycle(6), directed_cycle(3))
-    assert not oracle_hom_exists(directed_cycle(3), directed_cycle(6))
 
 
 def test_oracle_gamma_frozen_values():

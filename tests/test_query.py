@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_digraphs
-from homquery.homs import BOOLEAN, COUNT, hom_count, hom_equivalent
+from homquery.homs import BOOLEAN, WorkBudgetExceeded, hom_count, hom_exists
 from homquery.query import (
     LEFT,
     RIGHT,
@@ -11,10 +11,8 @@ from homquery.query import (
     Query,
     StepLimitExceeded,
     StrategyContractError,
-    bounded_depth_check,
     default_step_cap,
     flatten_adaptive_boolean,
-    lift_non_adaptive,
     run_adaptive,
     run_non_adaptive,
 )
@@ -105,29 +103,30 @@ def test_run_adaptive_contract_errors():
         run_adaptive(bad_decision, directed_cycle(2), LEFT)
 
 
-def test_bounded_depth_check():
-    inputs = [directed_cycle(n) for n in range(1, 5)]
-    assert bounded_depth_check(even_edge_strategy, inputs, LEFT, COUNT, 1)
-
-    def two_query(transcript):
-        if len(transcript) < 2:
-            return Query(directed_path(1))
-        return Halt(True)
-
-    assert not bounded_depth_check(two_query, inputs, LEFT, COUNT, 1)
+def _raising(exc):
+    def strategy(transcript):
+        raise exc
+    return strategy
 
 
-def test_lift_non_adaptive():
-    alg = NonAdaptiveAlgorithm(LEFT, (directed_path(1), directed_cycle(2)),
-                               lambda t: t[0] == 4 and t[1] == 0)
-    strategy = lift_non_adaptive(alg)
-    for s in (directed_cycle(4), directed_cycle(3), directed_path(2)):
-        lifted = run_adaptive(strategy, s, LEFT)
-        fixed = run_non_adaptive(alg, s)
-        assert lifted.verdict == fixed.verdict
-        assert lifted.transcript == fixed.transcript
-    with pytest.raises(StrategyContractError):
-        strategy((1, 2, 3))
+def test_only_lookup_errors_become_contract_errors():
+    # a lookup failure means the strategy is undefined on a reached transcript
+    for exc in (KeyError((1,)), IndexError("transcript index")):
+        with pytest.raises(StrategyContractError) as info:
+            run_adaptive(_raising(exc), directed_cycle(2), LEFT)
+        assert info.value.__cause__ is exc
+        with pytest.raises(StrategyContractError):
+            flatten_adaptive_boolean(_raising(exc), 2, LEFT)
+    # refusals and plain bugs keep their type
+    for exc in (WorkBudgetExceeded("search exceeded 10 nodes"),
+                StepLimitExceeded("exceeded step cap 4"),
+                TypeError("bug in the strategy")):
+        with pytest.raises(type(exc)) as info:
+            run_adaptive(_raising(exc), directed_cycle(2), LEFT)
+        assert info.value is exc
+        with pytest.raises(type(exc)) as info:
+            flatten_adaptive_boolean(_raising(exc), 2, LEFT)
+        assert info.value is exc
 
 
 def adaptive_loop_then_c2(transcript):
@@ -159,7 +158,7 @@ def test_flatten_rejects_deep_strategies():
 @given(small_digraphs(max_vertices=3), small_digraphs(max_vertices=3))
 def test_boolean_runs_are_hom_equivalence_invariant(a, b):
     # Boolean answers only see the hom-equivalence class of the input
-    if not hom_equivalent(a, b):
+    if not (hom_exists(a, b) and hom_exists(b, a)):
         return
     alg = NonAdaptiveAlgorithm(
         LEFT, (directed_path(1), directed_cycle(2), directed_cycle(3)),
