@@ -74,17 +74,21 @@ def test_run_algorithm(runner, files):
     assert r.output.strip().endswith("YES")
 
 
-def test_run_n_errors_are_one_line_usage_errors(runner, files):
+@pytest.mark.parametrize("name, n, message", [
+    ("cycle2q", "5", "error: usage: algorithm cycle2q: "
+                     "got an unexpected keyword argument 'n'"),
+    ("dn-sep", "0", "error: usage: algorithm dn-sep: n must be >= 1, got 0"),
+    ("dn-binsearch", "-1", "error: usage: algorithm dn-binsearch: "
+                           "n must be >= 1, got -1")],
+    ids=["cycle2q", "dn-sep", "dn-binsearch"])
+def test_run_n_errors_are_one_line_usage_errors(runner, files, name, n, message):
     # --n binds against the entry's build signature, then the build checks its range
-    for name, n, message in [
-            ("cycle2q", "5", "error: usage: algorithm cycle2q: "
-                             "got an unexpected keyword argument 'n'"),
-            ("dn-sep", "0", "error: usage: algorithm dn-sep: n must be >= 1, got 0"),
-            ("dn-binsearch", "-1", "error: usage: algorithm dn-binsearch: "
-                                   "n must be >= 1, got -1")]:
-        r = runner.invoke(main, ["run", "--algorithm", name, "--n", n,
-                                 "--input", files["c3"]])
-        assert _one_error_line(r, 2, "error: usage: ") == message
+    r = runner.invoke(main, ["run", "--algorithm", name, "--n", n,
+                             "--input", files["c3"]])
+    assert _one_error_line(r, 2, "error: usage: ") == message
+
+
+def test_run_n_in_range(runner, files):
     r = runner.invoke(main, ["run", "--algorithm", "dn-sep", "--n", "1",
                              "--input", files["c3"]])
     assert r.exit_code == 0 and r.output.strip().endswith("NO")

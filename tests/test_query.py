@@ -109,24 +109,28 @@ def _raising(exc):
     return strategy
 
 
-def test_only_lookup_errors_become_contract_errors():
+@pytest.mark.parametrize("exc", [KeyError((1,)), IndexError("transcript index")],
+                         ids=["KeyError", "IndexError"])
+def test_lookup_errors_become_contract_errors(exc):
     # a lookup failure means the strategy is undefined on a reached transcript
-    for exc in (KeyError((1,)), IndexError("transcript index")):
-        with pytest.raises(StrategyContractError) as info:
-            run_adaptive(_raising(exc), directed_cycle(2), LEFT)
-        assert info.value.__cause__ is exc
-        with pytest.raises(StrategyContractError):
-            flatten_adaptive_boolean(_raising(exc), 2, LEFT)
-    # refusals and plain bugs keep their type
-    for exc in (WorkBudgetExceeded("search exceeded 10 nodes"),
-                StepLimitExceeded("exceeded step cap 4"),
-                TypeError("bug in the strategy")):
-        with pytest.raises(type(exc)) as info:
-            run_adaptive(_raising(exc), directed_cycle(2), LEFT)
-        assert info.value is exc
-        with pytest.raises(type(exc)) as info:
-            flatten_adaptive_boolean(_raising(exc), 2, LEFT)
-        assert info.value is exc
+    with pytest.raises(StrategyContractError) as info:
+        run_adaptive(_raising(exc), directed_cycle(2), LEFT)
+    assert info.value.__cause__ is exc
+    with pytest.raises(StrategyContractError):
+        flatten_adaptive_boolean(_raising(exc), 2, LEFT)
+
+
+@pytest.mark.parametrize("exc", [WorkBudgetExceeded("search exceeded 10 nodes"),
+                                 StepLimitExceeded("exceeded step cap 4"),
+                                 TypeError("bug in the strategy")],
+                         ids=["WorkBudgetExceeded", "StepLimitExceeded", "TypeError"])
+def test_refusals_and_bugs_keep_their_type(exc):
+    with pytest.raises(type(exc)) as info:
+        run_adaptive(_raising(exc), directed_cycle(2), LEFT)
+    assert info.value is exc
+    with pytest.raises(type(exc)) as info:
+        flatten_adaptive_boolean(_raising(exc), 2, LEFT)
+    assert info.value is exc
 
 
 def adaptive_loop_then_c2(transcript):
