@@ -19,6 +19,7 @@ from .structures import (
     directed_path,
     disjoint_union,
     encode_structure,
+    guards_lifted,
     isomorphic,
     make_structure,
     n_ary_cycle,

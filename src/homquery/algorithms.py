@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .catalog import enumerate_digraphs, enumerate_digraphs_upto
+from .catalog import CATALOG_GUARD, enumerate_digraphs, enumerate_digraphs_upto
 from .homs import hom_count, hom_into_cycle_union_formula
 from .query import (
     LEFT,
@@ -28,6 +28,7 @@ from .structures import (
     GuardExceeded,
     Signature,
     Structure,
+    check_guard,
     digraph,
     directed_cycle,
     directed_path,
@@ -41,6 +42,8 @@ from .structures import (
 # lovasz step cap reads the first; the second also guards the distinguisher.
 LOVASZ_SIZE_CAP = 3
 RIGHT2Q_SIZE_CAP = 2
+
+INSTANCE_GUARD = 250  # the product of adaptive_not_better_instance's primes
 
 
 class ParameterError(ValueError):
@@ -119,9 +122,9 @@ class CycleFamilySpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise ParameterError(f"n must be >= 1, got {self.n}")
         if self.parity not in (EVEN, ODD):
-            raise ValueError("parity must be even or odd")
+            raise ParameterError(f"parity must be {EVEN} or {ODD}, got {self.parity!r}")
 
 
 def dn_family(spec: CycleFamilySpec) -> tuple[Structure, ...]:
@@ -174,7 +177,7 @@ def dn_adaptive_binary_search(n: int) -> Strategy:
     return strategy
 
 
-def adaptive_not_better_instance(k: int, primes, guard: int = 250):
+def adaptive_not_better_instance(k: int, primes):
     """
     For 2k distinct primes p_1..p_2k with product P: query structures
     F_i = p_i copies of C_{P/p_i} (i <= k) and test structures
@@ -186,8 +189,7 @@ def adaptive_not_better_instance(k: int, primes, guard: int = 250):
     if len(primes) != 2 * k or len(set(primes)) != 2 * k:
         raise ValueError("need 2k distinct primes")
     product = math.prod(primes)
-    if product > guard:
-        raise GuardExceeded(f"instance size {product} > {guard}")
+    check_guard("instance guard: product of primes", product, INSTANCE_GUARD)
     structures = tuple(scalar_multiple(p, directed_cycle(product // p))
                        for p in primes)
     queries = structures[:k]
@@ -285,11 +287,11 @@ def _brute_force_distinguisher(n: int, sig: Signature) -> Structure:
     if n > RIGHT2Q_SIZE_CAP:
         raise GuardExceeded(f"distinguisher guard: n = {n} > {RIGHT2Q_SIZE_CAP}")
     classes = enumerate_digraphs(n).representatives
-    for candidate in enumerate_digraphs_upto(4):
+    for candidate in enumerate_digraphs_upto(CATALOG_GUARD):
         counts = [hom_count(h, candidate) for h in classes]
         if len(set(counts)) == len(counts):
             return candidate
-    raise GuardExceeded("no distinguisher found up to size 4")
+    raise GuardExceeded(f"no distinguisher found up to size {CATALOG_GUARD}")
 
 
 def right_two_query_decider(predicate) -> Strategy:

@@ -10,16 +10,16 @@ import math
 from collections import deque
 
 from .structures import (
-    GuardExceeded,
     Signature,
     Structure,
     canonical_form,
+    check_guard,
     edges_of,
     make_structure,
 )
 
 
-# core's default size guard, which hom_equiv_to_acyclic shares
+# core's size guard, which hom_equiv_to_acyclic reaches through core
 CORE_GUARD = 7
 
 
@@ -129,7 +129,7 @@ def induced_substructure(s: Structure, keep) -> Structure:
     return make_structure(s.signature, len(keep), rels)
 
 
-def core(s: Structure, guard: int = CORE_GUARD) -> Structure:
+def core(s: Structure) -> Structure:
     """
     A minimal retract: repeatedly find an endomorphism missing some element
     and restrict to the induced image, until none exists.  Returned in
@@ -138,8 +138,7 @@ def core(s: Structure, guard: int = CORE_GUARD) -> Structure:
     """
     from .homs import find_hom  # deferred: homs imports analysis for the closed forms
 
-    if s.domain_size > guard:
-        raise GuardExceeded(f"core guard: |s| = {s.domain_size} > {guard}")
+    check_guard("core guard: |s|", s.domain_size, CORE_GUARD)
     current = s
     shrunk = True
     while shrunk and current.domain_size > 1:
@@ -156,6 +155,6 @@ def core(s: Structure, guard: int = CORE_GUARD) -> Structure:
     return canonical_form(current)
 
 
-def hom_equiv_to_acyclic(s: Structure, guard: int = CORE_GUARD) -> bool:
+def hom_equiv_to_acyclic(s: Structure) -> bool:
     "Whether s is homomorphically equivalent to a Berge-acyclic structure."
-    return is_berge_acyclic(core(s, guard=guard))
+    return is_berge_acyclic(core(s))

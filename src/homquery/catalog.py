@@ -11,7 +11,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .structures import DIGRAPH_SIG, GuardExceeded, Signature, Structure, digraph
+from .structures import DIGRAPH_SIG, Signature, Structure, check_guard, digraph
+
+CATALOG_GUARD = 4  # vertices; 5 would scan 2^25 masks under 120 permutations
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,11 @@ def canonical_mask(d: Structure) -> int:
 
 
 @lru_cache(maxsize=None)
-def enumerate_digraphs(n: int, guard: int = 4) -> IsoClassCatalog:
+def enumerate_digraphs(n: int) -> IsoClassCatalog:
     "All isomorphism classes of digraphs on exactly n vertices."
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > guard:
-        raise GuardExceeded(f"enumeration guard: n = {n} > {guard}")
+    check_guard("enumeration guard: n", n, CATALOG_GUARD)
     bits = n * n
     shifts = range(0, bits, 8)
     # byte_images[p][k][x]: the bits x of the byte at shifts[k], moved by permutation p
@@ -82,9 +83,9 @@ def enumerate_digraphs(n: int, guard: int = 4) -> IsoClassCatalog:
 
 
 @lru_cache(maxsize=None)
-def enumerate_digraphs_upto(n: int, guard: int = 4) -> tuple[Structure, ...]:
+def enumerate_digraphs_upto(n: int) -> tuple[Structure, ...]:
     "Iso-class representatives of all digraphs with 1..n vertices, frozen order."
     out: list[Structure] = []
     for size in range(1, n + 1):
-        out.extend(enumerate_digraphs(size, guard=guard).representatives)
+        out.extend(enumerate_digraphs(size).representatives)
     return tuple(out)

@@ -3,20 +3,24 @@ Command line interface: hom counting, structural analysis, running the
 registered query algorithms, family generation, iso-class enumeration,
 Datalog evaluation, experiments and the brute-force oracle.
 
+--guard-override lifts every desk-scale size guard, for every command, to
+10^9 (structures.guards_lifted); it does not lift the size caps of the
+lovasz and right2q algorithms.
+
 Exit codes:
   0  every assertion made by the invoked command passed;
   1  an assertion failed (an experiment reports FAIL);
   2  bad usage or input, with a one-line message: a missing, unknown,
-     non-integer or out-of-range experiment parameter, a run --n that the
-     algorithm does not take or that is out of range ("error: usage:
-     <msg>"), a structure file that decode_structure rejects ("error:
-     input: <file>: <msg>"), or a Datalog program that is neither a
-     builtin nor a file, does not parse or does not fit the structure;
+     non-integer or out-of-range experiment parameter, a run --n or
+     gen dn --n that the algorithm does not take or that is out of range
+     ("error: usage: <msg>"), a structure file that decode_structure
+     rejects ("error: input: <file>: <msg>"), structures whose signatures
+     do not match each other or the algorithm's queries ("error: input:
+     <msg>"), or a Datalog program that is neither a builtin nor a file,
+     does not parse or does not fit the structure;
   3  a refusal, with a one-line message: a size guard ("error: guard:
-     <msg>"; --guard-override lifts the guards of analyze, enumerate and
-     oracle, which otherwise keep their functions' defaults), the
-     search's work budget ("error: budget: <msg>") or an adaptive run's
-     step cap ("error: step-limit: <msg>").
+     <msg>"), the search's work budget ("error: budget: <msg>") or an
+     adaptive run's step cap ("error: step-limit: <msg>").
 """
 
 from __future__ import annotations
@@ -45,13 +49,13 @@ from .query import StepLimitExceeded
 from .registry import REGISTRY, run_registered
 from .structures import (
     GuardExceeded,
+    SignatureMismatch,
     Structure,
     StructureDecodeError,
     decode_structure,
     encode_structure,
+    guards_lifted,
 )
-
-BIG_GUARD = 10 ** 9
 
 # a directory passes exists=True and then fails to read with a traceback
 STRUCTURE_FILE = click.Path(exists=True, dir_okay=False)
@@ -63,11 +67,13 @@ def _error(kind: str, message, code: int) -> typing.NoReturn:
 
 
 class _Main(click.Group):
-    "Turns a refusal by a guard, budget or step cap, from any command, into exit code 3."
+    "Turns a refusal (guard, budget, step cap) into exit code 3, a signature mismatch into 2."
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except SignatureMismatch as exc:
+            _error("input", exc, 2)
         except GuardExceeded as exc:
             _error("guard", exc, 3)
         except WorkBudgetExceeded as exc:
@@ -78,15 +84,15 @@ class _Main(click.Group):
 
 @click.group(cls=_Main)
 @click.option("--guard-override", is_flag=True,
-              help="Lift desk-scale size guards (may take very long).")
+              help="Lift every desk-scale size guard to 10^9 (may take very long).")
 @click.option("--format", "fmt", type=click.Choice(["text", "machine"]),
               default="text", show_default=True)
 @click.pass_context
 def main(ctx, guard_override, fmt):
     ctx.ensure_object(dict)
-    ctx.obj["guard_override"] = guard_override
     ctx.obj["fmt"] = fmt
     if guard_override:
+        ctx.with_resource(guards_lifted())
         click.echo("warning: size guards lifted", err=True)
 
 
@@ -95,11 +101,6 @@ def _load(path: str) -> Structure:
         return decode_structure(Path(path).read_text(encoding="utf-8"))
     except (StructureDecodeError, UnicodeDecodeError) as exc:
         _error("input", f"{path}: {exc}", 2)
-
-
-def _guard(ctx) -> dict:
-    "guard=BIG_GUARD under --guard-override, else nothing: the callee's default applies."
-    return {"guard": BIG_GUARD} if ctx.obj["guard_override"] else {}
 
 
 def _kv(ctx, key, value):
@@ -134,7 +135,7 @@ def analyze_cmd(ctx, structure_file):
     if s.is_digraph():
         _kv(ctx, "gamma", gamma(s))
     try:
-        _kv(ctx, "core-size", core(s, **_guard(ctx)).domain_size)
+        _kv(ctx, "core-size", core(s).domain_size)
     except GuardExceeded:
         _kv(ctx, "core-size", "skipped (size guard)")
 
@@ -179,9 +180,13 @@ def gen_group():
 @click.option("--out-dir", type=click.Path(), default=".", show_default=True)
 def gen_dn_cmd(n, parity, out_dir):
     "Write the power-of-two cycle family members as structure files."
+    try:
+        spec = alg.CycleFamilySpec(n, parity)
+    except alg.ParameterError as exc:
+        _error("usage", f"gen dn: {exc}", 2)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    members = alg.dn_family(alg.CycleFamilySpec(n, parity))
+    members = alg.dn_family(spec)
     start = 0 if parity == alg.EVEN else 1
     for i, member in enumerate(members):
         m = start + 2 * i
@@ -195,7 +200,7 @@ def gen_dn_cmd(n, parity, out_dir):
 @click.pass_context
 def enumerate_cmd(ctx, size):
     "List all digraph iso-classes of the given size."
-    catalog = enumerate_digraphs(size, **_guard(ctx))
+    catalog = enumerate_digraphs(size)
     _kv(ctx, "classes", len(catalog.representatives))
     for i, rep in enumerate(catalog.representatives):
         _kv(ctx, f"class.{i}", sorted(rep.relations["R"]))
@@ -291,10 +296,9 @@ def oracle_group():
 @oracle_group.command("hom")
 @click.option("--from", "source", required=True, type=STRUCTURE_FILE)
 @click.option("--to", "target", required=True, type=STRUCTURE_FILE)
-@click.pass_context
-def oracle_hom_cmd(ctx, source, target):
+def oracle_hom_cmd(source, target):
     "Count homomorphisms by full enumeration of all maps."
-    click.echo(str(oracle_hom_count(_load(source), _load(target), **_guard(ctx))))
+    click.echo(str(oracle_hom_count(_load(source), _load(target))))
 
 
 if __name__ == "__main__":

@@ -25,9 +25,9 @@ from .oracle import has_directed_cycle, oracle_hom_count
 from .query import run_non_adaptive
 from .registry import run_registered
 from .structures import (
-    GuardExceeded,
     Signature,
     Structure,
+    check_guard,
     digraph,
     directed_cycle,
     isomorphic,
@@ -98,6 +98,9 @@ def _power_cycle_member(n: int, m: int) -> Structure:
     return scalar_multiple(2 ** (n - m), directed_cycle(2 ** m))
 
 
+DN_GUARD = 6
+
+
 def experiment_dn(n: int) -> ExperimentReport:
     """
     Run the non-adaptive separator and the adaptive binary search over
@@ -105,8 +108,7 @@ def experiment_dn(n: int) -> ExperimentReport:
     against the brute-force oracle.
     """
     _check_positive(n=n)
-    if n > 6:
-        raise GuardExceeded("experiment_dn guard: n <= 6")
+    check_guard("experiment_dn guard: n", n, DN_GUARD)
     report = ExperimentReport("dn", {"n": n})
     members = [(m, _power_cycle_member(n, m)) for m in range(n + 1)]
     separator = alg.dn_nonadaptive_separator(n)
@@ -227,6 +229,10 @@ def _adversary_replay(report, k, structures, primes, seed):
     report.add("lower-bound-status", "illustrative at desk scale")
 
 
+NARY_ARITY_GUARD = 3  # n
+NARY_DOMAIN_GUARD = 4  # d_max
+
+
 def experiment_nary(n: int = 3, d_max: int = 3) -> ExperimentReport:
     """
     Sweep one-relation structures of arity up to n over small domains,
@@ -234,8 +240,8 @@ def experiment_nary(n: int = 3, d_max: int = 3) -> ExperimentReport:
     transform of the n-ary cycle is the plain cycle.
     """
     _check_positive(n=n, d_max=d_max)
-    if n > 3 or d_max > 4:
-        raise GuardExceeded("experiment_nary guard: n <= 3, d_max <= 4")
+    check_guard("experiment_nary guard: n", n, NARY_ARITY_GUARD)
+    check_guard("experiment_nary guard: d_max", d_max, NARY_DOMAIN_GUARD)
     report = ExperimentReport("nary", {"n": n, "d_max": d_max})
     cases = mismatches = 0
     for arity in range(1, n + 1):

@@ -35,7 +35,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .analysis import component_count, gamma, star_transform
-from .structures import Structure
+from .structures import SignatureMismatch, Structure
 
 
 class WorkBudgetExceeded(Exception):
@@ -224,7 +224,7 @@ def _search(component, tables, domain: range, budget: _Budget, find: bool):
 def _prepare(a: Structure, b: Structure):
     "The components of a's plan, and the tables of b they read."
     if a.signature != b.signature:
-        raise ValueError("signature mismatch")
+        raise SignatureMismatch("signature mismatch")
     needs, components = _plan(a.domain_size,
                               tuple(a.relations[name] for name in a.signature.names))
     b_relations = tuple(b.relations[name] for name in b.signature.names)

@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .structures import GuardExceeded, Structure, edges_of
+from .structures import SignatureMismatch, Structure, check_guard, edges_of
+
+ORACLE_GUARD = 20_000_000  # maps checked per call
 
 
-def oracle_hom_count(a: Structure, b: Structure, guard: int = 20_000_000) -> int:
+def oracle_hom_count(a: Structure, b: Structure) -> int:
     """
     Count homomorphisms by checking all |B|^|A| maps.
 
@@ -32,10 +34,9 @@ def oracle_hom_count(a: Structure, b: Structure, guard: int = 20_000_000) -> int
     since numpy arrays have at most 64 axes.
     """
     if a.signature != b.signature:
-        raise ValueError("signature mismatch")
+        raise SignatureMismatch("signature mismatch")
     na, nb = a.domain_size, b.domain_size
-    if nb ** na > guard:
-        raise GuardExceeded(f"oracle guard: {nb}^{na} maps > {guard}")
+    check_guard(f"oracle guard: {nb}^{na} maps", nb ** na, ORACLE_GUARD)
     if nb == 1:
         return int(all((0,) * arity in b.relations[name]
                        for name, arity in a.signature.relations if a.relations[name]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .homs import COUNT, hom_value
-from .structures import Structure
+from .structures import SignatureMismatch, Structure
 
 LEFT = "left"
 RIGHT = "right"
@@ -77,7 +77,7 @@ class RunReport:
 def _answer(query: Structure, input_structure: Structure,
             orientation: str, semiring: str) -> int:
     if query.signature != input_structure.signature:
-        raise ValueError("query signature does not match the input")
+        raise SignatureMismatch("query signature does not match the input")
     if orientation == LEFT:
         return hom_value(query, input_structure, semiring)
     return hom_value(input_structure, query, semiring)

@@ -10,14 +10,42 @@ immutable; every operation returns a fresh structure.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 
 class GuardExceeded(Exception):
-    """A desk-scale size guard was hit; pass a larger guard to override."""
+    "A desk-scale size guard was hit; guards_lifted() (--guard-override) lifts them all."
+
+
+LIFTED_GUARD = 10 ** 9  # every guard's limit inside guards_lifted()
+_guards_lifted = contextvars.ContextVar("guards_lifted", default=False)
+
+
+def check_guard(what: str, value: int, limit: int) -> None:
+    "The one size-guard check: raise GuardExceeded when value passes limit."
+    limit = LIFTED_GUARD if _guards_lifted.get() else limit
+    if value > limit:
+        raise GuardExceeded(f"{what} = {value} > {limit}")
+
+
+@contextlib.contextmanager
+def guards_lifted():
+    "Lift every check_guard limit to LIFTED_GUARD within the block."
+    token = _guards_lifted.set(True)
+    try:
+        yield
+    finally:
+        _guards_lifted.reset(token)
+
+
+class SignatureMismatch(ValueError):
+    "Two structures that must share a signature do not."
 
 
 @dataclass(frozen=True)
@@ -51,15 +79,18 @@ DIGRAPH_SIG = Signature((("R", 2),))
 class Structure:
     signature: Signature
     domain_size: int
-    relations: dict[str, frozenset[tuple[int, ...]]] = field(hash=False)
+    # stored as a read-only view of a private copy
+    relations: MappingProxyType[str, frozenset[tuple[int, ...]]] = field(hash=False)
 
     def __post_init__(self):
+        relations = {name: frozenset(ts) for name, ts in self.relations.items()}
+        object.__setattr__(self, "relations", MappingProxyType(relations))
         if self.domain_size < 1:
             raise ValueError("domain must be non-empty")
-        if set(self.relations) != set(self.signature.names):
+        if relations.keys() != set(self.signature.names):
             raise ValueError("relation map must cover the signature exactly")
         for name, arity in self.signature.relations:
-            for t in self.relations[name]:
+            for t in relations[name]:
                 if len(t) != arity:
                     raise ValueError(f"tuple {t} has wrong arity for {name}")
                 if any(not (0 <= e < self.domain_size) for e in t):
@@ -156,7 +187,7 @@ def complete_pair(sig: Signature) -> Structure:
 
 def disjoint_union(a: Structure, b: Structure) -> Structure:
     if a.signature != b.signature:
-        raise ValueError("signature mismatch")
+        raise SignatureMismatch("signature mismatch")
     shift = a.domain_size
     rels = {name: set(a.relations[name]) |
             {tuple(e + shift for e in t) for t in b.relations[name]}
@@ -180,7 +211,7 @@ def direct_product(a: Structure, b: Structure) -> Structure:
     index x*|B| + y so product structures are reproducible.
     """
     if a.signature != b.signature:
-        raise ValueError("signature mismatch")
+        raise SignatureMismatch("signature mismatch")
     nb = b.domain_size
     rels = {}
     for name in a.signature.names:
@@ -264,16 +295,18 @@ def _structure_of_key(signature: Signature, domain_size: int, key: tuple) -> Str
     return make_structure(signature, domain_size, dict(zip(signature.names, key)))
 
 
-def isomorphic(a: Structure, b: Structure, guard: int = 8) -> bool:
+ISOMORPHIC_GUARD = 8
+
+
+def isomorphic(a: Structure, b: Structure) -> bool:
     "Search of the bijections preserving the element profiles; guarded to small domains."
     if a.signature != b.signature:
-        raise ValueError("signature mismatch")
+        raise SignatureMismatch("signature mismatch")
     if a.domain_size != b.domain_size:
         return False
     if any(len(a.relations[n]) != len(b.relations[n]) for n in a.signature.names):
         return False
-    if a.domain_size > guard:
-        raise GuardExceeded(f"isomorphism guard: |A| = {a.domain_size} > {guard}")
+    check_guard("isomorphism guard: |A|", a.domain_size, ISOMORPHIC_GUARD)
     profiles_a, blocks_a = _blocks(a)
     profiles_b, blocks_b = _blocks(b)
     if profiles_a != profiles_b:

@@ -3,7 +3,11 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from homquery.experiments import experiment_adaptive_not_better, experiment_nary
+from homquery.experiments import (
+    experiment_adaptive_not_better,
+    experiment_cycle_formula,
+    experiment_nary,
+)
 from homquery.oracle import shortest_directed_cycle
 from homquery.structures import digraph
 
@@ -39,3 +43,8 @@ def adaptive_not_better_report():
 @lru_cache(maxsize=None)
 def nary_report():
     return experiment_nary()
+
+
+@lru_cache(maxsize=None)
+def cycle_formula_report():
+    return experiment_cycle_formula()

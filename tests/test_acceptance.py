@@ -10,6 +10,7 @@ from functools import lru_cache
 
 from conftest import (
     adaptive_not_better_report,
+    cycle_formula_report,
     nary_report,
     shortest_cycle_is_power_of_four,
 )
@@ -22,7 +23,7 @@ from homquery.analysis import (
 )
 from homquery.catalog import enumerate_digraphs, enumerate_digraphs_upto
 from homquery.datalog import builtin_programs, evaluate
-from homquery.experiments import experiment_cycle_formula, experiment_dn
+from homquery.experiments import experiment_dn
 from homquery.homs import BOOLEAN, COUNT, hom_count, hom_exists
 from homquery.oracle import oracle_gamma, oracle_hom_count
 from homquery.query import LEFT, RIGHT, run_adaptive, run_non_adaptive
@@ -52,7 +53,7 @@ def _dn_report(n: int):
 
 
 def test_criterion_01_cycle_union_formula_matches_oracle():
-    report = experiment_cycle_formula()
+    report = cycle_formula_report()
     _report(1, "closed-form cycle-union counts match the enumeration oracle",
             report.passed)
 

@@ -28,6 +28,20 @@ def test_guard():
         enumerate_digraphs_upto(5)
 
 
+def test_one_cache_entry_per_size():
+    # enumerate_digraphs_upto shares enumerate_digraphs' cache entries
+    enumerate_digraphs.cache_clear()
+    enumerate_digraphs_upto.cache_clear()
+    reps = enumerate_digraphs_upto(4)
+    before = enumerate_digraphs.cache_info()
+    catalog = enumerate_digraphs(4)
+    after = enumerate_digraphs.cache_info()
+    assert (after.misses, after.hits, after.currsize) == \
+        (before.misses, before.hits + 1, before.currsize)
+    tail = reps[-len(catalog.representatives):]
+    assert all(a is b for a, b in zip(tail, catalog.representatives))
+
+
 def test_representatives_are_canonical_and_distinct():
     for n in (1, 2, 3):
         reps = enumerate_digraphs(n).representatives

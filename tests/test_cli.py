@@ -8,10 +8,13 @@ from homquery.cli import main
 from homquery.homs import WorkBudgetExceeded
 from homquery.query import StepLimitExceeded
 from homquery.structures import (
+    GuardExceeded,
     Signature,
+    digraph,
     directed_cycle,
     directed_path,
     encode_structure,
+    isomorphic,
     make_structure,
 )
 
@@ -92,6 +95,28 @@ def test_run_n_in_range(runner, files):
     r = runner.invoke(main, ["run", "--algorithm", "dn-sep", "--n", "1",
                              "--input", files["c3"]])
     assert r.exit_code == 0 and r.output.strip().endswith("NO")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "--algorithm", "cycle2q", "--input", "pq"],
+     "query signature does not match the input"),
+    (["run", "--algorithm", "unary-full", "--input", "c3"],
+     "query signature does not match the input"),
+    (["hom", "count", "--from", "c3", "--to", "pq"], "signature mismatch"),
+    (["oracle", "hom", "--from", "c3", "--to", "pq"], "signature mismatch")],
+    ids=["run-cycle2q", "run-unary-full", "hom-count", "oracle-hom"])
+def test_signature_mismatches_are_input_errors(runner, files, args, message):
+    args = [files.get(a, a) for a in args]
+    assert _one_error_line(runner.invoke(main, args), 2, "error: input: ") == \
+        f"error: input: {message}"
+
+
+def test_gen_dn_out_of_range_is_usage_error(runner, tmp_path):
+    r = runner.invoke(main, ["gen", "dn", "--n", "0", "--parity", "even",
+                             "--out-dir", str(tmp_path / "family")])
+    assert _one_error_line(r, 2, "error: usage: ") == \
+        "error: usage: gen dn: n must be >= 1, got 0"
+    assert not (tmp_path / "family").exists()
 
 
 def test_gen_dn(runner, tmp_path):
@@ -294,3 +319,18 @@ def test_guard_override_warns(runner, files):
     r = runner.invoke(main, ["--guard-override", "analyze", files["c3"]])
     assert r.exit_code == 0
     assert "size guards lifted" in r.output
+
+
+def test_guard_override_lifts_experiment_guards(runner, tmp_path):
+    r = runner.invoke(main, ["--guard-override", "experiment", "dn", "n=7"])
+    assert r.exit_code == 0, r.output
+    assert r.output.rstrip().endswith("result: PASS")
+    # the lift ends with the command
+    with pytest.raises(GuardExceeded):
+        isomorphic(directed_cycle(9), directed_cycle(9))
+    edgeless = tmp_path / "edgeless8.json"
+    edgeless.write_text(encode_structure(digraph(8, set())), encoding="utf-8")
+    r = runner.invoke(main, ["analyze", str(edgeless)])
+    assert "core-size: skipped (size guard)" in r.output
+    r = runner.invoke(main, ["--guard-override", "analyze", str(edgeless)])
+    assert r.exit_code == 0 and "core-size: 1" in r.output

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import adaptive_not_better_report, nary_report
+from conftest import adaptive_not_better_report, cycle_formula_report, nary_report
 from homquery.algorithms import ParameterError
 from homquery.experiments import (
     EXPERIMENTS,
@@ -63,6 +63,60 @@ adversary-survivors-lower-bound=2
 straddling-pair-survives=ok
 lower-bound-status=illustrative at desk scale
 result=PASS
+"""
+
+CYCLE_FORMULA_TEXT = """\
+experiment: cycle-formula
+param.max_m: 3
+param.max_n: 4
+param.max_vertices: 4
+cases: 37920
+mismatches: 0
+formula-matches-oracle: ok
+result: PASS
+"""
+
+NARY_TEXT = """\
+experiment: nary
+param.d_max: 3
+param.n: 3
+cases: 22122
+mismatches: 0
+formula-matches-oracle: ok
+star-of-nary-cycle-is-cycle: ok
+result: PASS
+"""
+
+DN_6_TEXT = """\
+experiment: dn
+param.n: 6
+member.m=0: vector=(64, 64, 64, 64, 64, 64) verdict=True adaptive_queries=3
+member.m=1: vector=(0, 64, 64, 64, 64, 64) verdict=False adaptive_queries=3
+member.m=2: vector=(0, 0, 64, 64, 64, 64) verdict=True adaptive_queries=3
+member.m=3: vector=(0, 0, 0, 64, 64, 64) verdict=False adaptive_queries=3
+member.m=4: vector=(0, 0, 0, 0, 64, 64) verdict=True adaptive_queries=3
+member.m=5: vector=(0, 0, 0, 0, 0, 64) verdict=False adaptive_queries=3
+member.m=6: vector=(0, 0, 0, 0, 0, 0) verdict=True adaptive_queries=2
+separator-correct: ok
+vectors-pairwise-distinct: ok
+adaptive-correct: ok
+adaptive-query-bound: 3
+adaptive-within-bound: ok
+result: PASS
+"""
+
+ADAPTIVE_NOT_BETTER_2_TEXT = """\
+experiment: adaptive-not-better
+param.k: 2
+param.primes: (2, 3, 5, 7)
+param.seed: 0
+member.j=1: vector=(44100, 0) accepted=True
+member.j=2: vector=(0, 9261000) accepted=True
+member.j=3: vector=(0, 0) accepted=False
+member.j=4: vector=(0, 0) accepted=False
+matrix-nonzero-exactly-on-diagonal: ok
+accepts-exactly-first-k: ok
+result: PASS
 """
 
 
@@ -138,3 +192,7 @@ def test_reports_match_frozen_text():
     assert experiment_dn(3).render() == DN_3_TEXT
     assert experiment_unbounded_boolean(3).render() == UNBOUNDED_BOOLEAN_3_TEXT
     assert adaptive_not_better_report().render("machine") == ADAPTIVE_NOT_BETTER_MACHINE
+    assert cycle_formula_report().render() == CYCLE_FORMULA_TEXT
+    assert nary_report().render() == NARY_TEXT
+    assert experiment_dn(6).render() == DN_6_TEXT
+    assert experiment_adaptive_not_better(k=2).render() == ADAPTIVE_NOT_BETTER_2_TEXT

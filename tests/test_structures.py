@@ -1,18 +1,25 @@
+import importlib
+import inspect
 import itertools
+import pkgutil
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import homquery
 from conftest import small_digraphs
 from homquery.catalog import enumerate_digraphs_upto
 from homquery.structures import (
     DIGRAPH_SIG,
+    LIFTED_GUARD,
     GuardExceeded,
     Signature,
+    Structure,
     canonical_form,
     canonical_key,
+    check_guard,
     complete_pair,
     complete_singleton,
     decode_structure,
@@ -22,6 +29,7 @@ from homquery.structures import (
     directed_path,
     disjoint_union,
     encode_structure,
+    guards_lifted,
     isomorphic,
     make_structure,
     n_ary_cycle,
@@ -103,13 +111,14 @@ def test_disjoint_union_and_scalar():
 
 def test_direct_product():
     c3 = directed_cycle(3)
-    assert isomorphic(direct_product(c3, c3), scalar_multiple(3, c3), guard=9)
+    with guards_lifted():
+        assert isomorphic(direct_product(c3, c3), scalar_multiple(3, c3))
     # complete singleton is a unit
     one = complete_singleton(DIGRAPH_SIG)
     for s in (c3, directed_path(2)):
         assert isomorphic(direct_product(s, one), s)
         assert isomorphic(direct_product(scalar_multiple(2, one), s),
-                          scalar_multiple(2, s), guard=8)
+                          scalar_multiple(2, s))
     # row-major indexing is fixed
     p = direct_product(directed_path(1), directed_path(1))
     assert p.relations["R"] == {(0, 3)}
@@ -123,7 +132,8 @@ def test_isomorphic():
     assert not isomorphic(directed_cycle(6), scalar_multiple(2, directed_cycle(3)))
     with pytest.raises(GuardExceeded):
         isomorphic(directed_cycle(9), directed_cycle(9))
-    assert isomorphic(directed_cycle(9), directed_cycle(9), guard=9)
+    with guards_lifted():
+        assert isomorphic(directed_cycle(9), directed_cycle(9))
 
 
 @given(small_digraphs(max_vertices=3), small_digraphs(max_vertices=3))
@@ -211,3 +221,67 @@ def test_isomorphic_and_canonical_key_match_all_permutations(pair):
     expected = _isomorphic_by_all_permutations(a, b)
     assert isomorphic(a, b) == expected
     assert (canonical_key(a) == canonical_key(b)) == expected
+
+
+def test_relations_are_read_only():
+    s = directed_cycle(3)
+    with pytest.raises(TypeError):
+        s.relations["R"] = frozenset()
+    with pytest.raises(TypeError):
+        del s.relations["R"]
+    # the caller's dict is copied, so changing it later leaves s as it was
+    rels = {"R": frozenset({(0, 1)})}
+    t = Structure(DIGRAPH_SIG, 2, rels)
+    rels["R"] = frozenset()
+    assert t.relations["R"] == {(0, 1)}
+    # equal structures still compare and hash equal
+    same = digraph(3, {(2, 0), (0, 1), (1, 2)})
+    assert s == same and hash(s) == hash(same)
+    assert s != directed_cycle(4)
+    assert len({s, same, directed_path(2)}) == 2
+
+
+def test_check_guard_and_guards_lifted():
+    check_guard("demo guard: n", 4, 4)
+    with pytest.raises(GuardExceeded, match=r"^demo guard: n = 5 > 4$"):
+        check_guard("demo guard: n", 5, 4)
+    with guards_lifted():
+        check_guard("demo guard: n", 5, 4)
+        with guards_lifted():
+            pass
+        # a nested lift ends without ending the outer one
+        check_guard("demo guard: n", LIFTED_GUARD, 4)
+        with pytest.raises(GuardExceeded, match=f"> {LIFTED_GUARD}$"):
+            check_guard("demo guard: n", LIFTED_GUARD + 1, 4)
+    with pytest.raises(GuardExceeded):
+        check_guard("demo guard: n", 5, 4)
+
+
+def _public_callables():
+    "Every public function, class and method defined in a homquery module."
+    for info in pkgutil.iter_modules(homquery.__path__):
+        module = importlib.import_module(f"homquery.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                yield f"{module.__name__}.{name}", obj
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and callable(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+            elif callable(obj):
+                yield f"{module.__name__}.{name}", obj
+
+
+def test_no_public_callable_takes_a_guard():
+    # size guards are module constants checked by structures.check_guard and
+    # lifted by structures.guards_lifted, not per-call parameters
+    seen = 0
+    for qualname, obj in _public_callables():
+        try:
+            parameters = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        seen += 1
+        assert "guard" not in parameters, qualname
+    assert seen > 50
