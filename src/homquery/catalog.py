@@ -43,7 +43,7 @@ def canonical_mask(d: Structure) -> int:
 def enumerate_digraphs(n: int) -> IsoClassCatalog:
     "All isomorphism classes of digraphs on exactly n vertices."
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     check_guard("enumeration guard: n", n, CATALOG_GUARD)
     bits = n * n
     shifts = range(0, bits, 8)

@@ -11,13 +11,13 @@ Exit codes:
   0  every assertion made by the invoked command passed;
   1  an assertion failed (an experiment reports FAIL);
   2  bad usage or input, with a one-line message: a missing, unknown,
-     non-integer or out-of-range experiment parameter, a run --n or
-     gen dn --n that the algorithm does not take or that is out of range
-     ("error: usage: <msg>"), a structure file that decode_structure
-     rejects ("error: input: <file>: <msg>"), structures whose signatures
-     do not match each other or the algorithm's queries ("error: input:
-     <msg>"), or a Datalog program that is neither a builtin nor a file,
-     does not parse or does not fit the structure;
+     non-integer or out-of-range experiment parameter, a run --n that
+     the algorithm does not take, an out-of-range run --n, gen dn --n or
+     enumerate --size ("error: usage: <msg>"), a structure file that
+     decode_structure rejects ("error: input: <file>: <msg>"), structures
+     whose signatures do not match each other or the algorithm's queries
+     ("error: input: <msg>"), or a Datalog program that is neither a
+     builtin nor a file, does not parse or does not fit the structure;
   3  a refusal, with a one-line message: a size guard ("error: guard:
      <msg>"), the search's work budget ("error: budget: <msg>") or an
      adaptive run's step cap ("error: step-limit: <msg>").
@@ -200,7 +200,10 @@ def gen_dn_cmd(n, parity, out_dir):
 @click.pass_context
 def enumerate_cmd(ctx, size):
     "List all digraph iso-classes of the given size."
-    catalog = enumerate_digraphs(size)
+    try:
+        catalog = enumerate_digraphs(size)
+    except ValueError as exc:
+        _error("usage", f"enumerate: {exc}", 2)
     _kv(ctx, "classes", len(catalog.representatives))
     for i, rep in enumerate(catalog.representatives):
         _kv(ctx, f"class.{i}", sorted(rep.relations["R"]))

@@ -45,23 +45,20 @@ class DatalogProgram:
     rules: tuple[Rule, ...]
     idb: dict[str, int]   # predicate -> arity
     goal: str
-    # join plans, compiled once per program (see _compile_program)
+    # EDB predicate arities and join plans, computed once per program (see _compile_program)
+    edb: dict[str, int] = field(init=False, repr=False, compare=False)
     first_plans: tuple = field(init=False, repr=False, compare=False)
     delta_plans: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_safety(self)
+        edb = {atom.predicate: len(atom.variables)
+               for rule in self.rules for atom in rule.body
+               if atom.predicate != EQ and atom.predicate not in self.idb}
         first, later = _compile_program(self.rules, self.idb)
+        object.__setattr__(self, "edb", edb)
         object.__setattr__(self, "first_plans", first)
         object.__setattr__(self, "delta_plans", later)
-
-    def edb_predicates(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for rule in self.rules:
-            for atom in rule.body:
-                if atom.predicate != EQ and atom.predicate not in self.idb:
-                    out[atom.predicate] = len(atom.variables)
-        return out
 
 
 _ATOM_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_']*)\s*\(([^)]*)\)\s*$")
@@ -317,7 +314,7 @@ def evaluate(program: DatalogProgram, structure: Structure) -> bool:
     once per call, IDB ones once per round) and tries only derivations
     that use a fact new in the last round.  Stops once the goal holds.
     """
-    for name, arity in program.edb_predicates().items():
+    for name, arity in program.edb.items():
         try:
             if structure.signature.arity(name) != arity:
                 raise DatalogError(f"arity mismatch for EDB predicate {name}")

@@ -17,8 +17,8 @@ order.  Counts of components multiply.
 
 find_hom runs the same search in ascending candidate order, stops at the
 first complete map (the lexicographically least one in that order) and
-caches only the frontier states that have no extension.  The work budget
-counts candidate images tried; exceeding it raises WorkBudgetExceeded.
+caches only the frontier states that have no extension.  A call that tries
+more than DEFAULT_BUDGET candidate images raises WorkBudgetExceeded.
 Plans are cached per source and tables per (target relation, mask), both
 keyed on relation contents and bounded at 1024 entries, so that a sweep of
 probes over a few dozen targets finds its tables still built.
@@ -29,7 +29,6 @@ code paths.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from functools import lru_cache
 from operator import itemgetter
@@ -151,14 +150,13 @@ def _table(relation: frozenset, mask: int) -> dict:
 
 
 class _Budget:
-    def __init__(self, limit):
-        self.limit = math.inf if limit is None else limit
+    def __init__(self):
         self.used = 0
 
     def spend(self, nodes=1):
         self.used += nodes
-        if self.used > self.limit:
-            raise WorkBudgetExceeded(f"search exceeded {self.limit} nodes")
+        if self.used > DEFAULT_BUDGET:
+            raise WorkBudgetExceeded(f"search exceeded {DEFAULT_BUDGET} nodes")
 
 
 def _search(component, tables, domain: range, budget: _Budget, find: bool):
@@ -232,10 +230,10 @@ def _prepare(a: Structure, b: Structure):
     return components, tables
 
 
-def hom_count(a: Structure, b: Structure, budget: int | None = DEFAULT_BUDGET) -> int:
+def hom_count(a: Structure, b: Structure) -> int:
     "Exact number of homomorphisms a -> b."
     components, tables = _prepare(a, b)
-    state = _Budget(budget)
+    state = _Budget()
     total = 1
     for component in components:
         count, _ = _search(component, tables, b.domain, state, find=False)
@@ -245,10 +243,10 @@ def hom_count(a: Structure, b: Structure, budget: int | None = DEFAULT_BUDGET) -
     return total
 
 
-def find_hom(a: Structure, b: Structure, budget: int | None = DEFAULT_BUDGET):
+def find_hom(a: Structure, b: Structure):
     "One homomorphism a -> b as a dict, or None."
     components, tables = _prepare(a, b)
-    state = _Budget(budget)
+    state = _Budget()
     witness: dict[int, int] = {}
     for component in components:
         found, images = _search(component, tables, b.domain, state, find=True)
@@ -258,17 +256,16 @@ def find_hom(a: Structure, b: Structure, budget: int | None = DEFAULT_BUDGET):
     return witness
 
 
-def hom_exists(a: Structure, b: Structure, budget: int | None = DEFAULT_BUDGET) -> bool:
-    return find_hom(a, b, budget=budget) is not None
+def hom_exists(a: Structure, b: Structure) -> bool:
+    return find_hom(a, b) is not None
 
 
-def hom_value(a: Structure, b: Structure, semiring: str,
-              budget: int | None = DEFAULT_BUDGET) -> int:
+def hom_value(a: Structure, b: Structure, semiring: str) -> int:
     "hom count under COUNT, 0/1 existence under BOOLEAN."
     if semiring == COUNT:
-        return hom_count(a, b, budget=budget)
+        return hom_count(a, b)
     if semiring == BOOLEAN:
-        return 1 if hom_exists(a, b, budget=budget) else 0
+        return 1 if hom_exists(a, b) else 0
     raise ValueError(f"unknown semiring {semiring!r}")
 
 

@@ -1,8 +1,7 @@
 """
 Finite relational structures: signatures, constructors, combinators,
-isomorphism testing and canonical forms by relabeling within blocks of
-elements of equal profile (the (relation, position) slots an element
-occupies), and (de)serialization.
+(de)serialization, and canonical forms from one individualization-
+refinement search, which also decides isomorphism.
 
 Elements are always the canonical integers 0..n-1.  All values are
 immutable; every operation returns a fresh structure.
@@ -10,6 +9,7 @@ immutable; every operation returns a fresh structure.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 import functools
@@ -199,10 +199,11 @@ def scalar_multiple(m: int, h: Structure) -> Structure:
     "m disjoint copies of h; m=0 is rejected (structures are non-empty)."
     if m < 1:
         raise ValueError("multiplier must be >= 1")
-    out = h
-    for _ in range(m - 1):
-        out = disjoint_union(out, h)
-    return out
+    n = h.domain_size
+    # copy i on elements i*n .. (i+1)*n-1, as chained disjoint_union labels them
+    rels = {name: {tuple(e + i * n for e in t) for i in range(m) for t in ts}
+            for name, ts in h.relations.items()}
+    return make_structure(h.signature, m * n, rels)
 
 
 def direct_product(a: Structure, b: Structure) -> Structure:
@@ -228,60 +229,65 @@ def relabel(s: Structure, perm) -> Structure:
     return make_structure(s.signature, s.domain_size, rels)
 
 
-def _blocks(s: Structure) -> tuple[tuple, list[list[int]]]:
+def _refine(colours: list[int], incidence) -> list[int]:
     """
-    Isomorphism-invariant partition of the domain.  An element's profile
-    is the sorted multiset of (relation, position) slots it occupies;
-    elements of equal profile form a block, blocks in ascending profile
-    order.  Returns ((profile, block size) per block, the blocks).
+    Split colour classes until every element of a colour sees the same
+    multiset of (relation, position, colours of the fact's elements) over
+    the facts it occurs in.  New colours are ranks ordered by old colour
+    first, so the result depends on labels only through the input colours.
     """
-    slots: list[list[tuple[str, int]]] = [[] for _ in s.domain]
-    for name, ts in s.relations.items():
-        for t in ts:
-            for i, e in enumerate(t):
-                slots[e].append((name, i))
-    groups: dict[tuple, list[int]] = {}
-    for e in s.domain:
-        groups.setdefault(tuple(sorted(slots[e])), []).append(e)
-    profiles = sorted(groups)
-    return (tuple((p, len(groups[p])) for p in profiles),
-            [groups[p] for p in profiles])
+    while True:
+        signatures = [(colours[e], tuple(sorted((r, i, tuple(colours[x] for x in t))
+                                                for r, i, t in slots)))
+                      for e, slots in enumerate(incidence)]
+        ranks = {sig: k for k, sig in enumerate(sorted(set(signatures)))}
+        # stable once no class splits, or once every class is one element
+        stable = len(ranks) in (len(set(colours)), len(colours))
+        colours = [ranks[sig] for sig in signatures]
+        if stable:
+            return colours
 
 
-def _block_maps(blocks, images, size: int):
-    """
-    Lazily yield every map (a list indexed by element) sending each block
-    bijectively onto the same-index entry of images.  The yielded list is
-    reused between steps; copy it to keep it.
-    """
-    perm = [0] * size
-
-    def extend(k):
-        if k == len(blocks):
-            yield perm
-            return
-        for order in itertools.permutations(images[k]):
-            for e, image in zip(blocks[k], order):
-                perm[e] = image
-            yield from extend(k + 1)
-    return extend(0)
+def _swap_is_automorphism(x: int, y: int, rels, incidence) -> bool:
+    swap = {x: y, y: x}
+    return all(tuple(swap.get(e, e) for e in t) in rels[r]
+               for r, _, t in incidence[x] + incidence[y])
 
 
 def canonical_key(s: Structure) -> tuple:
     """
     The least relation key (each relation's sorted tuples, in signature
-    order) over the relabelings that send the i-th block onto the i-th
-    run of consecutive labels.  Isomorphism-invariant; with the domain
-    size it determines s up to isomorphism.
+    order) over the leaves of an individualization-refinement search
+    (McKay and Piperno, J. Symb. Comput. 2014).  A node refines its
+    colouring; a discrete colouring is a leaf, read as a labeling.
+    Otherwise each element of the first colour class with more than one
+    element gets, in turn, a colour of its own in a child node, unless its
+    swap with an element already given one is an automorphism (then its
+    subtree is that one's image and has the same keys).
+    Isomorphism-invariant; with the domain size it determines s up to
+    isomorphism.
     """
-    _, blocks = _blocks(s)
-    runs, start = [], 0
-    for block in blocks:
-        runs.append(range(start, start + len(block)))
-        start += len(block)
     rels = [s.relations[name] for name in s.signature.names]
-    return min(tuple(tuple(sorted(tuple(perm[e] for e in t) for t in ts)) for ts in rels)
-               for perm in _block_maps(blocks, runs, s.domain_size))
+    incidence: list[list[tuple]] = [[] for _ in s.domain]
+    for r, ts in enumerate(rels):
+        for t in ts:
+            for i, e in enumerate(t):
+                incidence[e].append((r, i, t))
+    best, nodes = None, [[0] * s.domain_size]
+    while nodes:
+        colours = _refine(nodes.pop(), incidence)
+        if len(set(colours)) == s.domain_size:
+            key = tuple(tuple(sorted(tuple(colours[e] for e in t) for t in ts)) for ts in rels)
+            best = key if best is None or key < best else best
+            continue
+        split = min(c for c, k in collections.Counter(colours).items() if k > 1)
+        tried: list[int] = []
+        for x in (e for e, c in enumerate(colours) if c == split):
+            if not any(_swap_is_automorphism(x, y, rels, incidence) for y in tried):
+                tried.append(x)
+                # x keeps the least colour of its class; every other element shifts up
+                nodes.append([2 * c + (e != x) for e, c in enumerate(colours)])
+    return best
 
 
 def canonical_form(s: Structure) -> Structure:
@@ -299,7 +305,7 @@ ISOMORPHIC_GUARD = 8
 
 
 def isomorphic(a: Structure, b: Structure) -> bool:
-    "Search of the bijections preserving the element profiles; guarded to small domains."
+    "Equal domain size and canonical keys; guarded to small domains."
     if a.signature != b.signature:
         raise SignatureMismatch("signature mismatch")
     if a.domain_size != b.domain_size:
@@ -307,13 +313,7 @@ def isomorphic(a: Structure, b: Structure) -> bool:
     if any(len(a.relations[n]) != len(b.relations[n]) for n in a.signature.names):
         return False
     check_guard("isomorphism guard: |A|", a.domain_size, ISOMORPHIC_GUARD)
-    profiles_a, blocks_a = _blocks(a)
-    profiles_b, blocks_b = _blocks(b)
-    if profiles_a != profiles_b:
-        return False
-    pairs = [(a.relations[name], b.relations[name]) for name in a.signature.names]
-    return any(all({tuple(perm[e] for e in t) for t in ta} == tb for ta, tb in pairs)
-               for perm in _block_maps(blocks_a, blocks_b, a.domain_size))
+    return canonical_key(a) == canonical_key(b)
 
 
 def encode_structure(s: Structure) -> str:

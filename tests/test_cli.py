@@ -119,6 +119,13 @@ def test_gen_dn_out_of_range_is_usage_error(runner, tmp_path):
     assert not (tmp_path / "family").exists()
 
 
+@pytest.mark.parametrize("size", ["0", "-2"])
+def test_enumerate_size_below_one_is_usage_error(runner, size):
+    r = runner.invoke(main, ["enumerate", "--size", size])
+    assert _one_error_line(r, 2, "error: usage: ") == \
+        f"error: usage: enumerate: n must be >= 1, got {size}"
+
+
 def test_gen_dn(runner, tmp_path):
     out_dir = tmp_path / "family"
     r = runner.invoke(main, ["gen", "dn", "--n", "2", "--parity", "even",

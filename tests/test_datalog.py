@@ -133,7 +133,7 @@ def test_parse_program():
     assert len(p.rules) == 3
     assert p.goal == "Ans"
     assert p.idb == {"X": 1, "Ans": 0}
-    assert p.edb_predicates() == {"P": 1, "R": 2, "Q": 1}
+    assert p.edb == {"P": 1, "R": 2, "Q": 1}
     first = p.rules[0]
     assert first.head == Atom("X", ("x",))
     assert first.body == (Atom("P", ("x",)),)

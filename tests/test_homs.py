@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_digraphs
+from homquery import homs
 from homquery.analysis import component_count, gamma
 from homquery.homs import (
     BOOLEAN,
@@ -86,13 +87,13 @@ def test_hom_value_semirings():
         hom_value(a, b, "tropical")
 
 
-def test_budget_exhaustion():
+def test_budget_exhaustion(monkeypatch):
     star = digraph(7, {(0, i) for i in range(1, 7)})
     target = complete_pair(DIGRAPH_SIG)
+    assert hom_count(star, target) == 2 ** 7
+    monkeypatch.setattr(homs, "DEFAULT_BUDGET", 10)
     with pytest.raises(WorkBudgetExceeded):
-        hom_count(star, target, budget=10)
-    # unlimited budget allowed explicitly
-    assert hom_count(star, target, budget=None) == 2 ** 7
+        hom_count(star, target)
 
 
 # two or three relations of arities 1-3: facts with repeated elements make
@@ -146,12 +147,13 @@ def _walks(d, length) -> int:
     return sum(counts)
 
 
-def test_large_counts_within_small_budget():
+def test_large_counts_within_small_budget(monkeypatch):
+    monkeypatch.setattr(homs, "DEFAULT_BUDGET", 200_000)
     # the adaptive-not-better k=2 shape: 2*C_105 into itself
     two_c105 = scalar_multiple(2, directed_cycle(105))
-    assert hom_count(two_c105, two_c105, budget=200_000) == \
+    assert hom_count(two_c105, two_c105) == \
         hom_into_cycle_union_formula(two_c105, 2, 105) == 44_100
-    w = find_hom(two_c105, two_c105, budget=200_000)
+    w = find_hom(two_c105, two_c105)
     assert w is not None and _is_hom(w, two_c105, two_c105)
     # P_6 into a seeded 40-vertex, 300-edge digraph
     rng = random.Random(0)
@@ -159,7 +161,7 @@ def test_large_counts_within_small_budget():
     while len(edges) < 300:
         edges.add((rng.randrange(40), rng.randrange(40)))
     g = digraph(40, edges)
-    assert hom_count(directed_path(6), g, budget=200_000) == _walks(g, 6)
+    assert hom_count(directed_path(6), g) == _walks(g, 6)
 
 
 def _grouped_table(relation, mask):

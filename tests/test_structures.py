@@ -103,6 +103,9 @@ def test_disjoint_union_and_scalar():
         directed_cycle(2), directed_cycle(2))
     assert isomorphic(scalar_multiple(1, directed_cycle(3)), directed_cycle(3))
     assert scalar_multiple(4, directed_cycle(1)).domain_size == 4
+    mixed = make_structure(MIXED_SIG, 3, {"R": {(0, 1), (2, 2)}, "P": {(1,)},
+                                          "T": {(0, 2, 1), (1, 1, 0)}})
+    assert scalar_multiple(3, mixed) == disjoint_union(disjoint_union(mixed, mixed), mixed)
     with pytest.raises(ValueError):
         scalar_multiple(0, directed_cycle(3))
     with pytest.raises(ValueError):
@@ -180,6 +183,28 @@ def test_canonical_key_separates_catalog_classes_and_ignores_labels():
         assert canonical_key(shuffled) == canonical_key(r)
         assert canonical_form(shuffled) == canonical_form(r)
         assert isomorphic(canonical_form(r), r)
+
+
+def test_symmetric_inputs_past_the_factorial_range():
+    # vertex-transitive inputs of 8 to 12 elements: refinement alone leaves them one
+    # colour class, and a search of all their relabelings takes 8! to 12! steps
+    rng = random.Random(5)
+    c3, c4, c6 = directed_cycle(3), directed_cycle(4), directed_cycle(6)
+    complete = digraph(8, {(u, v) for u in range(8) for v in range(8) if u != v})
+    pairs = [(directed_cycle(12), directed_cycle(12)),
+             (scalar_multiple(3, c4), scalar_multiple(3, c4)),
+             (complete, complete),
+             (scalar_multiple(8, directed_cycle(1)), scalar_multiple(8, directed_cycle(1))),
+             (direct_product(c3, c3), scalar_multiple(3, c3))]
+    with guards_lifted():
+        for a, b in pairs:
+            perm = list(b.domain)
+            rng.shuffle(perm)
+            shuffled = relabel(b, perm)
+            assert canonical_key(shuffled) == canonical_key(a)
+            assert isomorphic(a, shuffled)
+        assert canonical_key(directed_cycle(12)) != canonical_key(scalar_multiple(2, c6))
+        assert not isomorphic(directed_cycle(12), scalar_multiple(2, c6))
 
 
 def _isomorphic_by_all_permutations(a, b):
