@@ -23,22 +23,6 @@ class IsoClassCatalog:
     representatives: tuple[Structure, ...]
 
 
-def digraph_to_mask(d: Structure, perm=None) -> int:
-    n = d.domain_size
-    mask = 0
-    for u, v in d.relations["R"]:
-        if perm is not None:
-            u, v = perm[u], perm[v]
-        mask |= 1 << (u * n + v)
-    return mask
-
-
-def canonical_mask(d: Structure) -> int:
-    n = d.domain_size
-    return min(digraph_to_mask(d, perm)
-               for perm in itertools.permutations(range(n)))
-
-
 @lru_cache(maxsize=None)
 def enumerate_digraphs(n: int) -> IsoClassCatalog:
     "All isomorphism classes of digraphs on exactly n vertices."

@@ -15,10 +15,13 @@ lookup tables over the target's relations, keyed on the images already
 fixed in each fact checked at its position, and intersected in ascending
 order.  Counts of components multiply.
 
-find_hom runs the same search in ascending candidate order, stops at the
-first complete map (the lexicographically least one in that order) and
-caches only the frontier states that have no extension.  A call that tries
-more than DEFAULT_BUDGET candidate images raises WorkBudgetExceeded.
+The search is one flat loop over a stack of open positions, so Python's
+recursion limit puts no bound on source size.  find_hom runs it in
+ascending candidate order, stops at the first complete map (the
+lexicographically least one in that order) and caches only the frontier
+states that have no extension.  The budget is a count of candidate images
+tried, carried across components: past DEFAULT_BUDGET a call raises
+WorkBudgetExceeded.
 Plans are cached per source and tables per (target relation, mask), both
 keyed on relation contents and bounded at 1024 entries, so that a sweep of
 probes over a few dozen targets finds its tables still built.
@@ -103,9 +106,10 @@ def _plan(domain_size: int, relations: tuple[frozenset, ...]):
 
     components = []
     for c, order in enumerate(orders):
-        frontier = []
-        for i in range(len(order)):
-            live = [p for p in range(i) if last_read[c][p] >= i]
+        frontier, live = [None], []
+        for i in range(1, len(order)):
+            # an element still read at i is i - 1 or was still read at i - 1
+            live = [p for p in live + [i - 1] if last_read[c][p] >= i]
             frontier.append(None if len(live) == i else itemgetter(*live))
         components.append((tuple(order), tuple(frontier),
                            tuple(tuple(at) for at in checks[c])))
@@ -149,111 +153,106 @@ def _table(relation: frozenset, mask: int) -> dict:
     return {k: tuple(sorted(vs)) for k, vs in grouped.items()}
 
 
-class _Budget:
-    def __init__(self):
-        self.used = 0
-
-    def spend(self, nodes=1):
-        self.used += nodes
-        if self.used > DEFAULT_BUDGET:
-            raise WorkBudgetExceeded(f"search exceeded {DEFAULT_BUDGET} nodes")
-
-
-def _search(component, tables, domain: range, budget: _Budget, find: bool):
+def _search(component, tables, domain: range, find: bool, used: int):
     """
     (number of homomorphisms of one source component into the target whose
-    tables are given, images by position).  With find set the number is 1
-    or 0, and on 1 the images are the first homomorphism found.
+    tables are given, images by position, used plus the candidates tried).
+    With find set the number is 1 or 0, and on 1 the images are the first
+    homomorphism found.
     """
     order, frontier, checks = component
-    last = len(order) - 1
+    budget, last = DEFAULT_BUDGET, len(order) - 1
     img = [0] * len(order)
     memo: list[dict] = [{} for _ in order]
 
-    def candidates(i):
+    # one open frame per position below the one entered: its untried images,
+    # its count so far and the memo key of its current image
+    untried, totals, keys = [], [], []
+    i = 0
+    while True:
         at = checks[i]
         if not at:
-            return domain
-        if len(at) == 1:
-            slot, key = at[0]
-            return tables[slot].get(key(img), ())
-        options = sorted((tables[slot].get(key(img), ()) for slot, key in at), key=len)
-        images = options[0]
-        for other in options[1:]:
-            images = [v for v in images if v in other]
-        return images
+            images = domain
+        elif len(at) == 1:
+            slot, fixed = at[0]
+            images = tables[slot].get(fixed(img), ())
+        else:
+            options = sorted((tables[slot].get(fixed(img), ()) for slot, fixed in at), key=len)
+            images = options[0]
+            for other in options[1:]:
+                images = [v for v in images if v in other]
+        if i < last:
+            untried.append(iter(images))
+            totals.append(0)
+            keys.append(None)
+            n = 0
+        else:
+            # the last position's images are counted, not tried one by one
+            n = min(len(images), 1) if find else len(images)
+            used += n
+            if used > budget:
+                raise WorkBudgetExceeded(f"search exceeded {budget} nodes")
+            if find and n:
+                img[i] = images[0]
+                return 1, img, used
+        # add n to the innermost frame and enter its next image; a frame out
+        # of images closes and adds its total to the frame below
+        while untried:
+            j = len(untried) - 1
+            if keys[j] is not None:
+                memo[j + 1][keys[j]] = n
+            totals[j] += n
+            key, seen = frontier[j + 1], memo[j + 1]
+            for v in untried[j]:
+                used += 1
+                if used > budget:
+                    raise WorkBudgetExceeded(f"search exceeded {budget} nodes")
+                img[j] = v
+                if key is not None:
+                    keys[j] = key(img)
+                    cached = seen.get(keys[j])
+                    if cached is not None:
+                        totals[j] += cached
+                        continue
+                i = j + 1
+                break
+            else:
+                untried.pop()
+                keys.pop()
+                n = totals.pop()
+                continue
+            break
+        else:
+            return n, img, used
 
-    def extend(i) -> int:
-        images = candidates(i)
-        if i == last:
-            if not find:
-                budget.spend(len(images))
-                return len(images)
-            for v in images:
-                budget.spend()
-                img[i] = v
-                return 1
-            return 0
-        seen, key = memo[i + 1], frontier[i + 1]
-        total = 0
-        for v in images:
-            budget.spend()
-            img[i] = v
-            if key is not None:
-                k = key(img)
-                n = seen.get(k)
-                if n is not None:
-                    total += n
-                    continue
-            n = extend(i + 1)
-            if n and find:
-                return 1
-            if key is not None:
-                seen[k] = n
-            total += n
-        return total
 
-    try:
-        return extend(0), img
-    finally:
-        del extend  # extend's closure holds extend: free the cycle now, not at the next collection
-
-
-def _prepare(a: Structure, b: Structure):
-    "The components of a's plan, and the tables of b they read."
+def _run(a: Structure, b: Structure, find: bool):
+    "(hom count a -> b, and with find set one homomorphism as a dict, or None)."
     if a.signature != b.signature:
         raise SignatureMismatch("signature mismatch")
-    needs, components = _plan(a.domain_size,
-                              tuple(a.relations[name] for name in a.signature.names))
-    b_relations = tuple(b.relations[name] for name in b.signature.names)
-    tables = [_table(b_relations[r], mask) for r, mask in needs]
-    return components, tables
+    names = a.signature.names
+    needs, components = _plan(a.domain_size, tuple(a.relations[name] for name in names))
+    tables = [_table(b.relations[names[r]], mask) for r, mask in needs]
+    total, used = 1, 0
+    witness = {} if find else None
+    for component in components:
+        count, images, used = _search(component, tables, b.domain, find, used)
+        if not count:
+            return 0, None
+        total *= count
+        if find:
+            witness.update(zip(component[0], images))
+    return total, witness
 
 
 def hom_count(a: Structure, b: Structure) -> int:
     "Exact number of homomorphisms a -> b."
-    components, tables = _prepare(a, b)
-    state = _Budget()
-    total = 1
-    for component in components:
-        count, _ = _search(component, tables, b.domain, state, find=False)
-        if count == 0:
-            return 0
-        total *= count
-    return total
+    return _run(a, b, False)[0]
 
 
 def find_hom(a: Structure, b: Structure):
     "One homomorphism a -> b as a dict, or None."
-    components, tables = _prepare(a, b)
-    state = _Budget()
-    witness: dict[int, int] = {}
-    for component in components:
-        found, images = _search(component, tables, b.domain, state, find=True)
-        if not found:
-            return None
-        witness.update(zip(component[0], images))
-    return witness
+    return _run(a, b, True)[1]
 
 
 def hom_exists(a: Structure, b: Structure) -> bool:

@@ -10,7 +10,6 @@ using potentials.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .structures import SignatureMismatch, Structure, check_guard, edges_of
 
@@ -122,25 +121,3 @@ def has_directed_cycle(d: Structure) -> bool:
                 state[v] = 2
                 stack.pop()
     return False
-
-
-def shortest_directed_cycle(d: Structure):
-    "Length of the shortest directed cycle, or None if the digraph is acyclic."
-    adj: dict[int, list[int]] = {v: [] for v in d.domain}
-    for u, v in edges_of(d):
-        adj[u].append(v)
-    best = None
-    for start in d.domain:
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w == start:
-                    length = dist[v] + 1
-                    if best is None or length < best:
-                        best = length
-                elif w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-    return best

@@ -222,13 +222,6 @@ def direct_product(a: Structure, b: Structure) -> Structure:
     return make_structure(a.signature, a.domain_size * nb, rels)
 
 
-def relabel(s: Structure, perm) -> Structure:
-    "Apply the domain permutation perm (element i becomes perm[i])."
-    rels = {name: {tuple(perm[e] for e in t) for t in ts}
-            for name, ts in s.relations.items()}
-    return make_structure(s.signature, s.domain_size, rels)
-
-
 def _refine(colours: list[int], incidence) -> list[int]:
     """
     Split colour classes until every element of a colour sees the same

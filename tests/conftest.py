@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -8,8 +9,7 @@ from homquery.experiments import (
     experiment_cycle_formula,
     experiment_nary,
 )
-from homquery.oracle import shortest_directed_cycle
-from homquery.structures import digraph
+from homquery.structures import Structure, digraph, edges_of, make_structure
 
 
 @st.composite
@@ -18,6 +18,49 @@ def small_digraphs(draw, max_vertices=4, min_vertices=1):
     pairs = list(itertools.product(range(n), repeat=2))
     edges = draw(st.sets(st.sampled_from(pairs)))
     return digraph(n, edges)
+
+
+# References that only tests use.
+
+def relabel(s: Structure, perm) -> Structure:
+    "Apply the domain permutation perm (element i becomes perm[i])."
+    rels = {name: {tuple(perm[e] for e in t) for t in ts}
+            for name, ts in s.relations.items()}
+    return make_structure(s.signature, s.domain_size, rels)
+
+
+def digraph_to_mask(d: Structure, perm=None) -> int:
+    "Adjacency bit-mask: bit u*n+v set iff edge (u, v), after relabeling by perm."
+    n = d.domain_size
+    perm = perm or range(n)
+    return sum(1 << (perm[u] * n + perm[v]) for u, v in d.relations["R"])
+
+
+def canonical_mask(d: Structure) -> int:
+    "The least adjacency mask over all vertex permutations."
+    return min(digraph_to_mask(d, perm) for perm in itertools.permutations(d.domain))
+
+
+def shortest_directed_cycle(d: Structure):
+    "Length of the shortest directed cycle, or None if the digraph is acyclic."
+    adj: dict[int, list[int]] = {v: [] for v in d.domain}
+    for u, v in edges_of(d):
+        adj[u].append(v)
+    best = None
+    for start in d.domain:
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w == start:
+                    length = dist[v] + 1
+                    if best is None or length < best:
+                        best = length
+                elif w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+    return best
 
 
 def shortest_cycle_is_power_of_four(s) -> bool:

@@ -3,12 +3,8 @@ import random
 
 import pytest
 
-from homquery.catalog import (
-    canonical_mask,
-    digraph_to_mask,
-    enumerate_digraphs,
-    enumerate_digraphs_upto,
-)
+from conftest import canonical_mask, digraph_to_mask
+from homquery.catalog import enumerate_digraphs, enumerate_digraphs_upto
 from homquery.structures import GuardExceeded, digraph, directed_cycle, isomorphic
 
 # iso-class counts for labeled digraphs with loops on n vertices

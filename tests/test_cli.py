@@ -52,6 +52,14 @@ def test_hom_count_and_exists(runner, files):
     assert r.output.strip() == "1"
 
 
+def test_hom_from_a_deep_source(runner, files, tmp_path):
+    path = tmp_path / "p2000.json"
+    path.write_text(encode_structure(directed_path(1999)), encoding="utf-8")
+    for mode, expected in (("count", "3"), ("exists", "1")):
+        r = runner.invoke(main, ["hom", mode, "--from", str(path), "--to", files["c3"]])
+        assert r.exit_code == 0 and r.output.strip() == expected
+
+
 def test_analyze(runner, files):
     r = runner.invoke(main, ["analyze", files["c3"]])
     assert r.exit_code == 0

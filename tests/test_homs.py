@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import small_digraphs
 from homquery import homs
 from homquery.analysis import component_count, gamma
+from homquery.catalog import enumerate_digraphs_upto
 from homquery.homs import (
     BOOLEAN,
     COUNT,
@@ -96,6 +97,28 @@ def test_budget_exhaustion(monkeypatch):
         hom_count(star, target)
 
 
+def test_budget_counts_each_candidate_image_tried(monkeypatch):
+    # the least budget a call finishes within is the number of candidate
+    # images it tries: each one at an inner position (memo hits too), all of
+    # the last position's at once in a count and the first in a find, summed
+    # over the source's components
+    pair = complete_pair(DIGRAPH_SIG)
+    in_star = digraph(3, {(1, 0), (2, 0)})
+    cases = [(hom_count, digraph(7, {(0, i) for i in range(1, 7)}), pair, 26),
+             (hom_count, in_star, pair, 10),
+             (find_hom, in_star, pair, 3),
+             (find_hom, directed_cycle(6), directed_cycle(3), 6),
+             (find_hom, directed_cycle(3), directed_cycle(6), 12),
+             (hom_count, disjoint_union(directed_path(3), directed_cycle(2)),
+              directed_cycle(3), 15)]
+    for run, a, b, tried in cases:
+        monkeypatch.setattr(homs, "DEFAULT_BUDGET", tried)
+        run(a, b)
+        monkeypatch.setattr(homs, "DEFAULT_BUDGET", tried - 1)
+        with pytest.raises(WorkBudgetExceeded):
+            run(a, b)
+
+
 # two or three relations of arities 1-3: facts with repeated elements make
 # the search read every table mask (which tuple positions hold the new element)
 MIXED_SIGNATURES = (
@@ -136,6 +159,29 @@ def test_engine_matches_oracle_on_mixed_signatures(pair):
     assert (w is not None) == (expected > 0)
     if w is not None:
         assert _is_hom(w, a, b)
+
+
+def test_engine_matches_oracle_on_every_catalog_pair():
+    # all 13,456 ordered pairs of digraphs on at most three vertices, both semirings
+    catalog = enumerate_digraphs_upto(3)
+    for a in catalog:
+        for b in catalog:
+            count = hom_count(a, b)
+            assert count == oracle_hom_count(a, b)
+            assert hom_exists(a, b) == (count > 0)
+            w = find_hom(a, b)
+            assert (w is not None) == (count > 0)
+            if w is not None:
+                assert _is_hom(w, a, b)
+
+
+def test_deep_sources_run_past_the_recursion_limit():
+    # one open search position per source element: 5,001 is past Python's
+    # default recursion limit of 1,000
+    path, c3 = directed_path(5000), directed_cycle(3)
+    assert hom_count(path, c3) == 3
+    w = find_hom(path, c3)
+    assert w is not None and _is_hom(w, path, c3)
 
 
 def _walks(d, length) -> int:

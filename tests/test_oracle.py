@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import random
@@ -10,13 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homquery
+from conftest import shortest_directed_cycle
 from homquery.homs import hom_count
-from homquery.oracle import (
-    has_directed_cycle,
-    oracle_gamma,
-    oracle_hom_count,
-    shortest_directed_cycle,
-)
+from homquery.oracle import has_directed_cycle, oracle_gamma, oracle_hom_count
 from homquery.structures import (
     GuardExceeded,
     Signature,
@@ -149,6 +146,23 @@ def test_numpy_is_loaded_only_by_the_oracle():
     result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_oracle_imports_only_structures_stdlib_and_numpy():
+    # the oracle is the reference the engines are checked against: it must
+    # share none of their code
+    tree = ast.parse(Path(homquery.__file__).with_name("oracle.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add("." * node.level + node.module)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update("." * node.level + alias.name for alias in node.names)
+    package = {m for m in imported if m.startswith((".", "homquery"))}
+    assert package == {".structures"}
+    assert {m.split(".")[0] for m in imported - package} <= sys.stdlib_module_names | {"numpy"}
 
 
 def test_oracle_guard():

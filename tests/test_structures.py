@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homquery
-from conftest import small_digraphs
+from conftest import relabel, small_digraphs
 from homquery.catalog import enumerate_digraphs_upto
 from homquery.structures import (
     DIGRAPH_SIG,
@@ -33,7 +33,6 @@ from homquery.structures import (
     isomorphic,
     make_structure,
     n_ary_cycle,
-    relabel,
     scalar_multiple,
 )
 
