@@ -163,7 +163,8 @@ def _search(component, tables, domain: range, find: bool, used: int):
     order, frontier, checks = component
     budget, last = DEFAULT_BUDGET, len(order) - 1
     img = [0] * len(order)
-    memo: list[dict] = [{} for _ in order]
+    # memo[i] caches counts from position i on, keyed on the frontier's images
+    memo = [None if key is None else {} for key in frontier]
 
     # one open frame per position below the one entered: its untried images,
     # its count so far and the memo key of its current image
@@ -228,10 +229,11 @@ def _search(component, tables, domain: range, find: bool, used: int):
 
 def _run(a: Structure, b: Structure, find: bool):
     "(hom count a -> b, and with find set one homomorphism as a dict, or None)."
-    if a.signature != b.signature:
+    # most calls share one Signature object, and comparing its fields is slow
+    if a.signature is not b.signature and a.signature != b.signature:
         raise SignatureMismatch("signature mismatch")
     names = a.signature.names
-    needs, components = _plan(a.domain_size, tuple(a.relations[name] for name in names))
+    needs, components = _plan(a.domain_size, tuple(map(a.relations.__getitem__, names)))
     tables = [_table(b.relations[names[r]], mask) for r, mask in needs]
     total, used = 1, 0
     witness = {} if find else None

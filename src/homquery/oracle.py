@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .structures import SignatureMismatch, Structure, check_guard, edges_of
+from .structures import GuardExceeded, SignatureMismatch, Structure, edges_of, guard_limit
 
 ORACLE_GUARD = 20_000_000  # maps checked per call
 
@@ -35,7 +35,12 @@ def oracle_hom_count(a: Structure, b: Structure) -> int:
     if a.signature != b.signature:
         raise SignatureMismatch("signature mismatch")
     na, nb = a.domain_size, b.domain_size
-    check_guard(f"oracle guard: {nb}^{na} maps", nb ** na, ORACLE_GUARD)
+    # multiply only until past the limit: |B|^|A| can run to a thousand digits
+    limit, maps = guard_limit(ORACLE_GUARD), 1
+    for _ in range(na):
+        maps *= nb
+        if maps > limit:
+            raise GuardExceeded(f"oracle guard: maps = {nb}^{na} > {limit}")
     if nb == 1:
         return int(all((0,) * arity in b.relations[name]
                        for name, arity in a.signature.relations if a.relations[name]))

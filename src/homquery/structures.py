@@ -27,9 +27,14 @@ LIFTED_GUARD = 10 ** 9  # every guard's limit inside guards_lifted()
 _guards_lifted = contextvars.ContextVar("guards_lifted", default=False)
 
 
+def guard_limit(limit: int) -> int:
+    "A guard's limit in force: LIFTED_GUARD within guards_lifted(), else limit."
+    return LIFTED_GUARD if _guards_lifted.get() else limit
+
+
 def check_guard(what: str, value: int, limit: int) -> None:
     "The one size-guard check: raise GuardExceeded when value passes limit."
-    limit = LIFTED_GUARD if _guards_lifted.get() else limit
+    limit = guard_limit(limit)
     if value > limit:
         raise GuardExceeded(f"{what} = {value} > {limit}")
 
@@ -52,24 +57,23 @@ class SignatureMismatch(ValueError):
 class Signature:
     # ordered (name, arity) pairs; names distinct, arities >= 1
     relations: tuple[tuple[str, int], ...]
+    # the relation names in order, computed once: every hom count reads them
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [name for name, _ in self.relations]
+        names = tuple(name for name, _ in self.relations)
         if len(set(names)) != len(names):
             raise ValueError("relation names must be pairwise distinct")
         for name, arity in self.relations:
             if arity < 1:
                 raise ValueError(f"arity of {name} must be >= 1")
+        object.__setattr__(self, "names", names)
 
     def arity(self, name: str) -> int:
         for rel_name, arity in self.relations:
             if rel_name == name:
                 return arity
         raise KeyError(name)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.relations)
 
 
 DIGRAPH_SIG = Signature((("R", 2),))
@@ -89,11 +93,18 @@ class Structure:
             raise ValueError("domain must be non-empty")
         if relations.keys() != set(self.signature.names):
             raise ValueError("relation map must cover the signature exactly")
+        n = self.domain_size
         for name, arity in self.signature.relations:
-            for t in relations[name]:
+            ts = relations[name]
+            if not ts:
+                continue
+            elements = set(itertools.chain.from_iterable(ts))
+            if set(map(len, ts)) == {arity} and 0 <= min(elements) and max(elements) < n:
+                continue
+            for t in ts:  # some tuple is bad: name the first one
                 if len(t) != arity:
                     raise ValueError(f"tuple {t} has wrong arity for {name}")
-                if any(not (0 <= e < self.domain_size) for e in t):
+                if any(not (0 <= e < n) for e in t):
                     raise ValueError(f"tuple {t} out of domain range")
 
     @property
@@ -129,8 +140,7 @@ class Structure:
 
 def make_structure(signature: Signature, domain_size: int,
                    relations: dict[str, object]) -> Structure:
-    frozen = {name: frozenset(tuple(t) for t in tuples)
-              for name, tuples in relations.items()}
+    frozen = {name: frozenset(map(tuple, tuples)) for name, tuples in relations.items()}
     for name in signature.names:
         frozen.setdefault(name, frozenset())
     return Structure(signature, domain_size, frozen)

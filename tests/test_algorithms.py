@@ -167,6 +167,26 @@ def test_brute_force_distinguisher_call_forms_share_one_cache_entry():
     assert (info.misses, info.hits) == (1, 2)
 
 
+def test_distinguishers_are_pinned_with_their_cost(monkeypatch):
+    # the same catalog objects as a search that counts every class on every
+    # candidate; the number of hom counts the early exit makes is frozen
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return hom_count(a, b)
+
+    monkeypatch.setattr(alg, "hom_count", counted)
+    alg._brute_force_distinguisher.cache_clear()
+    catalog = enumerate_digraphs_upto(4)
+    assert alg.brute_force_distinguisher(1) is catalog[0]
+    assert calls == 2
+    calls = 0
+    assert alg.brute_force_distinguisher(2) is catalog[2753]
+    assert calls == 7827
+
+
 def test_right_two_query_decider():
     strategy = alg.right_two_query_decider(shortest_cycle_is_power_of_four)
     for s in enumerate_digraphs_upto(2):

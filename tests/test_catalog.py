@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -49,6 +50,15 @@ def test_representatives_are_canonical_and_distinct():
         # no two representatives are isomorphic
         for a, b in itertools.combinations(reps, 2):
             assert not isomorphic(a, b)
+
+
+def test_size_four_order_is_pinned():
+    # the 3,044 masks of size 4 in catalog order, frozen: a rewrite of the
+    # orbit scan must return the same representatives in the same order
+    masks = [digraph_to_mask(r) for r in enumerate_digraphs(4).representatives]
+    assert all(x < y for x, y in zip(masks, masks[1:]))
+    assert hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest() == \
+        "acf7f8d5d9e19b282655fdfac33890fcd6bb708e02ff6bb614e05e06cdec8505"
 
 
 def test_every_digraph_has_a_representative():

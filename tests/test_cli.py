@@ -243,6 +243,20 @@ def test_guard_refusals_exit_3(runner, tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error: guard: "), args
 
 
+def test_oracle_guard_message_names_the_power(runner, files, tmp_path):
+    # 3^2000 maps: the refusal is one short line, lifted guards or not
+    path = tmp_path / "p2000.json"
+    path.write_text(encode_structure(directed_path(1999)), encoding="utf-8")
+    r = runner.invoke(main, ["oracle", "hom", "--from", str(path), "--to", files["c3"]])
+    _one_error_line(r, 3, "error: guard: oracle guard: maps = 3^2000 > 20000000")
+    assert len(r.output) < 120
+    r = runner.invoke(main, ["--guard-override", "oracle", "hom", "--from", str(path),
+                             "--to", files["c3"]])
+    assert r.exit_code == 3 and "Traceback" not in r.output
+    assert r.output.strip().splitlines()[-1] == \
+        "error: guard: oracle guard: maps = 3^2000 > 1000000000"
+
+
 def _one_error_line(r, code, prefix):
     assert r.exit_code == code, r.output
     assert "Traceback" not in r.output

@@ -210,6 +210,22 @@ def test_large_counts_within_small_budget(monkeypatch):
     assert hom_count(directed_path(6), g) == _walks(g, 6)
 
 
+def test_walk_and_cycle_identities_past_the_oracle():
+    # hom(P_k, G) = 1^T M^k 1 and hom(C_k, G) = tr(M^k) for the adjacency
+    # matrix M of G (Lovasz, Large networks and graph limits, ch. 5); |G|^k
+    # is past the oracle's 2*10^7-map guard from k = 6 on
+    rng = random.Random(2024)
+    for n, m in ((20, 40), (18, 60)):
+        g = digraph(n, {(rng.randrange(n), rng.randrange(n)) for _ in range(m)})
+        adjacency = [[int((u, v) in g.relations["R"]) for v in g.domain] for u in g.domain]
+        power = adjacency
+        for k in range(1, 41):
+            assert hom_count(directed_path(k), g) == sum(map(sum, power)), k
+            assert hom_count(directed_cycle(k), g) == sum(power[u][u] for u in g.domain), k
+            power = [[sum(a * b for a, b in zip(row, column)) for column in zip(*adjacency)]
+                     for row in power]
+
+
 def _grouped_table(relation, mask):
     "Reference for _table: group each tuple whose mask positions agree."
     grouped = {}

@@ -55,6 +55,29 @@ def test_structure_validation():
         make_structure(DIGRAPH_SIG, 2, {"R": {(0, 1, 1)}})
 
 
+def test_structure_validation_messages():
+    with pytest.raises(ValueError, match=r"^tuple \(0,\) has wrong arity for R$"):
+        make_structure(DIGRAPH_SIG, 2, {"R": {(0,)}})
+    with pytest.raises(ValueError, match=r"^tuple \(0, 5\) out of domain range$"):
+        make_structure(DIGRAPH_SIG, 2, {"R": {(0, 5)}})
+    with pytest.raises(ValueError, match=r"^tuple \(-1, 0\) out of domain range$"):
+        make_structure(DIGRAPH_SIG, 2, {"R": {(-1, 0)}})
+    # the bad tuple is named among good ones, in every relation
+    sig = Signature((("P", 1), ("T", 3)))
+    good = {(i, j, k) for i in range(3) for j in range(3) for k in range(3)}
+    with pytest.raises(ValueError, match=r"^tuple \(1, 2, 3\) out of domain range$"):
+        make_structure(sig, 3, {"P": {(0,)}, "T": good | {(1, 2, 3)}})
+    with pytest.raises(ValueError, match=r"^tuple \(1, 2\) has wrong arity for T$"):
+        make_structure(sig, 3, {"P": {(0,)}, "T": good | {(1, 2)}})
+    with pytest.raises(ValueError, match=r"^tuple \(\) has wrong arity for P$"):
+        make_structure(sig, 3, {"P": {()}, "T": good})
+    # the relation map must cover the signature exactly
+    with pytest.raises(ValueError, match="^relation map must cover the signature exactly$"):
+        make_structure(DIGRAPH_SIG, 2, {"R": set(), "S": set()})
+    with pytest.raises(ValueError, match="^relation map must cover the signature exactly$"):
+        Structure(sig, 3, {"P": frozenset()})
+
+
 def test_directed_cycle():
     assert directed_cycle(3).relations["R"] == {(0, 1), (1, 2), (2, 0)}
     assert directed_cycle(1).relations["R"] == {(0, 0)}
