@@ -283,11 +283,15 @@ def brute_force_distinguisher(n: int, sig: Signature = DIGRAPH_SIG) -> Structure
     """
     # lru_cache keys on the call form: pass every argument positionally so
     # that (2) and (2, DIGRAPH_SIG) share one entry
-    return _brute_force_distinguisher(n, sig)
+    return _brute_force_distinguisher(n, sig)[0]
 
 
 @lru_cache(maxsize=None)
-def _brute_force_distinguisher(n: int, sig: Signature) -> Structure:
+def _brute_force_distinguisher(n: int, sig: Signature) -> tuple[Structure, dict]:
+    """
+    (the distinguisher, its table from each class's count to that class).
+    Callers must not mutate the table.
+    """
     if sig != DIGRAPH_SIG:
         raise ValueError("only digraph signatures are supported")
     if n > RIGHT2Q_SIZE_CAP:
@@ -295,14 +299,14 @@ def _brute_force_distinguisher(n: int, sig: Signature) -> Structure:
     classes = sorted(enumerate_digraphs(n).representatives,
                      key=lambda h: len(edges_of(h)), reverse=True)
     for candidate in enumerate_digraphs_upto(CATALOG_GUARD):
-        counts = set()
+        table: dict[int, Structure] = {}
         for h in classes:
             count = hom_count(h, candidate)
-            if count in counts:
+            if count in table:
                 break
-            counts.add(count)
+            table[count] = h
         else:
-            return candidate
+            return candidate, table
     raise GuardExceeded(f"no distinguisher found up to size {CATALOG_GUARD}")
 
 
@@ -310,7 +314,8 @@ def right_two_query_decider(predicate) -> Strategy:
     """
     Right counting strategy: hom(input, complete pair) = 2^|input|
     recovers the size; a second query against a structure whose hom
-    counts separate all iso-classes of that size identifies the input.
+    counts separate all iso-classes of that size identifies the input,
+    read from the count table the distinguisher search built.
     """
     def strategy(t: Transcript):
         if len(t) == 0:
@@ -321,14 +326,13 @@ def right_two_query_decider(predicate) -> Strategy:
         n = answer.bit_length() - 1
         if n > RIGHT2Q_SIZE_CAP:
             raise GuardExceeded(f"input size {n} > cap {RIGHT2Q_SIZE_CAP}")
-        separator = brute_force_distinguisher(n, DIGRAPH_SIG)
+        separator, classes_by_count = _brute_force_distinguisher(n, DIGRAPH_SIG)
         if len(t) == 1:
             return Query(separator)
-        matches = [h for h in enumerate_digraphs(n).representatives
-                   if hom_count(h, separator) == t[1]]
-        if len(matches) != 1:
+        match = classes_by_count.get(t[1])
+        if match is None:
             raise StrategyContractError("distinguisher failed to identify the input")
-        return Halt(bool(predicate(matches[0])))
+        return Halt(bool(predicate(match)))
     return strategy
 
 

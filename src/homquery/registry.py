@@ -5,12 +5,13 @@ Each entry knows its orientation, semiring, how to build the runnable
 (non-adaptive algorithm or adaptive strategy) and, for an adaptive one,
 a safe step cap on a given input.  These caps are the one statement of
 each step cap: the experiments run the adaptive algorithms through
-run_registered.
+run_registered, which builds each entry once per parameter set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from . import algorithms as alg
@@ -92,9 +93,20 @@ _register(AlgorithmEntry(
     step_cap=lambda s: 2 * max(s.domain_size + 1, 2)))
 
 
+# Every build is a stateless closure or a frozen NonAdaptiveAlgorithm whose
+# probes depend on the parameters alone, so one build serves every input.
+BUILD_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=BUILD_CACHE_SIZE)
+def _built(name: str, params: tuple):
+    return REGISTRY[name].build(**dict(params))
+
+
 def run_registered(name: str, input_structure: Structure, **params) -> RunReport:
+    "Run the named algorithm, built once per parameter set, on the input."
     entry = REGISTRY[name]
-    runnable = entry.build(**params)
+    runnable = _built(name, tuple(sorted(params.items())))
     if isinstance(runnable, NonAdaptiveAlgorithm):
         return run_non_adaptive(runnable, input_structure, entry.semiring)
     return run_adaptive(runnable, input_structure, entry.orientation,

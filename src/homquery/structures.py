@@ -4,7 +4,10 @@ Finite relational structures: signatures, constructors, combinators,
 refinement search, which also decides isomorphism.
 
 Elements are always the canonical integers 0..n-1.  All values are
-immutable; every operation returns a fresh structure.
+immutable, so a structure may be shared: the probe-family constructors
+(directed_cycle, directed_path, complete_pair) return one object per
+argument, and canonical_form one per canonical key.  The combinators
+build a new structure on each call.
 """
 
 from __future__ import annotations
@@ -156,6 +159,12 @@ def edges_of(d: Structure) -> frozenset[tuple[int, int]]:
     return d.relations[d.signature.names[0]]
 
 
+# Probes repeat across decisions and depend only on their argument, so the
+# probe-family constructors keep one shared structure per argument.
+PROBE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PROBE_CACHE_SIZE)
 def directed_cycle(n: int) -> Structure:
     "The directed cycle on n vertices; n=1 is a single loop."
     if n < 1:
@@ -163,6 +172,7 @@ def directed_cycle(n: int) -> Structure:
     return digraph(n, {(i, (i + 1) % n) for i in range(n)})
 
 
+@functools.lru_cache(maxsize=PROBE_CACHE_SIZE)
 def directed_path(n: int) -> Structure:
     "The directed path with n edges on n+1 vertices; n=0 is an edgeless point."
     if n < 0:
@@ -187,6 +197,7 @@ def complete_singleton(sig: Signature) -> Structure:
     return make_structure(sig, 1, {name: {(0,) * arity} for name, arity in sig.relations})
 
 
+@functools.lru_cache(maxsize=PROBE_CACHE_SIZE)
 def complete_pair(sig: Signature) -> Structure:
     "Two elements; each relation of arity m holds on all 2^m tuples."
     return make_structure(

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +186,46 @@ def test_distinguishers_are_pinned_with_their_cost(monkeypatch):
     calls = 0
     assert alg.brute_force_distinguisher(2) is catalog[2753]
     assert calls == 7827
+
+
+def count_calls(monkeypatch, fn) -> list[int]:
+    "Count calls of fn at every homquery module attribute that binds it; returns [count]."
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "homquery" or name.startswith("homquery."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_warm_right2q_makes_only_its_two_hom_counts(monkeypatch):
+    # the input is read off the count table the distinguisher search built,
+    # not recounted class by class
+    inputs = enumerate_digraphs_upto(2)
+    expected = [run_registered("right2q", s) for s in inputs]
+    calls = count_calls(monkeypatch, hom_count)
+    for s, report in zip(inputs, expected):
+        calls[0] = 0
+        assert run_registered("right2q", s) == report
+        assert calls[0] == 2
+    assert [r.verdict for r in expected] == [has_directed_cycle(s) for s in inputs]
+
+
+def test_repeated_dn_sep_reuses_its_build(monkeypatch):
+    # the queries and the accept set, computed with the cycle-union closed
+    # form and so with gamma, are built once per n
+    member = scalar_multiple(2, directed_cycle(4))
+    first = run_registered("dn-sep", member, n=3)
+    gamma_calls = count_calls(monkeypatch, gamma)
+    assert run_registered("dn-sep", member, n=3) == first
+    assert gamma_calls[0] == 0
+    assert first.verdict and first.transcript == (0, 0, 8)
 
 
 def test_right_two_query_decider():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import itertools
@@ -286,6 +287,26 @@ def test_relations_are_read_only():
     assert s == same and hash(s) == hash(same)
     assert s != directed_cycle(4)
     assert len({s, same, directed_path(2)}) == 2
+
+
+def test_probe_constructors_share_one_read_only_structure_per_argument():
+    equal_signature = Signature((("R", 2),))
+    assert equal_signature is not DIGRAPH_SIG
+    for make, arg, same_arg in ((directed_path, 3, 3), (directed_cycle, 4, 4),
+                                (complete_pair, DIGRAPH_SIG, equal_signature)):
+        shared = make(arg)
+        assert make(same_arg) is shared
+        edges = set(shared.relations["R"])
+        with pytest.raises(TypeError):
+            shared.relations["R"] = frozenset()
+        with pytest.raises(AttributeError):
+            shared.relations["R"].add((0, 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.domain_size = 9
+        assert make(arg).relations["R"] == edges
+    assert directed_cycle(4) is not directed_cycle(5)
+    assert directed_path(3) is not directed_path(4)
+    assert complete_pair(Signature((("P", 1),))) is not complete_pair(DIGRAPH_SIG)
 
 
 def test_check_guard_and_guards_lifted():
