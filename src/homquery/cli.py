@@ -17,7 +17,8 @@ Exit codes:
      decode_structure rejects ("error: input: <file>: <msg>"), structures
      whose signatures do not match each other or the algorithm's queries
      ("error: input: <msg>"), or a Datalog program that is neither a
-     builtin nor a file, does not parse or does not fit the structure;
+     builtin nor a file, is not UTF-8 ("error: datalog: <file>: <msg>"),
+     does not parse or does not fit the structure;
   3  a refusal, with a one-line message: a size guard ("error: guard:
      <msg>"), the search's work budget ("error: budget: <msg>") or an
      adaptive run's step cap ("error: step-limit: <msg>").
@@ -222,7 +223,11 @@ def _load_program(spec: str):
         raise DatalogError(
             f"{spec!r} is neither a builtin program "
             f"({', '.join(sorted(BUILTIN_PROGRAM_TEXTS))}) nor a file")
-    return parse_program(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatalogError(f"{spec}: {exc}") from None
+    return parse_program(text)
 
 
 @datalog_group.command("run")

@@ -2,7 +2,8 @@
 A minimal Boolean Datalog evaluator: Horn rules over EDB predicates
 (the input structure's relations) and IDB predicates including a nullary
 goal, evaluated bottom-up to a fixpoint by semi-naive iteration with
-indexed, set-at-a-time joins.
+indexed, set-at-a-time joins.  Each round fires the goal's rules first
+and ends as soon as the goal holds.
 
 Rule text format, one rule per line:
 
@@ -55,7 +56,7 @@ class DatalogProgram:
         edb = {atom.predicate: len(atom.variables)
                for rule in self.rules for atom in rule.body
                if atom.predicate != EQ and atom.predicate not in self.idb}
-        first, later = _compile_program(self.rules, self.idb)
+        first, later = _compile_program(self.rules, self.idb, self.goal)
         object.__setattr__(self, "edb", edb)
         object.__setattr__(self, "first_plans", first)
         object.__setattr__(self, "delta_plans", later)
@@ -266,11 +267,14 @@ def _plan(rule: Rule, delta: int | None, idb, index_ids: dict) -> _Plan:
     return _Plan(rule.head.predicate, tuple(steps), _tuple_getter(head_slots))
 
 
-def _compile_program(rules, idb) -> tuple[tuple[_Plan, ...], tuple[_Plan, ...]]:
+def _compile_program(rules, idb, goal) -> tuple[tuple[_Plan, ...], tuple[_Plan, ...]]:
     """
     (first-round plans, delta plans): a rule without IDB body atoms fires
     once, in the first round; a rule with IDB body atoms gets one variant
     per such atom, reading that atom from the last round's new facts.
+    Both list the goal's plans first.  Every plan of a round reads only
+    facts from earlier rounds, so their order does not change what the
+    round derives, and a round can end as soon as the goal holds.
     """
     index_ids: dict = {}
     first, later = [], []
@@ -280,11 +284,15 @@ def _compile_program(rules, idb) -> tuple[tuple[_Plan, ...], tuple[_Plan, ...]]:
             later.extend(_plan(rule, i, idb, index_ids) for i in idb_atoms)
         else:
             first.append(_plan(rule, None, idb, index_ids))
-    return tuple(first), tuple(later)
+    goal_first = lambda plan: plan.head != goal
+    return tuple(sorted(first, key=goal_first)), tuple(sorted(later, key=goal_first))
 
 
-def _fire(plans, relation, domain) -> dict[str, set]:
-    "Head tuples the plans derive; relation(probe) gives the probe's index."
+def _fire(plans, relation, domain, goal) -> dict[str, set]:
+    """
+    Head tuples the plans derive, up to the first plan that derives the
+    goal; relation(probe) gives the probe's index.
+    """
     out: dict[str, set] = {}
     for plan in plans:
         bindings = [()]
@@ -304,6 +312,8 @@ def _fire(plans, relation, domain) -> dict[str, set]:
                 break
         else:
             out.setdefault(plan.head, set()).update(map(plan.project, bindings))
+            if plan.head == goal:
+                break
     return out
 
 
@@ -311,8 +321,10 @@ def evaluate(program: DatalogProgram, structure: Structure) -> bool:
     """
     Semi-naive bottom-up fixpoint; True iff the nullary goal is derived.
     Each round joins set-at-a-time through hash indexes (EDB ones built
-    once per call, IDB ones once per round) and tries only derivations
-    that use a fact new in the last round.  Stops once the goal holds.
+    once per call, IDB ones once per round, each when a plan first reads
+    it) and tries only derivations that use a fact new in the last round.
+    A round fires the goal's rules first and ends as soon as the goal
+    holds.
     """
     for name, arity in program.edb.items():
         try:
@@ -341,15 +353,15 @@ def evaluate(program: DatalogProgram, structure: Structure) -> bool:
     plans = program.first_plans
     for _ in range(round_bound):
         round_indexes.clear()
-        derived = _fire(plans, relation, structure.domain)
+        derived = _fire(plans, relation, structure.domain, program.goal)
+        if program.goal in derived:
+            return True
         delta = {name: new for name, facts in derived.items()
                  if (new := facts - total[name])}
         if not delta:
             return False
         for name, facts in delta.items():
             total[name] |= facts
-        if total[program.goal]:
-            return True
         plans = program.delta_plans
     raise DatalogError("fixpoint round bound exceeded (should be impossible)")
 

@@ -79,15 +79,16 @@ def experiment_cycle_formula(max_vertices: int = 4, max_m: int = 3,
     _check_positive(max_vertices=max_vertices, max_m=max_m, max_n=max_n)
     report = ExperimentReport(
         "cycle-formula", {"max_vertices": max_vertices, "max_m": max_m, "max_n": max_n})
+    targets = [(m, n, scalar_multiple(m, directed_cycle(n)))
+               for m in range(1, max_m + 1) for n in range(1, max_n + 1)]
     cases = mismatches = 0
     for a in enumerate_digraphs_upto(max_vertices):
-        for m in range(1, max_m + 1):
-            for n in range(1, max_n + 1):
-                expected = oracle_hom_count(a, scalar_multiple(m, directed_cycle(n)))
-                observed = hom_into_cycle_union_formula(a, m, n)
-                cases += 1
-                if expected != observed:
-                    mismatches += 1
+        for m, n, target in targets:
+            expected = oracle_hom_count(a, target)
+            observed = hom_into_cycle_union_formula(a, m, n)
+            cases += 1
+            if expected != observed:
+                mismatches += 1
     report.add("cases", cases)
     report.add("mismatches", mismatches)
     report.check("formula-matches-oracle", mismatches == 0)
@@ -246,20 +247,20 @@ def experiment_nary(n: int = 3, d_max: int = 3) -> ExperimentReport:
     cases = mismatches = 0
     for arity in range(1, n + 1):
         max_tuples = 4 if arity <= 2 else 3
+        targets = [(d, m, scalar_multiple(m, n_ary_cycle(d, arity)))
+                   for d in range(1, d_max + 1) for m in (1, 2)]
         for domain in (1, 2, 3):
             all_tuples = list(itertools.product(range(domain), repeat=arity))
             for count in range(0, max_tuples + 1):
                 for chosen in itertools.combinations(all_tuples, count):
                     s = make_structure(Signature((("R", arity),)), domain,
                                        {"R": set(chosen)})
-                    for d in range(1, d_max + 1):
-                        for m in (1, 2):
-                            observed = hom_into_nary_cycle_union_formula(s, m, d)
-                            expected = oracle_hom_count(
-                                s, scalar_multiple(m, n_ary_cycle(d, arity)))
-                            cases += 1
-                            if observed != expected:
-                                mismatches += 1
+                    for d, m, target in targets:
+                        observed = hom_into_nary_cycle_union_formula(s, m, d)
+                        expected = oracle_hom_count(s, target)
+                        cases += 1
+                        if observed != expected:
+                            mismatches += 1
     report.add("cases", cases)
     report.add("mismatches", mismatches)
     report.check("formula-matches-oracle", mismatches == 0)

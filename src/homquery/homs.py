@@ -27,7 +27,9 @@ keyed on relation contents and bounded at 1024 entries, so that a sweep of
 probes over a few dozen targets finds its tables still built.
 
 The closed forms never run the search; property tests compare the two
-code paths.
+code paths.  They read a source's gamma and component count from a cache
+keyed on its relation, so a sweep over many cycle-union targets computes
+them once per source.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .analysis import component_count, gamma, star_transform
-from .structures import SignatureMismatch, Structure
+from .structures import Signature, SignatureMismatch, Structure, make_structure
 
 
 class WorkBudgetExceeded(Exception):
@@ -270,6 +272,32 @@ def hom_value(a: Structure, b: Structure, semiring: str) -> int:
     raise ValueError(f"unknown semiring {semiring!r}")
 
 
+# A sweep calls a closed form for each of a source's targets in turn (12 in
+# crosscheck and cycle-formula, 6 for an n-ary source), so any bound serves
+# those repeats; 1024, the bound of _plan's cache, also holds the 93 distinct
+# sources of a crosscheck round.  An entry is two ints and the key, whose
+# relation the source holds anyway.
+INVARIANT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=INVARIANT_CACHE_SIZE)
+def _cycle_invariants(domain_size: int, arity: int, relation: frozenset) -> tuple[int, int]:
+    """
+    (gamma of the star transform, number of components) of the structure
+    with one relation of this arity: for arity 2 the star transform is the
+    digraph itself, and for arity 1 it has no edges (gamma 0).  A structure
+    and its star transform have the same components.
+    """
+    s = make_structure(Signature((("R", arity),)), domain_size, {"R": relation})
+    g = 0 if arity == 1 else gamma(s if arity == 2 else star_transform(s))
+    return g, component_count(s)
+
+
+def _one_relation_invariants(a: Structure) -> tuple[int, int]:
+    (name, arity), = a.signature.relations
+    return _cycle_invariants(a.domain_size, arity, a.relations[name])
+
+
 def hom_into_cycle_union_formula(a: Structure, m: int, n: int) -> int:
     """
     hom(a, m copies of the directed n-cycle), in closed form:
@@ -279,9 +307,10 @@ def hom_into_cycle_union_formula(a: Structure, m: int, n: int) -> int:
         raise ValueError("closed form applies to digraphs")
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    if gamma(a) % n != 0:
+    g, components = _one_relation_invariants(a)
+    if g % n != 0:
         return 0
-    return (m * n) ** component_count(a)
+    return (m * n) ** components
 
 
 def hom_into_nary_cycle_union_formula(a: Structure, m: int, d: int) -> int:
@@ -295,8 +324,7 @@ def hom_into_nary_cycle_union_formula(a: Structure, m: int, d: int) -> int:
         raise ValueError("closed form needs a one-relation signature")
     if m < 1 or d < 1:
         raise ValueError("m and d must be >= 1")
-    arity = a.signature.relations[0][1]
-    g = 0 if arity == 1 else gamma(star_transform(a))
+    g, components = _one_relation_invariants(a)
     if g % d != 0:
         return 0
-    return (m * d) ** component_count(a)
+    return (m * d) ** components

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from collections import deque
 from functools import lru_cache
 
@@ -91,3 +92,19 @@ def nary_report():
 @lru_cache(maxsize=None)
 def cycle_formula_report():
     return experiment_cycle_formula()
+
+
+def count_calls(monkeypatch, fn) -> list[int]:
+    "Count calls of fn at every homquery module attribute that binds it; returns [count]."
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "homquery" or name.startswith("homquery."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls

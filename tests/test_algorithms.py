@@ -1,10 +1,9 @@
 import itertools
-import sys
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import shortest_cycle_is_power_of_four, small_digraphs
+from conftest import count_calls, shortest_cycle_is_power_of_four, small_digraphs
 from homquery import algorithms as alg
 from homquery.analysis import gamma
 from homquery.catalog import enumerate_digraphs, enumerate_digraphs_upto
@@ -186,22 +185,6 @@ def test_distinguishers_are_pinned_with_their_cost(monkeypatch):
     calls = 0
     assert alg.brute_force_distinguisher(2) is catalog[2753]
     assert calls == 7827
-
-
-def count_calls(monkeypatch, fn) -> list[int]:
-    "Count calls of fn at every homquery module attribute that binds it; returns [count]."
-    calls = [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return fn(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "homquery" or name.startswith("homquery."):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
 
 
 def test_warm_right2q_makes_only_its_two_hom_counts(monkeypatch):

@@ -214,6 +214,18 @@ def test_datalog_errors_are_one_line(runner, tmp_path, files):
         assert len(r.output.strip().splitlines()) == 1
 
 
+def test_datalog_program_that_is_not_utf8_is_one_line_input_error(runner, tmp_path, files):
+    binary = tmp_path / "binary.dl"
+    binary.write_bytes(b"\xff\xfe")
+    for args in (["run", "--program", str(binary), "--structure", files["c3"]],
+                 ["check", "--program", str(binary)]):
+        r = runner.invoke(main, ["datalog", *args])
+        assert r.exit_code == 2, (args, r.output)
+        assert "Traceback" not in r.output
+        assert r.output.strip().startswith(f"error: datalog: {binary}: ")
+        assert len(r.output.strip().splitlines()) == 1
+
+
 def test_unknown_datalog_program_is_usage_error(runner, tmp_path, files):
     for spec in ("nosuch", "directed_cycle", str(tmp_path / "missing.dl"), str(tmp_path)):
         for args in (["run", "--program", spec, "--structure", files["c3"]],

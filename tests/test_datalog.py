@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_digraphs
+from conftest import count_calls, small_digraphs
+from homquery import datalog
 from homquery.analysis import gamma
 from homquery.datalog import (
     BUILTIN_PROGRAM_TEXTS,
@@ -71,6 +72,29 @@ Ans() :- C(x).
 X(x) :- P(x).
 Y(x) :- Y(x), X(x).
 Ans() :- Y(x), Q(x).
+""",
+    # the early stop: two goal rules, one of EDB atoms only and one that
+    # waits for X; a round ends when either derives the goal
+    "two-goals": """\
+X(x) :- P(x).
+X(y) :- X(x), R(x, y).
+Ans() :- R(x, x), Q(x).
+Ans() :- X(y), Q(y).
+""",
+    # the goal rule comes before the rules it depends on
+    "goal-written-first": """\
+Ans() :- Z(x), Q(x).
+Z(x) :- Y(x), R(x, x).
+Y(x) :- P(x).
+Y(y) :- Y(x), R(y, x).
+""",
+    # A is derived in round 1, B in round 2, C in round 3 and the goal in
+    # round 4 at the earliest
+    "late-goal": """\
+A(x) :- P(x).
+B(y) :- A(x), R(x, y).
+C(y) :- B(x), R(x, y).
+Ans() :- C(y), Q(y).
 """,
 }
 
@@ -262,8 +286,35 @@ def test_reference_programs_frozen_cases():
     # B reaches the P element 2 only in the third round
     chain = make_structure(RPQ_SIG, 3, {"R": {(0, 1), (1, 2)}, "P": {(2,)}, "Q": {(0,)}})
     assert evaluate(programs["meet"], chain)
+    # two R-steps from P to Q: "late-goal" needs four rounds
+    two_steps = make_structure(RPQ_SIG, 3, {"R": {(0, 1), (1, 2)},
+                                           "P": {(0,)}, "Q": {(2,)}})
+    assert evaluate(programs["late-goal"], two_steps)
+    assert not evaluate(programs["late-goal"], chain)
+    # the goal holds through either goal rule alone
+    assert evaluate(programs["two-goals"], make_structure(
+        RPQ_SIG, 1, {"R": {(0, 0)}, "P": set(), "Q": {(0,)}}))
+    assert evaluate(programs["two-goals"], two_steps)
+    assert not evaluate(programs["two-goals"], chain)
+    # Y spreads against R from the P element 2 to the looped Q element 0
+    backwards = make_structure(RPQ_SIG, 3, {"R": {(0, 0), (0, 1), (1, 2)},
+                                           "P": {(2,)}, "Q": {(0,)}})
+    assert evaluate(programs["goal-written-first"], backwards)
+    assert not evaluate(programs["goal-written-first"], chain)
     # G(a) needs an R-successor of a in P equal to a: a loop at a P element
     looped = make_structure(RPQ_SIG, 1, {"R": {(0, 0)}, "P": {(0,)}, "Q": {(0,)}})
     assert evaluate(programs["equalities"], looped)
     assert not evaluate(programs["equalities"], make_structure(
         RPQ_SIG, 2, {"R": {(0, 1)}, "P": {(0,), (1,)}, "Q": {(0,), (1,)}}))
+
+
+def test_a_round_ends_once_the_goal_holds(monkeypatch):
+    # the goal's plans fire first in a round, and the indexes of the plans
+    # after them are never built once the goal holds
+    built = count_calls(monkeypatch, datalog._index)
+    assert evaluate(builtin_programs()["nonzero-net-cycle"], directed_cycle(3))
+    assert built[0] == 18  # 24 when every plan of the last round fires
+    for program in builtin_programs().values():
+        for plans in (program.first_plans, program.delta_plans):
+            heads = [plan.head for plan in plans]
+            assert heads == sorted(heads, key=lambda head: head != program.goal)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import small_digraphs
+from conftest import count_calls, small_digraphs
 from homquery import homs
 from homquery.analysis import component_count, gamma
 from homquery.catalog import enumerate_digraphs_upto
@@ -344,6 +344,29 @@ def test_nary_cycle_union_formula():
         two_rel = Signature((("R", 2), ("S", 2)))
         hom_into_nary_cycle_union_formula(
             make_structure(two_rel, 1, {"R": set(), "S": set()}), 1, 2)
+
+
+def test_closed_forms_compute_each_sources_invariants_once(monkeypatch):
+    # a sweep over the 12 targets m*C_n (m <= 3, n <= 4) computes gamma and
+    # the component count of its source once; so does an n-ary sweep, with
+    # gamma of the star transform
+    source = disjoint_union(directed_cycle(6), directed_path(3))
+    cycle_targets = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4)]
+    expected = [hom_count(source, scalar_multiple(m, directed_cycle(n)))
+                for m, n in cycle_targets]
+    ternary = n_ary_cycle(6, 3)
+    nary_targets = [(m, d) for d in (1, 2, 3) for m in (1, 2)]
+    nary_expected = [hom_count(ternary, scalar_multiple(m, n_ary_cycle(d, 3)))
+                     for m, d in nary_targets]
+    homs._cycle_invariants.cache_clear()
+    gamma_calls = count_calls(monkeypatch, gamma)
+    component_calls = count_calls(monkeypatch, component_count)
+    assert [hom_into_cycle_union_formula(source, m, n)
+            for m, n in cycle_targets] == expected
+    assert gamma_calls == [1] and component_calls == [1]
+    assert [hom_into_nary_cycle_union_formula(ternary, m, d)
+            for m, d in nary_targets] == nary_expected
+    assert gamma_calls == [2] and component_calls == [2]
 
 
 def test_gamma_divisibility_governs_cycle_targets():
