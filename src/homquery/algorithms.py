@@ -336,21 +336,29 @@ def right_two_query_decider(predicate) -> Strategy:
     return strategy
 
 
+def _paths_then_cycles(yes: int) -> Strategy:
+    """
+    Both unbounded Boolean detectors: round r queries P_r then C_r; halt
+    YES on a cycle answer equal to yes, NO on a path answer that is not.
+    """
+    def strategy(t: Transcript):
+        if len(t) % 2 == 0:
+            if t and t[-1] == yes:
+                return Halt(True)
+            return Query(directed_path(len(t) // 2 + 1))
+        if t[-1] != yes:
+            return Halt(False)
+        return Query(directed_cycle((len(t) + 1) // 2))
+    return strategy
+
+
 def unbounded_boolean_cycle_detector() -> Strategy:
     """
     Left Boolean strategy: round r queries P_r then C_r; halt NO when a
     path answer is 0 (no walk that long, so no cycle), halt YES when a
     cycle answer is 1.  Halts within 2(|A|+1) queries.
     """
-    def strategy(t: Transcript):
-        if len(t) % 2 == 0:
-            if t and t[-1] == 1:
-                return Halt(True)
-            return Query(directed_path(len(t) // 2 + 1))
-        if t[-1] == 0:
-            return Halt(False)
-        return Query(directed_cycle((len(t) + 1) // 2))
-    return strategy
+    return _paths_then_cycles(1)
 
 
 def unbounded_boolean_nonzero_net_cycle_detector() -> Strategy:
@@ -360,12 +368,4 @@ def unbounded_boolean_nonzero_net_cycle_detector() -> Strategy:
     halt YES when it fails to map into some cycle.  Halts within
     max(|A|-1, gamma(A)+1) rounds.
     """
-    def strategy(t: Transcript):
-        if len(t) % 2 == 0:
-            if t and t[-1] == 0:
-                return Halt(True)
-            return Query(directed_path(len(t) // 2 + 1))
-        if t[-1] == 1:
-            return Halt(False)
-        return Query(directed_cycle((len(t) + 1) // 2))
-    return strategy
+    return _paths_then_cycles(0)

@@ -326,12 +326,12 @@ def evaluate(program: DatalogProgram, structure: Structure) -> bool:
     A round fires the goal's rules first and ends as soon as the goal
     holds.
     """
+    arities = dict(structure.signature.relations)
     for name, arity in program.edb.items():
-        try:
-            if structure.signature.arity(name) != arity:
-                raise DatalogError(f"arity mismatch for EDB predicate {name}")
-        except KeyError:
+        if name not in arities:
             raise DatalogError(f"EDB predicate {name} missing from the structure")
+        if arities[name] != arity:
+            raise DatalogError(f"arity mismatch for EDB predicate {name}")
 
     total: dict[str, set] = {name: set() for name in program.idb}
     delta: dict[str, set] = {}

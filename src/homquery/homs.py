@@ -293,9 +293,13 @@ def _cycle_invariants(domain_size: int, arity: int, relation: frozenset) -> tupl
     return g, component_count(s)
 
 
-def _one_relation_invariants(a: Structure) -> tuple[int, int]:
+def _cycle_union_count(a: Structure, m: int, length: int) -> int:
+    "The body of both closed forms, for a one-relation source a."
     (name, arity), = a.signature.relations
-    return _cycle_invariants(a.domain_size, arity, a.relations[name])
+    g, components = _cycle_invariants(a.domain_size, arity, a.relations[name])
+    if g % length != 0:
+        return 0
+    return (m * length) ** components
 
 
 def hom_into_cycle_union_formula(a: Structure, m: int, n: int) -> int:
@@ -307,10 +311,7 @@ def hom_into_cycle_union_formula(a: Structure, m: int, n: int) -> int:
         raise ValueError("closed form applies to digraphs")
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    g, components = _one_relation_invariants(a)
-    if g % n != 0:
-        return 0
-    return (m * n) ** components
+    return _cycle_union_count(a, m, n)
 
 
 def hom_into_nary_cycle_union_formula(a: Structure, m: int, d: int) -> int:
@@ -324,7 +325,4 @@ def hom_into_nary_cycle_union_formula(a: Structure, m: int, d: int) -> int:
         raise ValueError("closed form needs a one-relation signature")
     if m < 1 or d < 1:
         raise ValueError("m and d must be >= 1")
-    g, components = _one_relation_invariants(a)
-    if g % d != 0:
-        return 0
-    return (m * d) ** components
+    return _cycle_union_count(a, m, d)

@@ -11,7 +11,7 @@ one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from .homs import COUNT, hom_value
 from .structures import SignatureMismatch, Structure
@@ -44,6 +44,28 @@ StrategyDecision = Union[Query, Halt]
 Strategy = Callable[[Transcript], StrategyDecision]
 
 
+def _check_orientation(orientation: str):
+    if orientation not in (LEFT, RIGHT):
+        raise ValueError("orientation must be left or right")
+
+
+def _decide(strategy: Strategy, transcript: Transcript) -> StrategyDecision:
+    """
+    The strategy's decision on a transcript the run reached.  A LookupError
+    from the strategy means it is undefined there, and a decision that is
+    neither Query nor Halt breaks the contract: both become
+    StrategyContractError.  Every other exception keeps its type.
+    """
+    try:
+        decision = strategy(transcript)
+    except LookupError as exc:
+        raise StrategyContractError(
+            f"strategy undefined on reachable transcript {transcript}") from exc
+    if not isinstance(decision, (Query, Halt)):
+        raise StrategyContractError(f"invalid decision {decision!r}")
+    return decision
+
+
 @dataclass(frozen=True)
 class NonAdaptiveAlgorithm:
     orientation: str
@@ -52,8 +74,7 @@ class NonAdaptiveAlgorithm:
     accept: Union[frozenset, Callable[[Transcript], bool]]
 
     def __post_init__(self):
-        if self.orientation not in (LEFT, RIGHT):
-            raise ValueError("orientation must be left or right")
+        _check_orientation(self.orientation)
         if len(self.queries) < 1:
             raise ValueError("at least one query is required")
 
@@ -92,35 +113,23 @@ def run_non_adaptive(alg: NonAdaptiveAlgorithm, input_structure: Structure,
     return RunReport(alg.accepts(answers), answers, alg.queries)
 
 
-def default_step_cap(input_structure: Structure) -> int:
-    n = input_structure.domain_size
-    return 2 * n + n * n
-
-
 def run_adaptive(strategy: Strategy, input_structure: Structure,
-                 orientation: str, semiring: str = COUNT,
-                 max_steps: Optional[int] = None) -> RunReport:
+                 orientation: str, semiring: str = COUNT, *,
+                 max_steps: int) -> RunReport:
     """
-    Iterate the strategy on the growing transcript until it halts.
-    max_steps=None applies default_step_cap, 2*|input| + |input|^2;
-    exceeding the cap is an error, never a verdict.  A LookupError raised
-    by the strategy means it is undefined on a transcript the run reached,
-    and becomes StrategyContractError; every other exception keeps its type.
+    Iterate the strategy on the growing transcript until it halts.  There
+    is no default step cap: the caller states it (run_registered passes its
+    registry entry's), and exceeding it is an error, never a verdict.  Each
+    step goes through _decide: a LookupError from the strategy, or a
+    decision that is neither Query nor Halt, becomes StrategyContractError.
     """
-    if max_steps is None:
-        max_steps = default_step_cap(input_structure)
+    _check_orientation(orientation)
     transcript: Transcript = ()
     issued: list[Structure] = []
     while True:
-        try:
-            decision = strategy(transcript)
-        except LookupError as exc:
-            raise StrategyContractError(
-                f"strategy undefined on reachable transcript {transcript}") from exc
+        decision = _decide(strategy, transcript)
         if isinstance(decision, Halt):
             return RunReport(decision.verdict, transcript, tuple(issued))
-        if not isinstance(decision, Query):
-            raise StrategyContractError(f"invalid decision {decision!r}")
         if len(issued) >= max_steps:
             raise StepLimitExceeded(f"exceeded step cap {max_steps}")
         answer = _answer(decision.structure, input_structure, orientation, semiring)
@@ -133,18 +142,15 @@ def flatten_adaptive_boolean(strategy: Strategy, k: int,
     """
     Turn a depth-<=k Boolean adaptive strategy into a non-adaptive
     algorithm by materializing every query reachable within k steps
-    (at most 2^k - 1 of them, one per internal tree node).  As in
-    run_adaptive, only a LookupError from the strategy becomes
-    StrategyContractError.
+    (at most 2^k - 1 of them, one per internal tree node).  Exploring the
+    tree and replaying it in the acceptance predicate both step through
+    _decide, so a strategy breaks the contract here exactly when it would
+    in run_adaptive.
     """
     nodes: dict[Transcript, Structure] = {}
 
     def explore(transcript: Transcript):
-        try:
-            decision = strategy(transcript)
-        except LookupError as exc:
-            raise StrategyContractError(
-                f"strategy undefined on transcript {transcript}") from exc
+        decision = _decide(strategy, transcript)
         if isinstance(decision, Halt):
             return
         if len(transcript) >= k:
@@ -163,7 +169,7 @@ def flatten_adaptive_boolean(strategy: Strategy, k: int,
     def accept(answers: Transcript) -> bool:
         transcript: Transcript = ()
         while True:
-            decision = strategy(transcript)
+            decision = _decide(strategy, transcript)
             if isinstance(decision, Halt):
                 return decision.verdict
             transcript = transcript + (answers[index[transcript]],)

@@ -72,12 +72,6 @@ class Signature:
                 raise ValueError(f"arity of {name} must be >= 1")
         object.__setattr__(self, "names", names)
 
-    def arity(self, name: str) -> int:
-        for rel_name, arity in self.relations:
-            if rel_name == name:
-                return arity
-        raise KeyError(name)
-
 
 DIGRAPH_SIG = Signature((("R", 2),))
 

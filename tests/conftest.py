@@ -9,6 +9,7 @@ from homquery.experiments import (
     experiment_adaptive_not_better,
     experiment_cycle_formula,
     experiment_nary,
+    experiment_unbounded_boolean,
 )
 from homquery.structures import Structure, digraph, edges_of, make_structure
 
@@ -92,6 +93,11 @@ def nary_report():
 @lru_cache(maxsize=None)
 def cycle_formula_report():
     return experiment_cycle_formula()
+
+
+@lru_cache(maxsize=None)
+def unbounded_boolean_report():
+    return experiment_unbounded_boolean()
 
 
 def count_calls(monkeypatch, fn) -> list[int]:

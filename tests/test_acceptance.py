@@ -13,6 +13,7 @@ from conftest import (
     cycle_formula_report,
     nary_report,
     shortest_cycle_is_power_of_four,
+    unbounded_boolean_report,
 )
 from homquery import algorithms as alg
 from homquery.analysis import (
@@ -24,7 +25,7 @@ from homquery.analysis import (
 from homquery.catalog import enumerate_digraphs, enumerate_digraphs_upto
 from homquery.datalog import builtin_programs, evaluate
 from homquery.experiments import experiment_dn
-from homquery.homs import BOOLEAN, COUNT, hom_count, hom_exists
+from homquery.homs import COUNT, hom_count, hom_exists
 from homquery.oracle import oracle_gamma, oracle_hom_count
 from homquery.query import LEFT, RIGHT, run_adaptive, run_non_adaptive
 from homquery.registry import UNARY_PQ_SIG
@@ -159,30 +160,26 @@ def test_criterion_08_identify_then_decide():
                "for five class predicates (all iso-classes <= 3 vertices)", ok)
 
 
+def _checked(report, *rows) -> bool:
+    "The report passed and each named check row reads ok."
+    values = dict(report.rows)
+    return report.passed and all(values.get(row) == "ok" for row in rows)
+
+
 def test_criterion_09_unbounded_boolean_cycle_detector():
-    from homquery.oracle import has_directed_cycle
-    detector = alg.unbounded_boolean_cycle_detector()
-    ok = True
-    for s in enumerate_digraphs_upto(4):
-        cap = 2 * (s.domain_size + 1)
-        rep = run_adaptive(detector, s, LEFT, BOOLEAN, max_steps=cap)
-        if rep.verdict != has_directed_cycle(s) or rep.query_count > cap:
-            ok = False
+    # the experiment runs the detector under the registry's step cap,
+    # 2(|A|+1), and checks its verdict against DFS on every class
+    ok = _checked(unbounded_boolean_report(),
+                  "left-detector-correct", "left-detector-within-bound")
     _report(9, "left Boolean detector agrees with DFS and halts within "
                "2(|A|+1) queries (all iso-classes <= 4 vertices)", ok)
 
 
 def test_criterion_10_unbounded_boolean_net_cycle_detector():
-    detector = alg.unbounded_boolean_nonzero_net_cycle_detector()
-    ok = True
-    for s in enumerate_digraphs_upto(4):
-        n, g = s.domain_size, gamma(s)
-        rounds_bound = max(n - 1, g + 1)
-        rep = run_adaptive(detector, s, RIGHT, BOOLEAN,
-                           max_steps=2 * rounds_bound)
-        rounds = (rep.query_count + 1) // 2
-        if rep.verdict != (g != 0) or rounds > rounds_bound:
-            ok = False
+    # the experiment checks the verdict against gamma != 0 and the rounds
+    # against max(|A|-1, gamma+1) on every class
+    ok = _checked(unbounded_boolean_report(),
+                  "right-detector-correct", "right-detector-within-bound")
     _report(10, "right Boolean detector decides gamma != 0 within "
                 "max(|A|-1, gamma+1) rounds (all iso-classes <= 4 vertices)", ok)
 
@@ -203,14 +200,10 @@ def _undirected_reach(n, edges, sources, targets):
 
 
 def test_criterion_11_datalog_programs_match_their_counterparts():
-    from homquery.oracle import has_directed_cycle
+    # the catalog half: on every class <= 4 vertices the experiment checks
+    # directed-cycle against DFS and nonzero-net-cycle against gamma != 0
+    ok = _checked(unbounded_boolean_report(), "datalog-cross-check")
     programs = builtin_programs()
-    ok = True
-    for d in enumerate_digraphs_upto(4):
-        if evaluate(programs["directed-cycle"], d) != has_directed_cycle(d):
-            ok = False
-        if evaluate(programs["nonzero-net-cycle"], d) != (gamma(d) != 0):
-            ok = False
     sig = Signature((("R", 2), ("P", 1), ("Q", 1)))
     for n in (1, 2, 3):  # every labeled {R,P,Q}-structure on <= 3 elements
         pairs = list(itertools.product(range(n), repeat=2))

@@ -41,7 +41,7 @@ from homquery.structures import (
 
 def test_cycle_detector_2query_on_catalog():
     for s in enumerate_digraphs_upto(3):
-        report = run_adaptive(alg.cycle_detector_2query(), s, LEFT)
+        report = run_adaptive(alg.cycle_detector_2query(), s, LEFT, max_steps=2)
         assert report.query_count == 2
         assert report.verdict == has_directed_cycle(s)
 
@@ -86,7 +86,7 @@ def test_dn_separator_and_binsearch_agree():
             member = scalar_multiple(2 ** (n - m), directed_cycle(2 ** m))
             expected = (m % 2 == 0)
             assert run_non_adaptive(sep, member).verdict == expected
-            report = run_adaptive(search, member, LEFT)
+            report = run_adaptive(search, member, LEFT, max_steps=n.bit_length())
             assert report.verdict == expected
             assert report.query_count <= n.bit_length()
 
@@ -214,7 +214,7 @@ def test_repeated_dn_sep_reuses_its_build(monkeypatch):
 def test_right_two_query_decider():
     strategy = alg.right_two_query_decider(shortest_cycle_is_power_of_four)
     for s in enumerate_digraphs_upto(2):
-        report = run_adaptive(strategy, s, RIGHT)
+        report = run_adaptive(strategy, s, RIGHT, max_steps=2)
         assert report.query_count == 2
         assert report.verdict == shortest_cycle_is_power_of_four(s)
 

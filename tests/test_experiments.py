@@ -1,6 +1,11 @@
 import pytest
 
-from conftest import adaptive_not_better_report, cycle_formula_report, nary_report
+from conftest import (
+    adaptive_not_better_report,
+    cycle_formula_report,
+    nary_report,
+    unbounded_boolean_report,
+)
 from homquery.algorithms import ParameterError
 from homquery.experiments import (
     EXPERIMENTS,
@@ -32,6 +37,21 @@ UNBOUNDED_BOOLEAN_3_TEXT = """\
 experiment: unbounded-boolean
 param.max_vertices: 3
 inputs: 116
+left-detector-disagreements: 0
+left-detector-correct: ok
+left-detector-within-bound: ok
+right-detector-disagreements: 0
+right-detector-correct: ok
+right-detector-within-bound: ok
+datalog-disagreements: 0
+datalog-cross-check: ok
+result: PASS
+"""
+
+UNBOUNDED_BOOLEAN_TEXT = """\
+experiment: unbounded-boolean
+param.max_vertices: 4
+inputs: 3160
 left-detector-disagreements: 0
 left-detector-correct: ok
 left-detector-within-bound: ok
@@ -191,6 +211,7 @@ def test_experiments_render_deterministically():
 def test_reports_match_frozen_text():
     assert experiment_dn(3).render() == DN_3_TEXT
     assert experiment_unbounded_boolean(3).render() == UNBOUNDED_BOOLEAN_3_TEXT
+    assert unbounded_boolean_report().render() == UNBOUNDED_BOOLEAN_TEXT
     assert adaptive_not_better_report().render("machine") == ADAPTIVE_NOT_BETTER_MACHINE
     assert cycle_formula_report().render() == CYCLE_FORMULA_TEXT
     assert nary_report().render() == NARY_TEXT

@@ -11,7 +11,6 @@ from homquery.query import (
     Query,
     StepLimitExceeded,
     StrategyContractError,
-    default_step_cap,
     flatten_adaptive_boolean,
     run_adaptive,
     run_non_adaptive,
@@ -31,6 +30,9 @@ def test_non_adaptive_validation():
         NonAdaptiveAlgorithm("sideways", q, frozenset())
     with pytest.raises(ValueError):
         NonAdaptiveAlgorithm(LEFT, (), frozenset())
+    # an adaptive run reads its orientation through the same check
+    with pytest.raises(ValueError):
+        run_adaptive(even_edge_strategy, directed_cycle(3), "sideways", max_steps=1)
 
 
 def test_run_non_adaptive_left_and_right():
@@ -71,9 +73,9 @@ def even_edge_strategy(transcript):
 
 
 def test_run_adaptive_basic():
-    report = run_adaptive(even_edge_strategy, directed_cycle(4), LEFT)
+    report = run_adaptive(even_edge_strategy, directed_cycle(4), LEFT, max_steps=1)
     assert report.verdict and report.transcript == (4,)
-    report = run_adaptive(even_edge_strategy, directed_cycle(3), LEFT)
+    report = run_adaptive(even_edge_strategy, directed_cycle(3), LEFT, max_steps=1)
     assert not report.verdict
 
 
@@ -81,8 +83,8 @@ def test_run_adaptive_default_step_cap():
     def never_halts(transcript):
         return Query(directed_path(1))
 
-    assert default_step_cap(directed_cycle(2)) == 8
-    with pytest.raises(StepLimitExceeded):
+    # there is no default cap: the caller states it
+    with pytest.raises(TypeError):
         run_adaptive(never_halts, directed_cycle(2), LEFT)
     # a generous explicit cap is honored
     with pytest.raises(StepLimitExceeded):
@@ -94,13 +96,15 @@ def test_run_adaptive_contract_errors():
         raise KeyError(transcript)
 
     with pytest.raises(StrategyContractError):
-        run_adaptive(undefined, directed_cycle(2), LEFT)
+        run_adaptive(undefined, directed_cycle(2), LEFT, max_steps=4)
 
     def bad_decision(transcript):
         return "halt"
 
     with pytest.raises(StrategyContractError):
-        run_adaptive(bad_decision, directed_cycle(2), LEFT)
+        run_adaptive(bad_decision, directed_cycle(2), LEFT, max_steps=4)
+    with pytest.raises(StrategyContractError):
+        flatten_adaptive_boolean(bad_decision, 1, LEFT)
 
 
 def _raising(exc):
@@ -114,7 +118,7 @@ def _raising(exc):
 def test_lookup_errors_become_contract_errors(exc):
     # a lookup failure means the strategy is undefined on a reached transcript
     with pytest.raises(StrategyContractError) as info:
-        run_adaptive(_raising(exc), directed_cycle(2), LEFT)
+        run_adaptive(_raising(exc), directed_cycle(2), LEFT, max_steps=4)
     assert info.value.__cause__ is exc
     with pytest.raises(StrategyContractError):
         flatten_adaptive_boolean(_raising(exc), 2, LEFT)
@@ -126,7 +130,7 @@ def test_lookup_errors_become_contract_errors(exc):
                          ids=["WorkBudgetExceeded", "StepLimitExceeded", "TypeError"])
 def test_refusals_and_bugs_keep_their_type(exc):
     with pytest.raises(type(exc)) as info:
-        run_adaptive(_raising(exc), directed_cycle(2), LEFT)
+        run_adaptive(_raising(exc), directed_cycle(2), LEFT, max_steps=4)
     assert info.value is exc
     with pytest.raises(type(exc)) as info:
         flatten_adaptive_boolean(_raising(exc), 2, LEFT)
@@ -149,7 +153,7 @@ def test_flatten_adaptive_boolean():
     assert len(flat.queries) <= 3
     for s in (directed_cycle(1), directed_cycle(2), directed_cycle(3),
               directed_path(2), digraph(2, set())):
-        adaptive = run_adaptive(adaptive_loop_then_c2, s, RIGHT, BOOLEAN)
+        adaptive = run_adaptive(adaptive_loop_then_c2, s, RIGHT, BOOLEAN, max_steps=2)
         assert run_non_adaptive(flat, s, BOOLEAN).verdict == adaptive.verdict
 
 
