@@ -69,18 +69,40 @@ def cycle_detector_2query() -> Strategy:
     return strategy
 
 
-def hom_vector(probes, target: Structure) -> tuple[int, ...]:
-    return tuple(hom_count(p, target) for p in probes)
+class _EliminationTable:
+    """
+    The iso-classes of one size, identified by elimination: answer i keeps
+    the classes whose count from probe i equals it.  A (probe, open class)
+    count is made once; identified vectors are kept as one dict lookup.
+    """
+
+    def __init__(self, size: int):
+        self.probes = enumerate_digraphs_upto(size)
+        self.classes = enumerate_digraphs(size).representatives
+        self.counts: dict[tuple[int, int], int] = {}
+        self.identified: dict[tuple[int, ...], Structure] = {}
+
+    def get(self, answers: tuple[int, ...]) -> Structure | None:
+        "The class whose hom vector is answers, or None if no class has it."
+        match = self.identified.get(answers)
+        if match is None and len(answers) == len(self.probes):
+            left = range(len(self.classes))
+            for i, answer in enumerate(answers):
+                for j in left:
+                    if (i, j) not in self.counts:
+                        self.counts[i, j] = hom_count(self.probes[i], self.classes[j])
+                left = [j for j in left if self.counts[i, j] == answer]
+            if len(left) > 1:
+                raise StrategyContractError("hom vectors failed to separate iso-classes")
+            if left:
+                match = self.identified[answers] = self.classes[left[0]]
+        return match
 
 
 @lru_cache(maxsize=None)
-def _candidate_vectors(size: int) -> dict:
-    probes = enumerate_digraphs_upto(size)
-    reps = enumerate_digraphs(size).representatives
-    vectors = {hom_vector(probes, h): h for h in reps}
-    if len(vectors) != len(reps):
-        raise StrategyContractError("hom vectors failed to separate iso-classes")
-    return vectors
+def _candidate_vectors(size: int) -> _EliminationTable:
+    "The identification table of one size that every lovasz run shares."
+    return _EliminationTable(size)
 
 
 def identify_by_hom_vector(answers, size: int):

@@ -85,6 +85,14 @@ class NonAdaptiveAlgorithm:
 
 
 @dataclass(frozen=True)
+class _ZeroQueryAlgorithm(NonAdaptiveAlgorithm):
+    "A flattened strategy that halts before its first query: it asks none."
+
+    def __post_init__(self):
+        _check_orientation(self.orientation)
+
+
+@dataclass(frozen=True)
 class RunReport:
     verdict: bool
     transcript: Transcript
@@ -141,11 +149,11 @@ def flatten_adaptive_boolean(strategy: Strategy, k: int,
                              orientation: str) -> NonAdaptiveAlgorithm:
     """
     Turn a depth-<=k Boolean adaptive strategy into a non-adaptive
-    algorithm by materializing every query reachable within k steps
-    (at most 2^k - 1 of them, one per internal tree node).  Exploring the
-    tree and replaying it in the acceptance predicate both step through
-    _decide, so a strategy breaks the contract here exactly when it would
-    in run_adaptive.
+    algorithm by materializing every query reachable within k steps (at
+    most 2^k - 1, one per internal tree node, none if it halts at once).
+    Exploring the tree and replaying it in the acceptance predicate both
+    step through _decide, so a strategy breaks the contract here exactly
+    when it would in run_adaptive.
     """
     nodes: dict[Transcript, Structure] = {}
 
@@ -174,4 +182,5 @@ def flatten_adaptive_boolean(strategy: Strategy, k: int,
                 return decision.verdict
             transcript = transcript + (answers[index[transcript]],)
 
-    return NonAdaptiveAlgorithm(orientation, queries, accept)
+    algorithm = NonAdaptiveAlgorithm if queries else _ZeroQueryAlgorithm
+    return algorithm(orientation, queries, accept)

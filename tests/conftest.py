@@ -11,6 +11,7 @@ from homquery.experiments import (
     experiment_nary,
     experiment_unbounded_boolean,
 )
+from homquery.homs import hom_count
 from homquery.structures import Structure, digraph, edges_of, make_structure
 
 
@@ -114,3 +115,8 @@ def count_calls(monkeypatch, fn) -> list[int]:
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def hom_vector(probes, target: Structure) -> tuple[int, ...]:
+    "The hom counts from each probe into target, in probe order."
+    return tuple(hom_count(p, target) for p in probes)

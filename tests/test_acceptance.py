@@ -11,6 +11,7 @@ from functools import lru_cache
 from conftest import (
     adaptive_not_better_report,
     cycle_formula_report,
+    hom_vector,
     nary_report,
     shortest_cycle_is_power_of_four,
     unbounded_boolean_report,
@@ -145,7 +146,7 @@ def test_criterion_08_identify_then_decide():
     for s in enumerate_digraphs_upto(3):
         n = s.domain_size
         probes = enumerate_digraphs_upto(n)
-        candidate = alg.identify_by_hom_vector(alg.hom_vector(probes, s), n)
+        candidate = alg.identify_by_hom_vector(hom_vector(probes, s), n)
         if not isomorphic(candidate, s):
             ok = False
         for predicate in predicates:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from conftest import count_calls, shortest_cycle_is_power_of_four, small_digraphs
+from conftest import count_calls, hom_vector, shortest_cycle_is_power_of_four, small_digraphs
 from homquery import algorithms as alg
 from homquery.analysis import gamma
 from homquery.catalog import enumerate_digraphs, enumerate_digraphs_upto
@@ -58,9 +58,61 @@ def test_lovasz_universal_decider():
 def test_identify_by_hom_vector_roundtrip():
     probes = enumerate_digraphs_upto(2)
     for h in enumerate_digraphs(2).representatives:
-        assert alg.identify_by_hom_vector(alg.hom_vector(probes, h), 2) == h
+        assert alg.identify_by_hom_vector(hom_vector(probes, h), 2) == h
     with pytest.raises(StrategyContractError):
         alg.identify_by_hom_vector((99,) * len(probes), 2)
+
+
+def test_identification_contract():
+    # vectors one probe short or long, or wrong only at the last probe, match
+    # no class; the classes come back in any order of identification
+    probes = enumerate_digraphs_upto(3)
+    vector = hom_vector(probes, directed_cycle(3))
+    wrong_last = vector[:-1] + (vector[-1] + 1,)
+    alg._candidate_vectors.cache_clear()
+    for answers in (vector[:-1], vector + (0,), wrong_last):
+        with pytest.raises(StrategyContractError,
+                           match="^no candidate matches the hom vector$"):
+            alg.identify_by_hom_vector(answers, 3)
+    alg._candidate_vectors.cache_clear()
+    for h in reversed(enumerate_digraphs(3).representatives):
+        assert alg.identify_by_hom_vector(hom_vector(probes, h), 3) == h
+
+
+def test_classes_left_after_the_last_probe_fail_to_separate():
+    # with the edgeless singleton as its only probe, all six 2-vertex
+    # classes answer 2
+    table = alg._EliminationTable(2)
+    table.probes = table.probes[:1]
+    with pytest.raises(StrategyContractError,
+                       match="^hom vectors failed to separate iso-classes$"):
+        table.get((2,))
+
+
+def test_lovasz_identification_work_is_pinned(monkeypatch):
+    # a cold identification counts only the classes its answers leave open;
+    # a sweep over every class makes each (probe, class) count of the full
+    # 116 x 104 table once, and identifying again makes none
+    probes = enumerate_digraphs_upto(3)
+    classes = enumerate_digraphs(3).representatives
+    vectors = [hom_vector(probes, h) for h in classes]
+    c3 = hom_vector(probes, directed_cycle(3))
+    alg._candidate_vectors.cache_clear()
+    calls = count_calls(monkeypatch, hom_count)
+    assert isomorphic(alg.identify_by_hom_vector(c3, 3), directed_cycle(3))
+    assert calls[0] == 385
+    calls[0] = 0
+    alg._candidate_vectors(3).counts.clear()  # an identified vector is a lookup
+    assert isomorphic(alg.identify_by_hom_vector(c3, 3), directed_cycle(3))
+    assert calls[0] == 0
+    alg._candidate_vectors.cache_clear()
+    for h, vector in zip(classes, vectors):
+        assert alg.identify_by_hom_vector(vector, 3) == h
+    assert calls[0] == len(probes) * len(classes) == 12_064
+    calls[0] = 0
+    for vector in vectors:
+        alg.identify_by_hom_vector(vector, 3)
+    assert calls[0] == 0
 
 
 def test_dn_family():

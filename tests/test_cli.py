@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -83,6 +84,21 @@ def test_run_algorithm(runner, files):
     r = runner.invoke(main, ["run", "--algorithm", "unary-full",
                              "--input", files["pq"]])
     assert r.output.strip().endswith("YES")
+
+
+@pytest.mark.parametrize("name, structure, digest", [
+    ("lovasz", directed_cycle(3),
+     "0ce398b9b22294ce3af0782edbdf0054f56a89baee2ee90bab2bb128cb6c74cc"),
+    ("right2q", directed_cycle(2),
+     "64b78a3bca2ae053c44c260e35ce8046ab9e97d4b34e059fda1a74f02f18bfd8")],
+    ids=["lovasz-c3", "right2q-c2"])
+def test_run_trace_output_is_pinned(runner, tmp_path, name, structure, digest):
+    # SHA-256 of the whole output: every query, answer and the verdict
+    path = tmp_path / "input.json"
+    path.write_text(encode_structure(structure), encoding="utf-8")
+    r = runner.invoke(main, ["run", "--algorithm", name, "--input", str(path), "--trace"])
+    assert r.exit_code == 0
+    assert hashlib.sha256(r.output.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name, n, message", [

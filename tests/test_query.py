@@ -157,6 +157,20 @@ def test_flatten_adaptive_boolean():
         assert run_non_adaptive(flat, s, BOOLEAN).verdict == adaptive.verdict
 
 
+def test_flatten_a_strategy_that_halts_at_once():
+    # a constant class is decided with no query, so its flattening asks none
+    for orientation in (LEFT, RIGHT):
+        for verdict in (True, False):
+            flat = flatten_adaptive_boolean(lambda t: Halt(verdict), 1, orientation)
+            assert flat.orientation == orientation and flat.queries == ()
+            for s in (directed_cycle(1), directed_path(2), digraph(2, set())):
+                report = run_non_adaptive(flat, s, BOOLEAN)
+                assert (report.verdict, report.transcript) == (verdict, ())
+    # the zero-query result keeps the orientation check
+    with pytest.raises(ValueError):
+        flatten_adaptive_boolean(lambda t: Halt(True), 1, "sideways")
+
+
 def test_flatten_rejects_deep_strategies():
     with pytest.raises(StrategyContractError):
         flatten_adaptive_boolean(adaptive_loop_then_c2, 1, RIGHT)
