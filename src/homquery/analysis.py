@@ -23,26 +23,31 @@ from .structures import (
 CORE_GUARD = 7
 
 
-def component_count(s: Structure) -> int:
-    "Number of connected components of the incidence multigraph."
+def components(s: Structure) -> list[list[int]]:
+    "The element lists of the connected components of the incidence multigraph."
     adjacency: dict[int, set[int]] = {e: set() for e in s.domain}
     for _, t in s.facts():
         for a in t:
             adjacency[a].update(t)
     seen: set[int] = set()
-    count = 0
+    out = []
     for start in s.domain:
         if start in seen:
             continue
-        count += 1
         seen.add(start)
-        queue = deque([start])
-        while queue:
-            for w in adjacency[queue.popleft()]:
+        component = [start]
+        for v in component:
+            for w in adjacency[v]:
                 if w not in seen:
                     seen.add(w)
-                    queue.append(w)
-    return count
+                    component.append(w)
+        out.append(component)
+    return out
+
+
+def component_count(s: Structure) -> int:
+    "Number of connected components of the incidence multigraph."
+    return len(components(s))
 
 
 def is_berge_acyclic(s: Structure) -> bool:

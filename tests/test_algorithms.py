@@ -200,48 +200,76 @@ def test_unary_full_decider_decides_everything():
         alg.unary_full_decider(Signature((("R", 2),)), some_element_in_all_predicates)
 
 
-def test_brute_force_distinguisher():
-    for n in (1, 2):
-        f = alg.brute_force_distinguisher(n)
+def test_right_separator_weights_separate_every_class():
+    # the count table holds every class of n vertices once, at pinned sizes |F_n|
+    for n, size in [(1, 2), (2, 28), (3, 463)]:
+        separator, table = alg.right_separator(n)
+        assert separator.domain_size == size
         classes = enumerate_digraphs(n).representatives
-        counts = [hom_count(h, f) for h in classes]
-        assert len(set(counts)) == len(counts)
+        assert sorted(map(id, table.values())) == sorted(map(id, classes))
     with pytest.raises(GuardExceeded):
-        alg.brute_force_distinguisher(3)
+        alg.right_separator(alg.RIGHT2Q_SIZE_CAP + 1)
+    with pytest.raises(ValueError):
+        alg.right_separator(2, Signature((("R", 2), ("P", 1))))
 
 
-def test_brute_force_distinguisher_call_forms_share_one_cache_entry():
-    alg._brute_force_distinguisher.cache_clear()
-    first = alg.brute_force_distinguisher(2)
+def test_right_separator_table_matches_the_engine():
+    # the table comes from the product law; the engine counts into F_n itself,
+    # on every class for n <= 2 and on a fixed sample of the 104 for n = 3
+    for n, step in [(1, 1), (2, 1), (3, 13)]:
+        separator, table = alg.right_separator(n)
+        items = sorted(table.items())[::step]
+        assert [hom_count(a, separator) for _, a in items] == [c for c, _ in items]
+
+
+def test_right_separator_fill_work_is_pinned(monkeypatch):
+    # hom counts between tiny structures only, one per (distinct component, H_i)
+    calls = count_calls(monkeypatch, hom_count)
+    alg._right_separator.cache_clear()
+    for n, cost in [(1, 4), (2, 81), (3, 9025)]:
+        calls[0] = 0
+        alg.right_separator(n)
+        assert calls[0] == cost
+
+
+def test_right_separator_call_forms_share_one_cache_entry():
+    alg._right_separator.cache_clear()
+    first = alg.right_separator(2)
+    assert alg.right_separator(2, DIGRAPH_SIG) is first
+    assert alg.right_separator(n=2, sig=DIGRAPH_SIG) is first
     assert alg.brute_force_distinguisher(2, DIGRAPH_SIG) is first
-    assert alg.brute_force_distinguisher(n=2, sig=DIGRAPH_SIG) is first
-    info = alg._brute_force_distinguisher.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    info = alg._right_separator.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
-def test_distinguishers_are_pinned_with_their_cost(monkeypatch):
-    # the same catalog objects as a search that counts every class on every
-    # candidate; the number of hom counts the early exit makes is frozen
-    calls = 0
+def test_right_separator_weights_that_merge_classes_are_a_contract_error(monkeypatch):
+    # with every weight 1, two classes of 2 vertices count the same
+    monkeypatch.setattr(alg, "RIGHT_SEPARATOR_WEIGHTS", (1,) * 95)
+    alg._right_separator.cache_clear()
+    with pytest.raises(StrategyContractError, match="merge two classes of 2 vertices"):
+        alg.right_separator(2)
+    alg._right_separator.cache_clear()
 
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return hom_count(a, b)
 
-    monkeypatch.setattr(alg, "hom_count", counted)
-    alg._brute_force_distinguisher.cache_clear()
-    catalog = enumerate_digraphs_upto(4)
-    assert alg.brute_force_distinguisher(1) is catalog[0]
-    assert calls == 2
-    calls = 0
-    assert alg.brute_force_distinguisher(2) is catalog[2753]
-    assert calls == 7827
+def test_right2q_contract():
+    strategy = alg.right_two_query_decider(has_directed_cycle)
+    for first in (0, 1, 3, 6, 12, -4):
+        with pytest.raises(StrategyContractError, match=f"first answer {first} is not 2"):
+            strategy((first,))
+    separator, table = alg.right_separator(2)
+    assert strategy((4,)).structure is separator
+    assert 17 not in table
+    with pytest.raises(StrategyContractError, match="no class of the input's size counts 17"):
+        strategy((4, 17))
+    with pytest.raises(GuardExceeded):
+        strategy((16,))
+    with pytest.raises(GuardExceeded):
+        run_registered("right2q", directed_cycle(4))
 
 
 def test_warm_right2q_makes_only_its_two_hom_counts(monkeypatch):
-    # the input is read off the count table the distinguisher search built,
-    # not recounted class by class
+    # the input is read off the separator's count table, not recounted class
+    # by class
     inputs = enumerate_digraphs_upto(2)
     expected = [run_registered("right2q", s) for s in inputs]
     calls = count_calls(monkeypatch, hom_count)
@@ -328,8 +356,8 @@ def test_registry_caps_cover_catalog_runs():
             except StepLimitExceeded as exc:
                 pytest.fail(f"{name} on {s}: {exc}")
             assert report.query_count <= REGISTRY[name].step_cap(s)
-    # only right2q refuses here: its size cap is 2, lovasz's is 3
-    assert refused == {("right2q", 3)}
+    # no entry refuses here: lovasz's and right2q's size caps are both 3
+    assert refused == set()
     with pytest.raises(GuardExceeded):
         run_registered("lovasz", directed_cycle(alg.LOVASZ_SIZE_CAP + 1))
 

@@ -90,8 +90,10 @@ def test_run_algorithm(runner, files):
     ("lovasz", directed_cycle(3),
      "0ce398b9b22294ce3af0782edbdf0054f56a89baee2ee90bab2bb128cb6c74cc"),
     ("right2q", directed_cycle(2),
-     "64b78a3bca2ae053c44c260e35ce8046ab9e97d4b34e059fda1a74f02f18bfd8")],
-    ids=["lovasz-c3", "right2q-c2"])
+     "fc27aa7c8bf67152928a46f797a90948ea5f0669dd56476aef761f09f225b249"),
+    ("right2q", directed_cycle(3),
+     "1f738ef9dfcc89899d0d5004314cdf34fb7e1481914026e95748a7382069ff8d")],
+    ids=["lovasz-c3", "right2q-c2", "right2q-c3"])
 def test_run_trace_output_is_pinned(runner, tmp_path, name, structure, digest):
     # SHA-256 of the whole output: every query, answer and the verdict
     path = tmp_path / "input.json"
