@@ -58,4 +58,3 @@ from .oracle import oracle_gamma, oracle_hom_count
 from .catalog import enumerate_digraphs, enumerate_digraphs_upto
 from .datalog import builtin_programs, classify_program, evaluate, parse_program
 from .registry import REGISTRY, run_registered
-from .experiments import EXPERIMENTS

@@ -248,29 +248,30 @@ def reconstruct_unary_counts(sig: Signature, answers) -> dict[tuple[str, ...], i
     recover by inclusion-exclusion the count of elements satisfying each
     subset exactly.
     """
-    subsets = predicate_subsets(sig)
-    a = dict(zip(subsets, answers))
-    exact = {}
-    for t_set in subsets:
-        t = set(t_set)
-        value = 0
-        for s_set in subsets:
-            s = set(s_set)
-            if s >= t:
-                value += (-1) ** (len(s) - len(t)) * a[s_set]
-        exact[t_set] = value
-    return exact
+    return _exact_counts(predicate_subsets(sig), answers)
+
+
+def _exact_counts(subsets, answers) -> dict[tuple[str, ...], int]:
+    # subset i holds the predicates at the set bits of i, so S contains T iff
+    # s & t == t, and then |S| - |T| is the bit count of s ^ t
+    return {subset: sum(-a if (s ^ t).bit_count() & 1 else a
+                        for s, a in enumerate(answers) if s & t == t)
+            for t, subset in enumerate(subsets)}
 
 
 def reconstruct_unary_structure(sig: Signature, answers) -> Structure:
-    exact = reconstruct_unary_counts(sig, answers)
+    return _unary_structure(sig, predicate_subsets(sig), answers)
+
+
+def _unary_structure(sig: Signature, subsets, answers) -> Structure:
+    exact = _exact_counts(subsets, answers)
     if any(v < 0 for v in exact.values()):
         raise StrategyContractError("inconsistent unary answer vector")
     total = sum(exact.values())
     rels: dict[str, set] = {name: set() for name in sig.names}
     element = 0
-    for subset in predicate_subsets(sig):
-        for _ in range(exact[subset]):
+    for subset, count in exact.items():
+        for _ in range(count):
             for name in subset:
                 rels[name].add((element,))
             element += 1
@@ -286,10 +287,11 @@ def unary_full_decider(sig: Signature, predicate) -> NonAdaptiveAlgorithm:
     """
     if any(arity != 1 for _, arity in sig.relations):
         raise ValueError("signature must be unary")
-    queries = tuple(unary_singleton(sig, subset) for subset in predicate_subsets(sig))
+    subsets = predicate_subsets(sig)
+    queries = tuple(unary_singleton(sig, subset) for subset in subsets)
 
     def accept(answers) -> bool:
-        return predicate(reconstruct_unary_structure(sig, answers))
+        return predicate(_unary_structure(sig, subsets, answers))
 
     return NonAdaptiveAlgorithm(LEFT, queries, accept)
 

@@ -7,18 +7,26 @@ of its adjacency bit-mask (bit u*n+v set iff edge (u, v)).
 The catalog of size n comes from one ascending scan of the 2^(n*n) masks.
 Each mask not yet marked is the minimum of its orbit under the n! vertex
 permutations, so it is a representative; its images under every
-permutation, read byte by byte from precomputed tables, are marked, and
-the scan jumps to the next unmarked mask.  Only the representatives are
-visited: 3,044 of the 65,536 masks for n = 4.
+permutation are marked, and the scan jumps to the next unmarked mask.
+Only the representatives are visited: 3,044 of the 65,536 masks for
+n = 4.
+
+Both the images and the edges come from per-byte tables, one per byte of
+the mask and indexed by that byte's value: the value's images under all
+n! permutations, in one list, and its edges, as a tuple of shared edge
+tuples.  A permutation moves each bit to one bit, so the images of a
+mask's bytes share no bit, and a mask's images are the elementwise sums
+of its bytes' image lists.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .structures import DIGRAPH_SIG, Signature, Structure, check_guard, digraph
+from .structures import DIGRAPH_SIG, Signature, Structure, check_guard
 
 CATALOG_GUARD = 4  # vertices; 5 would scan 2^25 masks under 120 permutations
 
@@ -37,41 +45,44 @@ def enumerate_digraphs(n: int) -> IsoClassCatalog:
         raise ValueError(f"n must be >= 1, got {n}")
     check_guard("enumeration guard: n", n, CATALOG_GUARD)
     bits = n * n
+    perms = list(itertools.permutations(range(n)))
+    # bit i's image under each permutation, and its edge (one tuple per edge,
+    # shared by every representative that has it)
+    bit_images = [[1 << (p[i // n] * n + p[i % n]) for p in perms] for i in range(bits)]
+    bit_edges = [(i // n, i % n) for i in range(bits)]
     shifts = range(0, bits, 8)
-    # by_byte[k][p][x]: the bits x of the byte at shifts[k], moved by permutation p
-    by_byte: list[list[list[int]]] = [[] for _ in shifts]
-    for perm in itertools.permutations(range(n)):
-        moved = [1 << (perm[i // n] * n + perm[i % n]) for i in range(bits)]
-        for shift, tables in zip(shifts, by_byte):
-            table = [0] * 256
-            for x in range(1, 256):
-                low = (x & -x).bit_length() - 1
-                if shift + low < bits:
-                    table[x] = table[x & (x - 1)] | moved[shift + low]
-            tables.append(table)
+    # images[k][x], edges[k][x]: the byte at shifts[k] with value x, built
+    # from x without its lowest bit
+    images: list[list[list[int]]] = []
+    edges: list[list[tuple]] = []
+    for shift in shifts:
+        byte_images, byte_edges = [[0] * len(perms)], [()]
+        for x in range(1, 1 << min(8, bits - shift)):
+            rest, low = x & (x - 1), shift + (x & -x).bit_length() - 1
+            byte_images.append(list(map(operator.add, byte_images[rest], bit_images[low])))
+            byte_edges.append((bit_edges[low],) + byte_edges[rest])
+        images.append(byte_images)
+        edges.append(byte_edges)
     # Scanning in ascending order, the first mask met of each orbit is its
-    # minimum; find jumps past the masks already marked as images.  A
-    # permutation moves each bit to one bit, so the images of a mask's bytes
-    # share no bit and adding them ORs them.
+    # minimum; find jumps past the masks already marked as images.
     marked = bytearray(1 << bits)
     reps = []
     mask = 0
     while mask >= 0:
         reps.append(mask)
-        images = [0] * len(by_byte[0])
-        for shift, tables in zip(shifts, by_byte):
-            x = mask >> shift & 255
-            images = [image + table[x] for image, table in zip(images, tables)]
-        for image in images:
+        orbit = images[0][mask & 255]
+        for shift, byte_images in zip(shifts[1:], images[1:]):
+            orbit = map(operator.add, orbit, byte_images[mask >> shift & 255])
+        for image in orbit:
             marked[image] = 1
         mask = marked.find(0, mask + 1)
-    # one tuple per edge (u, v), shared by every representative that has it
-    pairs = tuple((i // n, i % n) for i in range(bits))
     return IsoClassCatalog(
         size=n,
         signature=DIGRAPH_SIG,
-        representatives=tuple(digraph(n, [pairs[i] for i in range(bits) if m >> i & 1])
-                              for m in reps),
+        representatives=tuple(
+            Structure(DIGRAPH_SIG, n, {"R": itertools.chain.from_iterable(
+                byte_edges[m >> shift & 255] for shift, byte_edges in zip(shifts, edges))})
+            for m in reps),
     )
 
 

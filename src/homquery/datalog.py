@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 
 from .structures import Structure
@@ -170,14 +171,14 @@ class _Probe:
     atom's bound positions.  The index maps a key to the values of the
     variables the atom binds first, over the tuples whose repeated new
     variables agree.  Probes of one program with the same predicate,
-    source and positions share an index_id, and so one index.
+    source and shape share an index_id, and so one index.
     """
     predicate: str
     source: str                             # EDB, FULL or DELTA
     index_id: int
-    repeats: tuple[tuple[int, int], ...]    # (first, later) positions of a new variable
-    fact_key: object                        # fact -> key
-    fact_out: object                        # fact -> values of the new variables
+    # (key positions, positions of the new variables, (first, later)
+    # positions of each repeated new variable)
+    shape: tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
     probe_key: object                       # binding -> key
 
 
@@ -200,14 +201,29 @@ class _Plan:
     project: object                         # binding -> head tuple
 
 
-def _index(facts, probe: _Probe) -> dict:
-    if probe.repeats:
-        facts = [t for t in facts if all(t[p] == t[q] for p, q in probe.repeats)]
-    key, out = probe.fact_key, probe.fact_out
+def _index(facts, shape) -> dict:
+    key_positions, out_positions, repeats = shape
+    if repeats:
+        facts = [t for t in facts if all(t[p] == t[q] for p, q in repeats)]
+    key, out = _tuple_getter(key_positions), _tuple_getter(out_positions)
     index: dict = {}
     for t in facts:
         index.setdefault(key(t), []).append(out(t))
     return index
+
+
+# EDB indexes are kept across calls, keyed on the relation's contents, so
+# structures that share a relation share its indexes.  A crosscheck round
+# reads 126 (seed 1); 1024, the bound of homs' table cache, holds it with
+# room to spare.  An index is no larger than its relation, which its cache
+# key holds anyway.
+EDB_INDEX_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=EDB_INDEX_CACHE_SIZE)
+def _edb_index(relation: frozenset, shape) -> dict:
+    "_index of an EDB relation; callers must not mutate it."
+    return _index(relation, shape)
 
 
 def _atom_step(atom: Atom, source: str, slot: dict[str, int], index_ids: dict):
@@ -231,11 +247,9 @@ def _atom_step(atom: Atom, source: str, slot: dict[str, int], index_ids: dict):
             out_positions.append(pos)
     for pos in out_positions:
         slot[atom.variables[pos]] = len(slot)
-    key_positions, out_positions, repeats = map(tuple, (key_positions, out_positions, repeats))
-    index_id = index_ids.setdefault(
-        (atom.predicate, source, key_positions, out_positions, repeats), len(index_ids))
-    return _Probe(atom.predicate, source, index_id, repeats, _tuple_getter(key_positions),
-                  _tuple_getter(out_positions), _tuple_getter(tuple(key_slots)))
+    shape = (tuple(key_positions), tuple(out_positions), tuple(repeats))
+    index_id = index_ids.setdefault((atom.predicate, source, shape), len(index_ids))
+    return _Probe(atom.predicate, source, index_id, shape, _tuple_getter(tuple(key_slots)))
 
 
 def _plan(rule: Rule, delta: int | None, idb, index_ids: dict) -> _Plan:
@@ -320,9 +334,10 @@ def _fire(plans, relation, domain, goal) -> dict[str, set]:
 def evaluate(program: DatalogProgram, structure: Structure) -> bool:
     """
     Semi-naive bottom-up fixpoint; True iff the nullary goal is derived.
-    Each round joins set-at-a-time through hash indexes (EDB ones built
-    once per call, IDB ones once per round, each when a plan first reads
-    it) and tries only derivations that use a fact new in the last round.
+    Each round joins set-at-a-time through hash indexes (EDB ones read
+    from _edb_index's cache once per call, IDB ones built once per round,
+    each when a plan first reads it) and tries only derivations that use a
+    fact new in the last round.
     A round fires the goal's rules first and ends as soon as the goal
     holds.
     """
@@ -342,10 +357,11 @@ def evaluate(program: DatalogProgram, structure: Structure) -> bool:
         cache = edb_indexes if probe.source == EDB else round_indexes
         index = cache.get(probe.index_id)
         if index is None:
-            facts = (structure.relations[probe.predicate] if probe.source == EDB
-                     else total[probe.predicate] if probe.source == FULL
-                     else delta.get(probe.predicate, ()))
-            index = cache[probe.index_id] = _index(facts, probe)
+            index = cache[probe.index_id] = (
+                _edb_index(structure.relations[probe.predicate], probe.shape)
+                if probe.source == EDB
+                else _index(total[probe.predicate] if probe.source == FULL
+                            else delta.get(probe.predicate, ()), probe.shape))
         return index
 
     max_arity = max(program.idb.values(), default=0)

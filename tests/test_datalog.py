@@ -310,7 +310,8 @@ def test_reference_programs_frozen_cases():
 
 def test_a_round_ends_once_the_goal_holds(monkeypatch):
     # the goal's plans fire first in a round, and the indexes of the plans
-    # after them are never built once the goal holds
+    # after them are never built once the goal holds (cold EDB cache)
+    datalog._edb_index.cache_clear()
     built = count_calls(monkeypatch, datalog._index)
     assert evaluate(builtin_programs()["nonzero-net-cycle"], directed_cycle(3))
     assert built[0] == 18  # 24 when every plan of the last round fires
@@ -318,3 +319,15 @@ def test_a_round_ends_once_the_goal_holds(monkeypatch):
         for plans in (program.first_plans, program.delta_plans):
             heads = [plan.head for plan in plans]
             assert heads == sorted(heads, key=lambda head: head != program.goal)
+
+
+def test_edb_indexes_are_kept_across_calls(monkeypatch):
+    # an EDB index is built once per relation contents and probe shape: a
+    # second structure with an equal relation builds only the IDB indexes
+    program = builtin_programs()["nonzero-net-cycle"]
+    datalog._edb_index.cache_clear()
+    built = count_calls(monkeypatch, datalog._index)
+    assert evaluate(program, directed_cycle(3))
+    assert (built[0], datalog._edb_index.cache_info().currsize) == (18, 3)
+    assert evaluate(program, digraph(3, {(1, 2), (2, 0), (0, 1)}))
+    assert built[0] == 18 + 15

@@ -131,10 +131,14 @@ def test_oracle_walk_count_over_a_million_maps():
 
 
 def test_numpy_is_loaded_only_by_the_oracle():
-    # a fresh interpreter: this one may have loaded numpy already
+    # a fresh interpreter: this one may have loaded numpy and the experiments
+    # already.  The library leaves the experiment harness to the CLI.
     script = (
         "import sys\n"
-        "import homquery, homquery.cli\n"
+        "import homquery\n"
+        "assert 'homquery.experiments' not in sys.modules, 'experiments loaded by the library'\n"
+        "import homquery.cli\n"
+        "assert 'homquery.experiments' in sys.modules, 'experiments not loaded by the CLI'\n"
         "assert 'numpy' not in sys.modules, 'numpy loaded on import'\n"
         "from homquery import directed_cycle, hom_count, oracle_hom_count\n"
         "assert hom_count(directed_cycle(6), directed_cycle(3)) == 3\n"
