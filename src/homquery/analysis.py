@@ -23,26 +23,36 @@ from .structures import (
 CORE_GUARD = 7
 
 
-def components(s: Structure) -> list[list[int]]:
-    "The element lists of the connected components of the incidence multigraph."
-    adjacency: dict[int, set[int]] = {e: set() for e in s.domain}
-    for _, t in s.facts():
-        for a in t:
-            adjacency[a].update(t)
-    seen: set[int] = set()
+def components_of(domain_size: int, relations) -> list[list[int]]:
+    """
+    The element lists of the connected components of the incidence
+    multigraph of these relations (iterables of tuples) over 0..domain_size-1,
+    in ascending order of their least element, each list starting at it.
+    """
+    adjacency: list[set[int]] = [set() for _ in range(domain_size)]
+    for tuples in relations:
+        for t in tuples:
+            for a in t:
+                adjacency[a].update(t)
+    seen = [False] * domain_size
     out = []
-    for start in s.domain:
-        if start in seen:
+    for start in range(domain_size):
+        if seen[start]:
             continue
-        seen.add(start)
+        seen[start] = True
         component = [start]
         for v in component:
             for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
+                if not seen[w]:
+                    seen[w] = True
                     component.append(w)
         out.append(component)
     return out
+
+
+def components(s: Structure) -> list[list[int]]:
+    "The element lists of the connected components of the incidence multigraph."
+    return components_of(s.domain_size, s.relations.values())
 
 
 def component_count(s: Structure) -> int:

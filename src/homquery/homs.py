@@ -15,16 +15,26 @@ lookup tables over the target's relations, keyed on the images already
 fixed in each fact checked at its position, and intersected in ascending
 order.  Counts of components multiply.
 
+The target is split into parts: its components whose relations are equal
+once each is relabelled by its ascending elements are copies of one part.
+A source component is connected, so its count into a disjoint union is a
+weighted sum, hom(C, m_1 H_1 + ... + m_k H_k) = sum of m_i hom(C, H_i)
+(Lovasz, Large networks and graph limits, AMS 2012, ch. 5), and the search
+runs once per distinct part, however many copies the target holds.  A
+connected target is one part.
+
 The search is one flat loop over a stack of open positions, so Python's
 recursion limit puts no bound on source size.  find_hom runs it in
-ascending candidate order, stops at the first complete map (the
-lexicographically least one in that order) and caches only the frontier
-states that have no extension.  The budget is a count of candidate images
-tried, carried across components: past DEFAULT_BUDGET a call raises
-WorkBudgetExceeded.
-Plans are cached per source and tables per (target relation, mask), both
-keyed on relation contents and bounded at 1024 entries, so that a sweep of
-probes over a few dozen targets finds its tables still built.
+ascending candidate order over the parts in ascending order of their least
+element, stops at the first complete map (the lexicographically least one
+within the first part that has one, mapped back through that part's first
+copy) and caches only the frontier states that have no extension.  The
+budget is a count of candidate images tried, carried across components and
+summed over parts: past DEFAULT_BUDGET a call raises WorkBudgetExceeded.
+Plans are cached per source, parts per target and tables per (target
+relation, mask), all keyed on relation contents and bounded at 1024
+entries, so that a sweep of probes over a few dozen targets finds its
+parts and tables still built.
 
 The closed forms never run the search; property tests compare the two
 code paths.  They read a source's gamma and component count from a cache
@@ -38,7 +48,7 @@ from collections import defaultdict
 from functools import lru_cache
 from operator import itemgetter
 
-from .analysis import component_count, gamma, star_transform
+from .analysis import component_count, components_of, gamma, star_transform
 from .structures import Signature, SignatureMismatch, Structure, make_structure
 
 
@@ -118,10 +128,11 @@ def _plan(domain_size: int, relations: tuple[frozenset, ...]):
     return tuple(slots), tuple(components)
 
 
-# Tables are kept for a whole sweep of targets: in one round, count-large's 23
-# targets read 57 tables and decide's catalog probes about 400, and a bound
-# below that rebuilds tables on almost every probe.  A table is no larger than
-# its target relation, which its cache key holds anyway.
+# Tables and parts are kept for a whole sweep of targets: in one round,
+# count-large's 19 targets read 42 tables and decide's 276 about 490, and a
+# bound below that rebuilds them on almost every probe.  A table is no larger
+# than its target relation, which its cache key holds anyway; so are a
+# target's parts, which for a connected target are its own relations.
 TABLE_CACHE_SIZE = 1024
 
 
@@ -157,8 +168,8 @@ def _table(relation: frozenset, mask: int) -> dict:
 
 def _search(component, tables, domain: range, find: bool, used: int):
     """
-    (number of homomorphisms of one source component into the target whose
-    tables are given, images by position, used plus the candidates tried).
+    (number of homomorphisms of one source component into the target part
+    whose tables are given, images by position, used plus the candidates tried).
     With find set the number is 1 or 0, and on 1 the images are the first
     homomorphism found.
     """
@@ -229,6 +240,36 @@ def _search(component, tables, domain: range, find: bool, used: int):
             return n, img, used
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _parts(domain_size: int, relations: tuple[frozenset, ...]):
+    """
+    The distinct components of a target with these relations, in ascending
+    order of their least element: (domain, relations, elements, copies) for
+    each.  Components whose relations are equal once each is relabelled by
+    its ascending elements are copies of one part, which holds them so
+    relabelled; elements are those of its first copy, by new label.  A
+    connected target is one part that keeps its own relations.
+    """
+    found = components_of(domain_size, relations)
+    if len(found) == 1:
+        whole = range(domain_size)
+        return ((whole, relations, whole, 1),)
+    label, owner = [0] * domain_size, [0] * domain_size
+    for c, elements in enumerate(found):
+        elements.sort()
+        for i, e in enumerate(elements):
+            label[e], owner[e] = i, c
+    facts = [[set() for _ in relations] for _ in found]
+    for r, tuples in enumerate(relations):
+        for t in tuples:
+            facts[owner[t[0]]][r].add(tuple(map(label.__getitem__, t)))
+    copies: dict[tuple, list] = {}
+    for elements, rels in zip(found, facts):
+        copies.setdefault((len(elements), tuple(map(frozenset, rels))), []).append(elements)
+    return tuple((range(size), rels, tuple(same[0]), len(same))
+                 for (size, rels), same in copies.items())
+
+
 def _run(a: Structure, b: Structure, find: bool):
     "(hom count a -> b, and with find set one homomorphism as a dict, or None)."
     # most calls share one Signature object, and comparing its fields is slow
@@ -236,16 +277,25 @@ def _run(a: Structure, b: Structure, find: bool):
         raise SignatureMismatch("signature mismatch")
     names = a.signature.names
     needs, components = _plan(a.domain_size, tuple(map(a.relations.__getitem__, names)))
-    tables = [_table(b.relations[names[r]], mask) for r, mask in needs]
+    parts = [(domain, elements, copies, [_table(relations[r], mask) for r, mask in needs])
+             for domain, relations, elements, copies
+             in _parts(b.domain_size, tuple(map(b.relations.__getitem__, names)))]
     total, used = 1, 0
     witness = {} if find else None
     for component in components:
-        count, images, used = _search(component, tables, b.domain, find, used)
+        # a source component is connected, so its count into a disjoint union
+        # is the sum of its counts into the union's components
+        count = 0
+        for domain, elements, copies, tables in parts:
+            n, images, used = _search(component, tables, domain, find, used)
+            if find and n:
+                witness.update(zip(component[0], map(elements.__getitem__, images)))
+                count = 1
+                break
+            count += copies * n
         if not count:
             return 0, None
         total *= count
-        if find:
-            witness.update(zip(component[0], images))
     return total, witness
 
 

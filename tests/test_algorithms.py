@@ -215,10 +215,10 @@ def test_right_separator_weights_separate_every_class():
 
 def test_right_separator_table_matches_the_engine():
     # the table comes from the product law; the engine counts into F_n itself,
-    # on every class for n <= 2 and on a fixed sample of the 104 for n = 3
-    for n, step in [(1, 1), (2, 1), (3, 13)]:
+    # on every class of 1-3 vertices
+    for n in (1, 2, 3):
         separator, table = alg.right_separator(n)
-        items = sorted(table.items())[::step]
+        items = sorted(table.items())
         assert [hom_count(a, separator) for _, a in items] == [c for c, _ in items]
 
 

@@ -101,16 +101,22 @@ def test_budget_counts_each_candidate_image_tried(monkeypatch):
     # the least budget a call finishes within is the number of candidate
     # images it tries: each one at an inner position (memo hits too), all of
     # the last position's at once in a count and the first in a find, summed
-    # over the source's components
+    # over the source's components and, for each, over the target's distinct
+    # parts, so it does not grow with the number of copies of a part
     pair = complete_pair(DIGRAPH_SIG)
     in_star = digraph(3, {(1, 0), (2, 0)})
+    c2s = scalar_multiple(5000, directed_cycle(2))
+    assert hom_count(directed_cycle(4), c2s) == 10_000
     cases = [(hom_count, digraph(7, {(0, i) for i in range(1, 7)}), pair, 26),
              (hom_count, in_star, pair, 10),
              (find_hom, in_star, pair, 3),
              (find_hom, directed_cycle(6), directed_cycle(3), 6),
              (find_hom, directed_cycle(3), directed_cycle(6), 12),
              (hom_count, disjoint_union(directed_path(3), directed_cycle(2)),
-              directed_cycle(3), 15)]
+              directed_cycle(3), 15),
+             (hom_count, directed_cycle(4), c2s, 8),
+             (find_hom, directed_cycle(4), c2s, 4),
+             (find_hom, directed_cycle(3), c2s, 4)]
     for run, a, b, tried in cases:
         monkeypatch.setattr(homs, "DEFAULT_BUDGET", tried)
         run(a, b)
@@ -173,6 +179,63 @@ def test_engine_matches_oracle_on_every_catalog_pair():
             assert (w is not None) == (count > 0)
             if w is not None:
                 assert _is_hom(w, a, b)
+
+
+def _union_target_cases():
+    "(source, union target) pairs whose target repeats, orders or mixes its components."
+    c2, c3, p2 = directed_cycle(2), directed_cycle(3), directed_path(2)
+    dot = digraph(1, set())
+    # repeated components and an isolated element
+    repeated = disjoint_union(scalar_multiple(3, c2), disjoint_union(
+        dot, disjoint_union(c3, scalar_multiple(2, p2))))
+    # one edge each way round: isomorphic, but not equal by ascending labels
+    mirrored = digraph(4, {(0, 1), (3, 2)})
+    # the first part (C_2) has no hom from C_3, a later one (C_3) has
+    late = disjoint_union(scalar_multiple(2, c2), c3)
+    sources = [c2, c3, p2, directed_path(3), dot, digraph(2, set()),
+               directed_cycle(6), disjoint_union(p2, c3), digraph(3, {(0, 1), (2, 1)})]
+    for target in (repeated, mirrored, late):
+        yield from ((a, target) for a in sources)
+    sig = Signature((("P", 1), ("T", 3)))
+    tri = make_structure(sig, 3, {"P": {(0,)}, "T": {(0, 1, 2)}})
+    loop = make_structure(sig, 1, {"P": set(), "T": {(0, 0, 0)}})
+    bare = make_structure(sig, 2, {"P": {(1,)}, "T": set()})
+    mixed = disjoint_union(scalar_multiple(2, tri), disjoint_union(bare, loop))
+    for a in (tri, loop, bare, scalar_multiple(2, tri),
+              make_structure(sig, 2, {"P": {(0,)}, "T": {(0, 1, 1)}})):
+        yield a, mixed
+
+
+def test_engine_matches_oracle_on_union_targets():
+    for a, b in _union_target_cases():
+        count = hom_count(a, b)
+        assert count == oracle_hom_count(a, b), (a, b)
+        w = find_hom(a, b)
+        assert (w is None) == (count == 0), (a, b)
+        if w is not None:
+            assert _is_hom(w, a, b), (a, b, w)
+
+
+def test_target_parts_group_equal_relabelled_components():
+    def parts(b):
+        return [(len(domain), copies) for domain, _, _, copies
+                in homs._parts(b.domain_size, (b.relations["R"],))]
+
+    c2 = directed_cycle(2)
+    assert parts(directed_cycle(5)) == [(5, 1)]
+    assert parts(scalar_multiple(5000, c2)) == [(2, 5000)]
+    assert parts(disjoint_union(c2, disjoint_union(digraph(1, set()), c2))) == [(2, 2), (1, 1)]
+    assert parts(digraph(4, {(0, 1), (3, 2)})) == [(2, 1), (2, 1)]
+    # a connected target keeps its own relations
+    c5 = directed_cycle(5)
+    (_, relations, _, _), = homs._parts(5, (c5.relations["R"],))
+    assert relations[0] is c5.relations["R"]
+
+
+def test_find_hom_into_a_union_maps_into_the_first_part_with_a_hom():
+    # C_3 has no hom into C_2, so the witness lands in the copy of C_3 at 4-6
+    late = disjoint_union(scalar_multiple(2, directed_cycle(2)), directed_cycle(3))
+    assert find_hom(directed_cycle(3), late) == {0: 4, 1: 5, 2: 6}
 
 
 def test_deep_sources_run_past_the_recursion_limit():
