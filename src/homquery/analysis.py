@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import repeat
 
 from .structures import (
     Signature,
@@ -137,36 +138,45 @@ def star_transform(s: Structure) -> Structure:
 def induced_substructure(s: Structure, keep) -> Structure:
     "Substructure on the element subset keep, relabeled to 0..|keep|-1."
     keep = sorted(set(keep))
-    index = {e: i for i, e in enumerate(keep)}
-    rels = {name: {tuple(index[e] for e in t) for t in ts
-                   if all(e in index for e in t)}
+    index = [-1] * s.domain_size
+    for i, e in enumerate(keep):
+        index[e] = i
+    # one pass per relation: relabel each tuple in C, drop those that lost an element
+    relabel = repeat(index.__getitem__)
+    rels = {name: frozenset([t for t in map(tuple, map(map, relabel, ts)) if -1 not in t])
             for name, ts in s.relations.items()}
-    return make_structure(s.signature, len(keep), rels)
+    return Structure(s.signature, len(keep), rels)
 
 
 def core(s: Structure) -> Structure:
     """
-    A minimal retract: repeatedly find an endomorphism missing some element
-    and restrict to the induced image, until none exists.  Returned in
-    canonical form (cores are unique up to isomorphism, so the retract
-    found does not matter).
+    The core of s (Hell and Nesetril, The core of a graph, Discrete Math.
+    1992): a minimal retract, returned in canonical form (cores are unique
+    up to isomorphism, so the retract found does not matter).
+
+    The elements of the current stage A are tried in ascending order: a
+    hom A -> A - v is searched for, and on a witness A shrinks to the
+    substructure induced by its image.  An element once refuted is not
+    tried again.  If A has no hom to A - v, then v is in the image of every
+    endomorphism of A, which would otherwise be such a hom.  A later stage
+    A' holds the image of an endomorphism of A (the witnesses composed), so
+    v is in A'; and A' has no hom to A' - v either, since composed with the
+    witnesses from A to A' it would give a hom A -> A - v.  Relabelling
+    keeps the order, so the refuted elements stay the elements below the
+    next one to try.  The searches are thus |core| refutations (none for a
+    one-element core) plus one per retraction.
     """
     from .homs import find_hom  # deferred: homs imports analysis for the closed forms
 
     check_guard("core guard: |s|", s.domain_size, CORE_GUARD)
-    current = s
-    shrunk = True
-    while shrunk and current.domain_size > 1:
-        shrunk = False
-        for drop in current.domain:
-            keep = [e for e in current.domain if e != drop]
-            target = induced_substructure(current, keep)
-            witness = find_hom(current, target)
-            if witness is not None:
-                image = {keep[witness[e]] for e in current.domain}
-                current = induced_substructure(current, image)
-                shrunk = True
-                break
+    current, drop = s, 0
+    while 1 < current.domain_size and drop < current.domain_size:
+        keep = [e for e in current.domain if e != drop]
+        witness = find_hom(current, induced_substructure(current, keep))
+        if witness is None:
+            drop += 1
+        else:
+            current = induced_substructure(current, map(keep.__getitem__, witness.values()))
     return canonical_form(current)
 
 

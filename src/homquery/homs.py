@@ -21,7 +21,9 @@ A source component is connected, so its count into a disjoint union is a
 weighted sum, hom(C, m_1 H_1 + ... + m_k H_k) = sum of m_i hom(C, H_i)
 (Lovasz, Large networks and graph limits, AMS 2012, ch. 5), and the search
 runs once per distinct part, however many copies the target holds.  A
-connected target is one part.
+connected target is one part.  A source component that reads a table
+which is empty for a part, such as a relation the part lacks, counts 0
+into that part without a search.
 
 The search is one flat loop over a stack of open positions, so Python's
 recursion limit puts no bound on source size.  find_hom runs it in
@@ -74,7 +76,9 @@ def _plan(domain_size: int, relations: tuple[frozenset, ...]):
 
     Returns (needs, components).  needs lists the (relation index, mask)
     tables the plan reads; mask marks the tuple positions that hold the
-    element being placed.  Each component is (order, frontier, checks):
+    element being placed.  components pairs each component with the table
+    slots (indices into needs) that it reads.  A component is (order,
+    frontier, checks):
     order is its BFS element order; frontier[i] gives the key of the
     frontier's images at position i, or None where every earlier element
     is still read, so that no two partial maps share a key and caching
@@ -123,8 +127,9 @@ def _plan(domain_size: int, relations: tuple[frozenset, ...]):
             # an element still read at i is i - 1 or was still read at i - 1
             live = [p for p in live + [i - 1] if last_read[c][p] >= i]
             frontier.append(None if len(live) == i else itemgetter(*live))
-        components.append((tuple(order), tuple(frontier),
-                           tuple(tuple(at) for at in checks[c])))
+        reads = tuple(sorted({slot for at in checks[c] for slot, _ in at}))
+        components.append(((tuple(order), tuple(frontier),
+                            tuple(tuple(at) for at in checks[c])), reads))
     return tuple(slots), tuple(components)
 
 
@@ -277,16 +282,22 @@ def _run(a: Structure, b: Structure, find: bool):
         raise SignatureMismatch("signature mismatch")
     names = a.signature.names
     needs, components = _plan(a.domain_size, tuple(map(a.relations.__getitem__, names)))
-    parts = [(domain, elements, copies, [_table(relations[r], mask) for r, mask in needs])
-             for domain, relations, elements, copies
-             in _parts(b.domain_size, tuple(map(b.relations.__getitem__, names)))]
+    parts = []
+    for domain, relations, elements, copies in _parts(
+            b.domain_size, tuple(map(b.relations.__getitem__, names))):
+        tables = [_table(relations[r], mask) for r, mask in needs]
+        # with no table empty, no component skips the part
+        parts.append((domain, elements, copies, tables, all(tables)))
     total, used = 1, 0
     witness = {} if find else None
-    for component in components:
+    for component, slots in components:
         # a source component is connected, so its count into a disjoint union
         # is the sum of its counts into the union's components
         count = 0
-        for domain, elements, copies, tables in parts:
+        for domain, elements, copies, tables, full in parts:
+            if not full and not all(map(tables.__getitem__, slots)):
+                # a fact of this component has no image in this part
+                continue
             n, images, used = _search(component, tables, domain, find, used)
             if find and n:
                 witness.update(zip(component[0], map(elements.__getitem__, images)))

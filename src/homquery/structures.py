@@ -245,7 +245,8 @@ def _refine(colours: list[int], incidence) -> list[int]:
     first, so the result depends on labels only through the input colours.
     """
     while True:
-        signatures = [(colours[e], tuple(sorted((r, i, tuple(colours[x] for x in t))
+        colour = colours.__getitem__
+        signatures = [(colours[e], tuple(sorted((r, i, tuple(map(colour, t)))
                                                 for r, i, t in slots)))
                       for e, slots in enumerate(incidence)]
         ranks = {sig: k for k, sig in enumerate(sorted(set(signatures)))}
@@ -285,7 +286,8 @@ def canonical_key(s: Structure) -> tuple:
     while nodes:
         colours = _refine(nodes.pop(), incidence)
         if len(set(colours)) == s.domain_size:
-            key = tuple(tuple(sorted(tuple(colours[e] for e in t) for t in ts)) for ts in rels)
+            relabel = itertools.repeat(colours.__getitem__)
+            key = tuple(tuple(sorted(map(tuple, map(map, relabel, ts)))) for ts in rels)
             best = key if best is None or key < best else best
             continue
         split = min(c for c, k in collections.Counter(colours).items() if k > 1)

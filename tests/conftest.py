@@ -11,8 +11,8 @@ from homquery.experiments import (
     experiment_nary,
     experiment_unbounded_boolean,
 )
-from homquery.homs import hom_count
-from homquery.structures import Structure, digraph, edges_of, make_structure
+from homquery.homs import find_hom, hom_count
+from homquery.structures import Structure, canonical_form, digraph, edges_of, make_structure
 
 
 @st.composite
@@ -30,6 +30,31 @@ def relabel(s: Structure, perm) -> Structure:
     rels = {name: {tuple(perm[e] for e in t) for t in ts}
             for name, ts in s.relations.items()}
     return make_structure(s.signature, s.domain_size, rels)
+
+
+def core_reference(s: Structure) -> Structure:
+    """
+    The plain retraction loop: try to drop each element in turn, restrict to
+    the image of the first endomorphism that misses one, and start over from
+    the first element until none is missed.  In canonical form.
+    """
+    def without(a: Structure, keep: list[int]) -> Structure:
+        index = {e: i for i, e in enumerate(keep)}
+        rels = {name: {tuple(index[e] for e in t) for t in ts if all(e in index for e in t)}
+                for name, ts in a.relations.items()}
+        return make_structure(a.signature, len(keep), rels)
+
+    current, shrunk = s, True
+    while shrunk and current.domain_size > 1:
+        shrunk = False
+        for drop in current.domain:
+            keep = [e for e in current.domain if e != drop]
+            witness = find_hom(current, without(current, keep))
+            if witness is not None:
+                current = without(current, sorted({keep[witness[e]] for e in current.domain}))
+                shrunk = True
+                break
+    return canonical_form(current)
 
 
 def digraph_to_mask(d: Structure, perm=None) -> int:

@@ -1,7 +1,11 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_digraphs
+from conftest import core_reference, count_calls, small_digraphs
+from homquery import homs
 from homquery.analysis import (
     component_count,
     core,
@@ -10,12 +14,14 @@ from homquery.analysis import (
     is_berge_acyclic,
     star_transform,
 )
+from homquery.catalog import enumerate_digraphs
 from homquery.homs import hom_exists
 from homquery.oracle import oracle_gamma, oracle_hom_count
 from homquery.structures import (
     DIGRAPH_SIG,
     GuardExceeded,
     Signature,
+    Structure,
     digraph,
     directed_cycle,
     directed_path,
@@ -26,6 +32,28 @@ from homquery.structures import (
     n_ary_cycle,
     scalar_multiple,
 )
+
+PLANTED_SHAPES = [(3, 2), (4, 2), (5, 1), (4, 3), (5, 2), (6, 1)]
+
+
+def planted_core(rng: random.Random, core_size: int, twins: int) -> Structure:
+    """
+    A random tournament on core_size vertices plus twins copies of its
+    vertices (each with its original's in- and out-neighbours), vertices
+    shuffled.  A loopless tournament is a core, so it is the core of the
+    whole.
+    """
+    n = core_size + twins
+    tournament = {(u, v) if rng.random() < 0.5 else (v, u)
+                  for u in range(core_size) for v in range(u + 1, core_size)}
+    edges = set(tournament)
+    for x in range(core_size, n):
+        original = rng.randrange(core_size)
+        edges |= {(x, v) for u, v in tournament if u == original}
+        edges |= {(u, x) for u, v in tournament if v == original}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return digraph(n, {(perm[u], perm[v]) for u, v in edges})
 
 
 def test_component_count():
@@ -116,6 +144,61 @@ def test_core_is_hom_equivalent_and_minimal(s):
     assert hom_exists(c, s) and hom_exists(s, c)
     # no proper retraction: re-running the core search does not shrink it
     assert core(c).domain_size == c.domain_size
+
+
+def _core_reference_inputs():
+    "Catalog classes, seeded digraphs with loops, planted cores and a ternary structure."
+    for n in (1, 2, 3):
+        yield from enumerate_digraphs(n).representatives
+    yield from enumerate_digraphs(4).representatives[::7]
+    rng = random.Random(20)
+    for _ in range(200):
+        n = rng.randint(5, 7)
+        density = rng.choice((0.2, 0.35, 0.5))
+        # loops are rare: one makes the core a single loop
+        yield digraph(n, {(u, v) for u, v in itertools.product(range(n), repeat=2)
+                          if rng.random() < (0.03 if u == v else density)})
+    for shape in PLANTED_SHAPES * 4:
+        yield planted_core(rng, *shape)
+    ternary = Signature((("T", 3), ("P", 1)))
+    yield make_structure(ternary, 6, {"T": {(0, 1, 2), (3, 4, 5), (1, 2, 0), (4, 5, 3), (2, 2, 2)},
+                                      "P": {(0,), (3,), (5,)}})
+    yield make_structure(ternary, 5, {"T": {(0, 1, 2), (0, 3, 4), (2, 0, 1)}, "P": {(2,)}})
+
+
+def test_core_matches_the_reference_loop():
+    for s in _core_reference_inputs():
+        assert core(s) == core_reference(s), s
+
+
+def test_core_tries_each_refuted_element_once(monkeypatch):
+    found = []
+    find = homs.find_hom
+
+    def recorded(a, b):
+        w = find(a, b)
+        found.append(w is not None)
+        return w
+
+    monkeypatch.setattr(homs, "find_hom", recorded)
+    calls = count_calls(monkeypatch, recorded)
+    rng = random.Random(3)
+    for shape in PLANTED_SHAPES:
+        s = planted_core(rng, *shape)
+        calls[0], found[:] = 0, []
+        c = core(s)
+        # one refutation per element of the core, one search per retraction
+        assert c.domain_size == shape[0]
+        assert calls[0] == c.domain_size + sum(found), s
+    # a directed path is a core: each element refuted once, no retraction
+    calls[0] = 0
+    core(directed_path(6))
+    assert calls[0] == 7
+    # two refutations in C_2, then C_4 retracts onto C_2 (5 calls when the
+    # refuted elements were searched again after the retraction)
+    calls[0] = 0
+    assert isomorphic(core(disjoint_union(directed_cycle(2), directed_cycle(4))), directed_cycle(2))
+    assert calls[0] == 3
 
 
 def test_hom_equiv_to_acyclic():

@@ -116,7 +116,9 @@ def test_budget_counts_each_candidate_image_tried(monkeypatch):
               directed_cycle(3), 15),
              (hom_count, directed_cycle(4), c2s, 8),
              (find_hom, directed_cycle(4), c2s, 4),
-             (find_hom, directed_cycle(3), c2s, 4)]
+             (find_hom, directed_cycle(3), c2s, 4),
+             # K_1 has no edge, so C_3 tries no image in it: only P_2 is searched
+             (find_hom, directed_cycle(3), disjoint_union(digraph(1, set()), directed_path(2)), 5)]
     for run, a, b, tried in cases:
         monkeypatch.setattr(homs, "DEFAULT_BUDGET", tried)
         run(a, b)
@@ -196,12 +198,17 @@ def _union_target_cases():
                directed_cycle(6), disjoint_union(p2, c3), digraph(3, {(0, 1), (2, 1)})]
     for target in (repeated, mirrored, late):
         yield from ((a, target) for a in sources)
+    # each source component reads a table that is empty for the other's part
+    # (a loop has none in P_1): a part is skipped only for the component
+    # that reads the empty table
+    loop_and_edge = disjoint_union(directed_cycle(1), directed_path(1))
+    yield loop_and_edge, loop_and_edge
     sig = Signature((("P", 1), ("T", 3)))
     tri = make_structure(sig, 3, {"P": {(0,)}, "T": {(0, 1, 2)}})
     loop = make_structure(sig, 1, {"P": set(), "T": {(0, 0, 0)}})
     bare = make_structure(sig, 2, {"P": {(1,)}, "T": set()})
     mixed = disjoint_union(scalar_multiple(2, tri), disjoint_union(bare, loop))
-    for a in (tri, loop, bare, scalar_multiple(2, tri),
+    for a in (tri, loop, bare, scalar_multiple(2, tri), disjoint_union(bare, loop),
               make_structure(sig, 2, {"P": {(0,)}, "T": {(0, 1, 1)}})):
         yield a, mixed
 
