@@ -151,11 +151,15 @@ class CycleFamilySpec:
             raise ParameterError(f"parity must be {EVEN} or {ODD}, got {self.parity!r}")
 
 
+def dn_member(n: int, m: int) -> Structure:
+    "2^(n-m) copies of C_{2^m}, the family's member for m <= n."
+    return scalar_multiple(2 ** (n - m), directed_cycle(2 ** m))
+
+
 def dn_family(spec: CycleFamilySpec) -> tuple[Structure, ...]:
-    "The structures (2^(n-m) copies of C_{2^m}) for m <= n of the given parity."
+    "The members dn_member(n, m) for m <= n of the given parity."
     wanted = 0 if spec.parity == EVEN else 1
-    return tuple(scalar_multiple(2 ** (spec.n - m), directed_cycle(2 ** m))
-                 for m in range(spec.n + 1) if m % 2 == wanted)
+    return tuple(dn_member(spec.n, m) for m in range(spec.n + 1) if m % 2 == wanted)
 
 
 def _dn_answer_vector(n: int, m: int) -> tuple[int, ...]:
@@ -392,7 +396,8 @@ def unbounded_boolean_cycle_detector() -> Strategy:
     """
     Left Boolean strategy: round r queries P_r then C_r; halt NO when a
     path answer is 0 (no walk that long, so no cycle), halt YES when a
-    cycle answer is 1.  Halts within 2(|A|+1) queries.
+    cycle answer is 1.  Halts within 2|A| queries: NO by P_|A| (a walk of
+    |A| edges repeats an element), YES by the shortest cycle.
     """
     return _paths_then_cycles(1)
 

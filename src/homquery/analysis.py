@@ -28,7 +28,8 @@ def components_of(domain_size: int, relations) -> list[list[int]]:
     """
     The element lists of the connected components of the incidence
     multigraph of these relations (iterables of tuples) over 0..domain_size-1,
-    in ascending order of their least element, each list starting at it.
+    in ascending order of their least element; each lists a BFS from it that
+    visits neighbours in ascending order, the order homs._plan searches in.
     """
     adjacency: list[set[int]] = [set() for _ in range(domain_size)]
     for tuples in relations:
@@ -43,7 +44,7 @@ def components_of(domain_size: int, relations) -> list[list[int]]:
         seen[start] = True
         component = [start]
         for v in component:
-            for w in adjacency[v]:
+            for w in sorted(adjacency[v]):
                 if not seen[w]:
                     seen[w] = True
                     component.append(w)

@@ -11,7 +11,8 @@ Rule text format, one rule per line:
 
 Equality atoms relate two variables; the goal predicate is a nullary
 `Ans()` (case-insensitive name).  Every head variable must occur in the
-body (equality atoms count as occurrences).
+body (equality atoms count as occurrences).  Equalities cost nothing at
+run time: a rule is compiled with the variables they join renamed to one.
 """
 
 from __future__ import annotations
@@ -183,19 +184,8 @@ class _Probe:
 
 
 @dataclass(frozen=True)
-class _Equality:
-    """
-    An equality atom: with both sides bound it filters (slots i, j); with
-    one bound it copies slot i; with neither it binds `new` fresh slots
-    (one or two) to each domain element.
-    """
-    slots: tuple[int, ...]
-    new: int
-
-
-@dataclass(frozen=True)
 class _Plan:
-    "One rule variant: join steps in order, then the head projection."
+    "One rule variant: join steps (a probe, or None for a domain step), then the projection."
     head: str
     steps: tuple
     project: object                         # binding -> head tuple
@@ -226,14 +216,8 @@ def _edb_index(relation: frozenset, shape) -> dict:
     return _index(relation, shape)
 
 
-def _atom_step(atom: Atom, source: str, slot: dict[str, int], index_ids: dict):
-    "The step for one body atom; extends `slot` with the variables it binds."
-    if atom.predicate == EQ:
-        bound = tuple(slot[v] for v in atom.variables if v in slot)
-        fresh = [v for v in dict.fromkeys(atom.variables) if v not in slot]
-        for v in fresh:
-            slot[v] = len(slot)
-        return _Equality(bound, len(fresh))
+def _atom_step(atom: Atom, source: str, slot: dict[str, int], index_ids: dict) -> _Probe:
+    "The probe for one relation atom; extends `slot` with the variables it binds."
     key_positions, key_slots, out_positions, repeats = [], [], [], []
     first: dict[str, int] = {}
     for pos, v in enumerate(atom.variables):
@@ -254,30 +238,42 @@ def _atom_step(atom: Atom, source: str, slot: dict[str, int], index_ids: dict):
 
 def _plan(rule: Rule, delta: int | None, idb, index_ids: dict) -> _Plan:
     """
-    Join order: the delta atom (if any) first, then greedily the atom
-    with no unbound variable, else the one with the most bound variables;
-    an equality with neither side bound, which enumerates the domain,
-    comes last.
+    Each class of variables the equalities join is renamed to its first
+    member (Chandra and Merlin, STOC 1977).  Join order over the relation
+    atoms: the delta atom (if any) first, then greedily the atom with no
+    unbound variable, else the one with the most bound variables.  A head
+    variable no relation atom binds then gets a domain step; a class with
+    neither kind of variable is dropped, sound as domains are non-empty.
     """
+    classes: dict[str, list[str]] = {}
+    for atom in rule.body:
+        if atom.predicate == EQ:
+            x, y = (classes.setdefault(v, [v]) for v in atom.variables)
+            if x is not y:
+                x.extend(y)
+                classes.update(dict.fromkeys(y, x))
+    name = lambda v: classes[v][0] if v in classes else v
+    body = [Atom(atom.predicate, tuple(map(name, atom.variables))) for atom in rule.body]
     slot: dict[str, int] = {}
-    remaining = list(range(len(rule.body)))
+    remaining = [i for i, atom in enumerate(body) if atom.predicate != EQ]
 
     def priority(i):
-        atom = rule.body[i]
-        bound = {v for v in atom.variables if v in slot}
-        unbound = set(atom.variables) - bound
-        if atom.predicate == EQ and not bound:
-            return (False, -1, 0)
+        bound = {v for v in body[i].variables if v in slot}
+        unbound = set(body[i].variables) - bound
         return (not unbound, len(bound), -len(unbound))
 
     steps = []
     while remaining:
         i = delta if delta in remaining else max(remaining, key=priority)
         remaining.remove(i)
-        atom = rule.body[i]
-        source = DELTA if i == delta else FULL if atom.predicate in idb else EDB
-        steps.append(_atom_step(atom, source, slot, index_ids))
-    head_slots = tuple(slot[v] for v in rule.head.variables)
+        source = DELTA if i == delta else FULL if body[i].predicate in idb else EDB
+        steps.append(_atom_step(body[i], source, slot, index_ids))
+    head = tuple(map(name, rule.head.variables))
+    for v in head:
+        if v not in slot:
+            slot[v] = len(slot)
+            steps.append(None)
+    head_slots = tuple(map(slot.__getitem__, head))
     return _Plan(rule.head.predicate, tuple(steps), _tuple_getter(head_slots))
 
 
@@ -311,17 +307,11 @@ def _fire(plans, relation, domain, goal) -> dict[str, set]:
     for plan in plans:
         bindings = [()]
         for step in plan.steps:
-            if step.__class__ is _Probe:
+            if step is not None:
                 get, key = relation(step).get, step.probe_key
                 bindings = [b + o for b in bindings for o in get(key(b), ())]
-            elif len(step.slots) == 2:
-                i, j = step.slots
-                bindings = [b for b in bindings if b[i] == b[j]]
-            elif step.slots:
-                i, = step.slots
-                bindings = [b + (b[i],) for b in bindings]
             else:
-                bindings = [b + (x,) * step.new for b in bindings for x in domain]
+                bindings = [b + (x,) for b in bindings for x in domain]
             if not bindings:
                 break
         else:

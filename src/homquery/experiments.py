@@ -26,7 +26,6 @@ from .query import run_non_adaptive
 from .registry import run_registered
 from .structures import (
     Signature,
-    Structure,
     check_guard,
     digraph,
     directed_cycle,
@@ -95,10 +94,6 @@ def experiment_cycle_formula(max_vertices: int = 4, max_m: int = 3,
     return report
 
 
-def _power_cycle_member(n: int, m: int) -> Structure:
-    return scalar_multiple(2 ** (n - m), directed_cycle(2 ** m))
-
-
 DN_GUARD = 6
 
 
@@ -111,7 +106,7 @@ def experiment_dn(n: int) -> ExperimentReport:
     _check_positive(n=n)
     check_guard("experiment_dn guard: n", n, DN_GUARD)
     report = ExperimentReport("dn", {"n": n})
-    members = [(m, _power_cycle_member(n, m)) for m in range(n + 1)]
+    members = [(m, alg.dn_member(n, m)) for m in range(n + 1)]
     separator = alg.dn_nonadaptive_separator(n)
     max_queries = n.bit_length()  # ceil(log2(n+1))
 
@@ -292,7 +287,7 @@ def experiment_unbounded_boolean(max_vertices: int = 4) -> ExperimentReport:
         rep = run_registered("ub-bool-cycle", d)
         if rep.verdict != truth_cycle:
             left_bad += 1
-        if rep.query_count > 2 * (n + 1):
+        if rep.query_count > 2 * n:
             left_bound_ok = False
 
         rep = run_registered("ub-bool-netcycle", d)

@@ -3,17 +3,17 @@ Homomorphism counting and existence between finite relational structures,
 plus the closed-form counts into disjoint unions of (n-ary) cycles.
 
 The general engine is exact (Python integers).  It is a dynamic program
-over the source's elements, taken component by component in BFS order
-(adjacency = shared facts); a fact is checked at the position of its last
-element.  The *frontier* of a position is the set of earlier elements that
-facts checked there or later still read.  The number of ways to extend a
-partial map from a position on depends only on the frontier's images, so
-it is computed once per frontier image tuple and cached: variable
-elimination along the order (Diaz, Serna and Thilikos, TCS 2002; Dalmau
-and Jonsson, TCS 2004).  The images an element may take are read from
-lookup tables over the target's relations, keyed on the images already
-fixed in each fact checked at its position, and intersected in ascending
-order.  Counts of components multiply.
+over the source's elements, taken component by component in the BFS order
+of analysis.components_of (adjacency = shared facts); a fact is checked at
+the position of its last element.  The *frontier* of a position is the set
+of earlier elements that facts checked there or later still read.  The
+number of ways to extend a partial map from a position on depends only on
+the frontier's images, so it is computed once per frontier image tuple and
+cached: variable elimination along the order (Diaz, Serna and Thilikos,
+TCS 2002; Dalmau and Jonsson, TCS 2004).  The images an element may take
+are read from lookup tables over the target's relations, keyed on the
+images already fixed in each fact checked at its position, and intersected
+in ascending order.  Counts of components multiply.
 
 The target is split into parts: its components whose relations are equal
 once each is relabelled by its ascending elements are copies of one part.
@@ -79,32 +79,18 @@ def _plan(domain_size: int, relations: tuple[frozenset, ...]):
     element being placed.  components pairs each component with the table
     slots (indices into needs) that it reads.  A component is (order,
     frontier, checks):
-    order is its BFS element order; frontier[i] gives the key of the
-    frontier's images at position i, or None where every earlier element
-    is still read, so that no two partial maps share a key and caching
-    would only cost memory; checks[i] lists (table slot, key of the fixed
-    images) for each fact checked at position i.
+    order is its element order, components_of's BFS; frontier[i] gives
+    the key of the frontier's images at position i, or None where every
+    earlier element is still read, so that no two partial maps share a key
+    and caching would only cost memory; checks[i] lists (table slot, key of
+    the fixed images) for each fact checked at position i.
     """
     facts = [(r, t) for r, tuples in enumerate(relations) for t in sorted(tuples)]
-    adjacency: list[set[int]] = [set() for _ in range(domain_size)]
-    for _, t in facts:
-        for e in t:
-            adjacency[e].update(t)
-    position: list[int | None] = [None] * domain_size
-    component_of = [0] * domain_size
-    orders: list[list[int]] = []
-    for start in range(domain_size):
-        if position[start] is not None:
-            continue
-        order = [start]
-        position[start] = 0
-        for v in order:
-            component_of[v] = len(orders)
-            for w in sorted(adjacency[v]):
-                if position[w] is None:
-                    position[w] = len(order)
-                    order.append(w)
-        orders.append(order)
+    orders = components_of(domain_size, relations)
+    position, component_of = [0] * domain_size, [0] * domain_size
+    for c, order in enumerate(orders):
+        for i, v in enumerate(order):
+            position[v], component_of[v] = i, c
 
     slots: dict[tuple[int, int], int] = {}
     checks: list[list[list]] = [[[] for _ in order] for order in orders]
@@ -133,8 +119,9 @@ def _plan(domain_size: int, relations: tuple[frozenset, ...]):
     return tuple(slots), tuple(components)
 
 
-# Tables and parts are kept for a whole sweep of targets: in one round,
-# count-large's 19 targets read 42 tables and decide's 276 about 490, and a
+# Tables and parts are kept for a whole sweep of targets: with seed 1, a
+# count-large round reads 42 tables over 19 targets, and decide's first round
+# 474 over 270 (328 over 185 once its algorithms' own caches are warm); a
 # bound below that rebuilds them on almost every probe.  A table is no larger
 # than its target relation, which its cache key holds anyway; so are a
 # target's parts, which for a connected target are its own relations.

@@ -8,6 +8,7 @@ from conftest import core_reference, count_calls, small_digraphs
 from homquery import homs
 from homquery.analysis import (
     component_count,
+    components_of,
     core,
     gamma,
     hom_equiv_to_acyclic,
@@ -64,6 +65,12 @@ def test_component_count():
     for n, m in [(2, 0), (3, 1), (3, 3)]:
         member = scalar_multiple(2 ** (n - m), directed_cycle(2 ** m))
         assert component_count(member) == 2 ** (n - m)
+
+
+def test_components_list_their_bfs_order_with_ascending_neighbours():
+    # 2's neighbours 9 and 3 are visited in ascending order, not set order
+    # (9 before 3 in a set of this size); homs._plan searches in this order
+    assert components_of(10, [{(2, 9), (2, 3), (3, 4), (9, 4)}])[2] == [2, 3, 9, 4]
 
 
 @given(small_digraphs(max_vertices=3), small_digraphs(max_vertices=3))

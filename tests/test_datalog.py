@@ -48,6 +48,16 @@ F(a, b) :- R(a, c), c = b.
 G(a) :- F(a, b), P(b), a = b.
 Ans() :- G(a), E(a, b), Q(b).
 """,
+    # equalities compiled to renamings: a chain a = b, b = c binds the head
+    # variable c only through a; d = d is a self-equality whose class holds
+    # no head or relation variable; in F, x = y and u = v join two classes,
+    # y = v merges them, x = u finds them already merged, and t = y merges
+    # the merged class into t's
+    "equality-classes": """\
+E(a, c) :- P(a), a = b, b = c, d = d.
+F(x, w) :- P(x), Q(u), R(v, w), x = y, u = v, y = v, x = u, t = y.
+Ans() :- E(a, b), F(b, c), R(c, a).
+""",
     # a repeated variable in an EDB and in an IDB atom, one IDB predicate
     # twice in a body, and a body of EDB atoms only
     "loops": """\
@@ -306,6 +316,12 @@ def test_reference_programs_frozen_cases():
     assert evaluate(programs["equalities"], looped)
     assert not evaluate(programs["equalities"], make_structure(
         RPQ_SIG, 2, {"R": {(0, 1)}, "P": {(0,), (1,)}, "Q": {(0,), (1,)}}))
+    # the goal needs a P and Q element on an R-cycle of length 2 or 1: F's
+    # R(v, w) starts at the element, not at any R-predecessor of w
+    assert evaluate(programs["equality-classes"], make_structure(
+        RPQ_SIG, 2, {"R": {(0, 1), (1, 0)}, "P": {(0,)}, "Q": {(0,)}}))
+    assert not evaluate(programs["equality-classes"], make_structure(
+        RPQ_SIG, 2, {"R": {(1, 0), (1, 1)}, "P": {(0,)}, "Q": {(0,)}}))
 
 
 def test_a_round_ends_once_the_goal_holds(monkeypatch):

@@ -6,7 +6,8 @@ from conftest import (
     nary_report,
     unbounded_boolean_report,
 )
-from homquery.algorithms import ParameterError
+from homquery import registry
+from homquery.algorithms import ParameterError, unbounded_boolean_cycle_detector
 from homquery.experiments import (
     EXPERIMENTS,
     ExperimentReport,
@@ -16,6 +17,8 @@ from homquery.experiments import (
     experiment_nary,
     experiment_unbounded_boolean,
 )
+from homquery.query import Query
+from homquery.structures import directed_path
 
 DN_3_TEXT = """\
 experiment: dn
@@ -217,3 +220,20 @@ def test_reports_match_frozen_text():
     assert nary_report().render() == NARY_TEXT
     assert experiment_dn(6).render() == DN_6_TEXT
     assert experiment_adaptive_not_better(k=2).render() == ADAPTIVE_NOT_BETTER_2_TEXT
+
+
+def test_left_detector_bound_fails_a_detector_two_queries_longer(monkeypatch):
+    # the check is 2|A| queries, two below ub-bool-cycle's step cap
+    # 2(|A|+1): a detector padded by two queries stays under the cap, and
+    # fails the check on the loop, where the detector alone takes all 2|A|
+    detector = unbounded_boolean_cycle_detector()
+
+    def padded(t):
+        return Query(directed_path(0)) if len(t) < 2 else detector(t[2:])
+
+    built = registry._built
+    monkeypatch.setattr(registry, "_built", lambda name, params:
+                        padded if name == "ub-bool-cycle" else built(name, params))
+    rows = dict(experiment_unbounded_boolean(1).rows)
+    assert rows["left-detector-correct"] == "ok"
+    assert rows["left-detector-within-bound"] == "FAILED"

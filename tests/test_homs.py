@@ -118,7 +118,10 @@ def test_budget_counts_each_candidate_image_tried(monkeypatch):
              (find_hom, directed_cycle(4), c2s, 4),
              (find_hom, directed_cycle(3), c2s, 4),
              # K_1 has no edge, so C_3 tries no image in it: only P_2 is searched
-             (find_hom, directed_cycle(3), disjoint_union(digraph(1, set()), directed_path(2)), 5)]
+             (find_hom, directed_cycle(3), disjoint_union(digraph(1, set()), directed_path(2)), 5),
+             # placed in the order 0, 2, 9, 3 (BFS over ascending neighbours);
+             # the order 0, 9, 2, 3 would try 26
+             (hom_count, digraph(10, {(0, 9), (2, 0), (2, 3)}), pair, 30)]
     for run, a, b, tried in cases:
         monkeypatch.setattr(homs, "DEFAULT_BUDGET", tried)
         run(a, b)
