@@ -30,12 +30,10 @@ from .structures import (
     Signature,
     Structure,
     check_guard,
-    digraph,
     directed_cycle,
     directed_path,
     complete_pair,
     disjoint_union,
-    make_structure,
     scalar_multiple,
 )
 
@@ -52,7 +50,7 @@ class ParameterError(ValueError):
     "A parameter is outside the range its construction or experiment accepts."
 
 
-EDGELESS_SINGLETON = digraph(1, set())
+EDGELESS_SINGLETON = directed_path(0)
 
 
 def cycle_detector_2query() -> Strategy:
@@ -242,8 +240,8 @@ def predicate_subsets(sig: Signature) -> tuple[tuple[str, ...], ...]:
 def unary_singleton(sig: Signature, subset) -> Structure:
     "One element satisfying exactly the predicates in subset."
     subset = set(subset)
-    return make_structure(sig, 1, {name: ({(0,)} if name in subset else set())
-                                   for name in sig.names})
+    return Structure._trusted(sig, 1, {name: [(0,)] if name in subset else []
+                                       for name in sig.names})
 
 
 def reconstruct_unary_counts(sig: Signature, answers) -> dict[tuple[str, ...], int]:
@@ -279,7 +277,7 @@ def _unary_structure(sig: Signature, subsets, answers) -> Structure:
             for name in subset:
                 rels[name].add((element,))
             element += 1
-    return make_structure(sig, max(total, 1), rels)
+    return Structure._trusted(sig, max(total, 1), rels)
 
 
 def unary_full_decider(sig: Signature, predicate) -> NonAdaptiveAlgorithm:

@@ -10,14 +10,7 @@ import math
 from collections import deque
 from itertools import repeat
 
-from .structures import (
-    Signature,
-    Structure,
-    canonical_form,
-    check_guard,
-    edges_of,
-    make_structure,
-)
+from .structures import DIGRAPH_SIG, Structure, canonical_form, check_guard, edges_of
 
 
 # core's size guard, which hom_equiv_to_acyclic reaches through core
@@ -133,7 +126,7 @@ def star_transform(s: Structure) -> Structure:
     for t in s.relations[name]:
         for i in range(arity - 1):
             edges.add((t[i], t[i + 1]))
-    return make_structure(Signature((("R", 2),)), s.domain_size, {"R": edges})
+    return Structure._trusted(DIGRAPH_SIG, s.domain_size, {"R": edges})
 
 
 def induced_substructure(s: Structure, keep) -> Structure:
@@ -146,7 +139,7 @@ def induced_substructure(s: Structure, keep) -> Structure:
     relabel = repeat(index.__getitem__)
     rels = {name: frozenset([t for t in map(tuple, map(map, relabel, ts)) if -1 not in t])
             for name, ts in s.relations.items()}
-    return Structure(s.signature, len(keep), rels)
+    return Structure._trusted(s.signature, len(keep), rels)
 
 
 def core(s: Structure) -> Structure:

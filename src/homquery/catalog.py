@@ -80,7 +80,7 @@ def enumerate_digraphs(n: int) -> IsoClassCatalog:
         size=n,
         signature=DIGRAPH_SIG,
         representatives=tuple(
-            Structure(DIGRAPH_SIG, n, {"R": itertools.chain.from_iterable(
+            Structure._trusted(DIGRAPH_SIG, n, {"R": itertools.chain.from_iterable(
                 byte_edges[m >> shift & 255] for shift, byte_edges in zip(shifts, edges))})
             for m in reps),
     )

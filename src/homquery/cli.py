@@ -43,8 +43,8 @@ from .datalog import (
     evaluate,
     parse_program,
 )
-from .experiments import EXPERIMENTS
-from .homs import BOOLEAN, COUNT, WorkBudgetExceeded, hom_count, hom_exists
+from .experiments import EXPERIMENTS, report_line
+from .homs import BOOLEAN, COUNT, WorkBudgetExceeded, hom_value
 from .oracle import oracle_hom_count
 from .query import StepLimitExceeded
 from .registry import REGISTRY, run_registered
@@ -105,8 +105,7 @@ def _load(path: str) -> Structure:
 
 
 def _kv(ctx, key, value):
-    sep = ": " if ctx.obj["fmt"] == "text" else "="
-    click.echo(f"{key}{sep}{value}")
+    click.echo(report_line(key, value, ctx.obj["fmt"]))
 
 
 @main.command("hom")
@@ -118,10 +117,7 @@ def _kv(ctx, key, value):
 def hom_cmd(mode, source, target, semiring):
     "Count or decide homomorphisms from one structure file into another."
     a, b = _load(source), _load(target)
-    if mode == "exists" or semiring == BOOLEAN:
-        click.echo("1" if hom_exists(a, b) else "0")
-    else:
-        click.echo(str(hom_count(a, b)))
+    click.echo(str(hom_value(a, b, BOOLEAN if mode == "exists" else semiring)))
 
 
 @main.command("analyze")

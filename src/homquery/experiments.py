@@ -25,12 +25,12 @@ from .oracle import has_directed_cycle, oracle_hom_count
 from .query import run_non_adaptive
 from .registry import run_registered
 from .structures import (
+    DIGRAPH_SIG,
     Signature,
+    Structure,
     check_guard,
-    digraph,
     directed_cycle,
     isomorphic,
-    make_structure,
     n_ary_cycle,
     scalar_multiple,
 )
@@ -40,6 +40,11 @@ def _check_positive(**params: int):
     for name, value in params.items():
         if value < 1:
             raise alg.ParameterError(f"{name} must be >= 1, got {value}")
+
+
+def report_line(key, value, fmt: str) -> str:
+    "One report line: 'key: value' in text format, 'key=value' in machine format."
+    return f"{key}{': ' if fmt == 'text' else '='}{value}"
 
 
 @dataclass
@@ -58,14 +63,10 @@ class ExperimentReport:
             self.passed = False
 
     def render(self, fmt: str = "text") -> str:
-        sep = ": " if fmt == "text" else "="
-        lines = [f"experiment{sep}{self.experiment}"]
-        for key in sorted(self.parameters):
-            lines.append(f"param.{key}{sep}{self.parameters[key]}")
-        for key, value in self.rows:
-            lines.append(f"{key}{sep}{value}")
-        lines.append(f"result{sep}{'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines) + "\n"
+        rows = [("experiment", self.experiment),
+                *((f"param.{key}", self.parameters[key]) for key in sorted(self.parameters)),
+                *self.rows, ("result", "PASS" if self.passed else "FAIL")]
+        return "".join(report_line(key, value, fmt) + "\n" for key, value in rows)
 
 
 def experiment_cycle_formula(max_vertices: int = 4, max_m: int = 3,
@@ -198,7 +199,7 @@ def _adversary_replay(report, k, structures, primes, seed):
     for _ in range(300):  # seeded 5-vertex augmentation of the pool
         edges = {(rng.randrange(5), rng.randrange(5))
                  for _ in range(rng.randrange(1, 26))}
-        pool.append(digraph(5, edges))
+        pool.append(Structure._trusted(DIGRAPH_SIG, 5, {"R": edges}))
     report.add("pool-size", len(pool))
     report.add("pool-coverage", "all iso-classes <= 4 vertices "
                "plus seeded 5-vertex sample (illustrative, not a proof)")
@@ -248,8 +249,7 @@ def experiment_nary(n: int = 3, d_max: int = 3) -> ExperimentReport:
             all_tuples = list(itertools.product(range(domain), repeat=arity))
             for count in range(0, max_tuples + 1):
                 for chosen in itertools.combinations(all_tuples, count):
-                    s = make_structure(Signature((("R", arity),)), domain,
-                                       {"R": set(chosen)})
+                    s = Structure._trusted(Signature((("R", arity),)), domain, {"R": chosen})
                     for d, m, target in targets:
                         observed = hom_into_nary_cycle_union_formula(s, m, d)
                         expected = oracle_hom_count(s, target)

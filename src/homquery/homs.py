@@ -51,7 +51,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .analysis import component_count, components_of, gamma, star_transform
-from .structures import Signature, SignatureMismatch, Structure, make_structure
+from .structures import Signature, SignatureMismatch, Structure
 
 
 class WorkBudgetExceeded(Exception):
@@ -336,7 +336,7 @@ def _cycle_invariants(domain_size: int, arity: int, relation: frozenset) -> tupl
     digraph itself, and for arity 1 it has no edges (gamma 0).  A structure
     and its star transform have the same components.
     """
-    s = make_structure(Signature((("R", arity),)), domain_size, {"R": relation})
+    s = Structure._trusted(Signature((("R", arity),)), domain_size, {"R": relation})
     g = 0 if arity == 1 else gamma(s if arity == 2 else star_transform(s))
     return g, component_count(s)
 

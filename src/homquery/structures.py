@@ -8,6 +8,12 @@ immutable, so a structure may be shared: the probe-family constructors
 (directed_cycle, directed_path, complete_pair) return one object per
 argument, and canonical_form one per canonical key.  The combinators
 build a new structure on each call.
+
+A structure is checked once, where it enters the library: Structure(...),
+make_structure and digraph check that the relation map covers the
+signature exactly and that each tuple has the right arity and lies in the
+domain, and decode_structure checks its document itself.  The library's
+own builders emit such tuples by construction and skip the check.
 """
 
 from __future__ import annotations
@@ -84,15 +90,29 @@ class Structure:
     relations: MappingProxyType[str, frozenset[tuple[int, ...]]] = field(hash=False)
 
     def __post_init__(self):
+        self._freeze()
+        self._check()
+
+    @classmethod
+    def _trusted(cls, signature: Signature, domain_size: int, relations) -> Structure:
+        "Frozen but not checked: for builders whose relation maps are right by construction."
+        s = object.__new__(cls)
+        s.__dict__.update(signature=signature, domain_size=domain_size, relations=relations)
+        s._freeze()
+        return s
+
+    def _freeze(self):
         relations = {name: frozenset(ts) for name, ts in self.relations.items()}
         object.__setattr__(self, "relations", MappingProxyType(relations))
+
+    def _check(self):
         if self.domain_size < 1:
             raise ValueError("domain must be non-empty")
-        if relations.keys() != set(self.signature.names):
+        if self.relations.keys() != set(self.signature.names):
             raise ValueError("relation map must cover the signature exactly")
         n = self.domain_size
         for name, arity in self.signature.relations:
-            ts = relations[name]
+            ts = self.relations[name]
             if not ts:
                 continue
             elements = set(itertools.chain.from_iterable(ts))
@@ -116,14 +136,6 @@ class Structure:
 
     def is_digraph(self) -> bool:
         return len(self.signature.relations) == 1 and self.signature.relations[0][1] == 2
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Structure)
-            and self.signature == other.signature
-            and self.domain_size == other.domain_size
-            and self.relations == other.relations
-        )
 
     def __hash__(self):
         # cheap label-insensitive summary, compatible with __eq__
@@ -163,7 +175,7 @@ def directed_cycle(n: int) -> Structure:
     "The directed cycle on n vertices; n=1 is a single loop."
     if n < 1:
         raise ValueError("cycle length must be >= 1")
-    return digraph(n, {(i, (i + 1) % n) for i in range(n)})
+    return Structure._trusted(DIGRAPH_SIG, n, {"R": [(i, (i + 1) % n) for i in range(n)]})
 
 
 @functools.lru_cache(maxsize=PROBE_CACHE_SIZE)
@@ -171,7 +183,7 @@ def directed_path(n: int) -> Structure:
     "The directed path with n edges on n+1 vertices; n=0 is an edgeless point."
     if n < 0:
         raise ValueError("path length must be >= 0")
-    return digraph(n + 1, {(i, i + 1) for i in range(n)})
+    return Structure._trusted(DIGRAPH_SIG, n + 1, {"R": [(i, i + 1) for i in range(n)]})
 
 
 def n_ary_cycle(d: int, n: int) -> Structure:
@@ -183,21 +195,19 @@ def n_ary_cycle(d: int, n: int) -> Structure:
         raise ValueError("d and n must be >= 1")
     sig = Signature((("R", n),))
     tuples = {tuple((i + j) % d for j in range(n)) for i in range(d)}
-    return make_structure(sig, d, {"R": tuples})
+    return Structure._trusted(sig, d, {"R": tuples})
 
 
 def complete_singleton(sig: Signature) -> Structure:
     "One element; every relation holds on the all-zero tuple."
-    return make_structure(sig, 1, {name: {(0,) * arity} for name, arity in sig.relations})
+    return Structure._trusted(sig, 1, {name: [(0,) * arity] for name, arity in sig.relations})
 
 
 @functools.lru_cache(maxsize=PROBE_CACHE_SIZE)
 def complete_pair(sig: Signature) -> Structure:
     "Two elements; each relation of arity m holds on all 2^m tuples."
-    return make_structure(
-        sig, 2,
-        {name: set(itertools.product((0, 1), repeat=arity))
-         for name, arity in sig.relations})
+    return Structure._trusted(sig, 2, {name: itertools.product((0, 1), repeat=arity)
+                                       for name, arity in sig.relations})
 
 
 def disjoint_union(a: Structure, b: Structure) -> Structure:
@@ -207,7 +217,7 @@ def disjoint_union(a: Structure, b: Structure) -> Structure:
     rels = {name: set(a.relations[name]) |
             {tuple(e + shift for e in t) for t in b.relations[name]}
             for name in a.signature.names}
-    return make_structure(a.signature, a.domain_size + b.domain_size, rels)
+    return Structure._trusted(a.signature, a.domain_size + b.domain_size, rels)
 
 
 def scalar_multiple(m: int, h: Structure) -> Structure:
@@ -218,7 +228,7 @@ def scalar_multiple(m: int, h: Structure) -> Structure:
     # copy i on elements i*n .. (i+1)*n-1, as chained disjoint_union labels them
     rels = {name: {tuple(e + i * n for e in t) for i in range(m) for t in ts}
             for name, ts in h.relations.items()}
-    return make_structure(h.signature, m * n, rels)
+    return Structure._trusted(h.signature, m * n, rels)
 
 
 def direct_product(a: Structure, b: Structure) -> Structure:
@@ -234,7 +244,7 @@ def direct_product(a: Structure, b: Structure) -> Structure:
         rels[name] = {
             tuple(ta[i] * nb + tb[i] for i in range(len(ta)))
             for ta in a.relations[name] for tb in b.relations[name]}
-    return make_structure(a.signature, a.domain_size * nb, rels)
+    return Structure._trusted(a.signature, a.domain_size * nb, rels)
 
 
 def _refine(colours: list[int], incidence) -> list[int]:
@@ -308,7 +318,7 @@ def canonical_form(s: Structure) -> Structure:
 @functools.lru_cache(maxsize=1024)
 def _structure_of_key(signature: Signature, domain_size: int, key: tuple) -> Structure:
     "One shared structure per canonical key, so kept canonical forms share memory."
-    return make_structure(signature, domain_size, dict(zip(signature.names, key)))
+    return Structure._trusted(signature, domain_size, dict(zip(signature.names, key)))
 
 
 ISOMORPHIC_GUARD = 8
@@ -402,7 +412,7 @@ def decode_structure(text: str) -> Structure:
             raise StructureDecodeError(f"relation {name!r} is declared twice")
         arities[name] = _integer(r["arity"], f"arity of {name!r}", 1)
     domain_size = _integer(doc["domain"], "domain", 1)
-    rels = {}
+    rels = dict.fromkeys(arities, ())
     for name, tuples in _typed(doc.get("relations", {}), dict, "relations").items():
         if name not in arities:
             raise StructureDecodeError(f"relation {name!r} is not in the signature")
@@ -413,4 +423,4 @@ def decode_structure(text: str) -> Structure:
                     f"relation {name!r}: {json.dumps(t)} is not a list of {arities[name]} elements")
             rel.add(tuple(_integer(e, f"element of {name!r}", 0, domain_size - 1) for e in t))
         rels[name] = rel
-    return make_structure(Signature(tuple(arities.items())), domain_size, rels)
+    return Structure._trusted(Signature(tuple(arities.items())), domain_size, rels)

@@ -14,6 +14,22 @@ from homquery.experiments import (
 from homquery.homs import find_hom, hom_count
 from homquery.structures import Structure, canonical_form, digraph, edges_of, make_structure
 
+# The library's own builders skip the boundary check (Structure._trusted).  In
+# the tests every such build is checked as well, so a builder that emits a bad
+# tuple, or a missing or extra relation, fails the suite.  The wrap is made
+# when this module is imported, before collection, so it also covers the
+# structures that test modules build at import time and the caches keep.
+_trusted = Structure._trusted.__func__
+
+
+def _trusted_then_checked(cls, signature, domain_size, relations):
+    s = _trusted(cls, signature, domain_size, relations)
+    s._check()
+    return s
+
+
+Structure._trusted = classmethod(_trusted_then_checked)
+
 
 @st.composite
 def small_digraphs(draw, max_vertices=4, min_vertices=1):

@@ -296,13 +296,13 @@ def _one_error_line(r, code, prefix):
 
 
 def test_budget_and_step_cap_refusals_exit_3(runner, files, monkeypatch):
-    def over_budget(a, b):
+    def over_budget(a, b, semiring):
         raise WorkBudgetExceeded("search exceeded 10 nodes")
 
     def over_cap(name, s, **params):
         raise StepLimitExceeded("exceeded step cap 4")
 
-    monkeypatch.setattr(cli, "hom_count", over_budget)
+    monkeypatch.setattr(cli, "hom_value", over_budget)
     monkeypatch.setattr(cli, "run_registered", over_cap)
     r = runner.invoke(main, ["hom", "count", "--from", files["c6"], "--to", files["c3"]])
     assert _one_error_line(r, 3, "error: budget: ") == \

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import homquery
 from conftest import relabel, small_digraphs
-from homquery.catalog import enumerate_digraphs_upto
+from homquery.analysis import induced_substructure
+from homquery.catalog import enumerate_digraphs, enumerate_digraphs_upto
 from homquery.structures import (
     DIGRAPH_SIG,
     LIFTED_GUARD,
@@ -77,6 +78,16 @@ def test_structure_validation_messages():
         make_structure(DIGRAPH_SIG, 2, {"R": set(), "S": set()})
     with pytest.raises(ValueError, match="^relation map must cover the signature exactly$"):
         Structure(sig, 3, {"P": frozenset()})
+
+
+def test_library_builds_are_checked_in_the_tests():
+    # conftest wraps the builders' unchecked constructor in the boundary check
+    with pytest.raises(ValueError, match=r"^tuple \(0, 5\) out of domain range$"):
+        Structure._trusted(DIGRAPH_SIG, 2, {"R": [(0, 5)]})
+    with pytest.raises(ValueError, match=r"^tuple \(0,\) has wrong arity for R$"):
+        Structure._trusted(DIGRAPH_SIG, 2, {"R": [(0,)]})
+    with pytest.raises(ValueError, match="^relation map must cover the signature exactly$"):
+        Structure._trusted(MIXED_SIG, 2, {"R": [], "P": []})
 
 
 def test_directed_cycle():
@@ -282,6 +293,25 @@ def test_relations_are_read_only():
     t = Structure(DIGRAPH_SIG, 2, rels)
     rels["R"] = frozenset()
     assert t.relations["R"] == {(0, 1)}
+    # so are the library's own builds, and the unchecked constructor copies too
+    edges = {(0, 1)}
+    rels = {"R": edges}
+    built = Structure._trusted(DIGRAPH_SIG, 2, rels)
+    edges.add((1, 0))
+    rels["R"] = frozenset()
+    assert built.relations["R"] == {(0, 1)}
+    for u in (enumerate_digraphs(3).representatives[-1],
+              induced_substructure(directed_cycle(4), [0, 1, 2]), built):
+        before = (u.domain_size, dict(u.relations))
+        with pytest.raises(TypeError):
+            u.relations["R"] = frozenset()
+        with pytest.raises(TypeError):
+            del u.relations["R"]
+        with pytest.raises(AttributeError):
+            u.relations["R"].add((0, 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            u.domain_size = 9
+        assert (u.domain_size, dict(u.relations)) == before
     # equal structures still compare and hash equal
     same = digraph(3, {(2, 0), (0, 1), (1, 2)})
     assert s == same and hash(s) == hash(same)
