@@ -136,6 +136,15 @@ def lovasz_universal_decider(predicate) -> Strategy:
 EVEN = "even"
 ODD = "odd"
 
+DN_GUARD = 6  # D_n's largest n: dn_nonadaptive_separator(n) holds C_{2^(n-1)}
+
+
+def _check_dn(n: int) -> None:
+    "The one statement of D_n's range, for every builder of its members and algorithms."
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    check_guard("dn guard: n", n, DN_GUARD)
+
 
 @dataclass(frozen=True)
 class CycleFamilySpec:
@@ -143,14 +152,14 @@ class CycleFamilySpec:
     parity: str
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
+        _check_dn(self.n)
         if self.parity not in (EVEN, ODD):
             raise ParameterError(f"parity must be {EVEN} or {ODD}, got {self.parity!r}")
 
 
 def dn_member(n: int, m: int) -> Structure:
     "2^(n-m) copies of C_{2^m}, the family's member for m <= n."
+    _check_dn(n)
     return scalar_multiple(2 ** (n - m), directed_cycle(2 ** m))
 
 
@@ -172,8 +181,7 @@ def dn_nonadaptive_separator(n: int) -> NonAdaptiveAlgorithm:
     Left counting algorithm with queries C_1, C_2, ..., C_{2^(n-1)}
     accepting exactly the even-parity family members' answer vectors.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    _check_dn(n)
     queries = tuple(directed_cycle(2 ** r) for r in range(n))
     accept = frozenset(_dn_answer_vector(n, m) for m in range(0, n + 1, 2))
     return NonAdaptiveAlgorithm(LEFT, queries, accept)
@@ -185,8 +193,7 @@ def dn_adaptive_binary_search(n: int) -> Strategy:
     hom(C_{2^r}, input) is nonzero iff m <= r, so binary search over
     m in [0, n] finds m in ceil(log2(n+1)) queries; accept iff m even.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    _check_dn(n)
 
     def strategy(t: Transcript):
         lo, hi = 0, n

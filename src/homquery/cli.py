@@ -269,24 +269,22 @@ def experiment_cmd(ctx, experiment_id, params):
     for p in params:
         key, eq, value = p.partition("=")
         if not eq:
-            raise click.UsageError(f"parameter {p!r} is not of the form key=value")
+            _error("usage", f"parameter {p!r} is not of the form key=value", 2)
         key = key.replace("-", "_")
         if key not in int_params:
-            raise click.UsageError(
-                f"experiment {experiment_id}: no integer parameter {key!r}")
+            _error("usage", f"experiment {experiment_id}: no integer parameter {key!r}", 2)
         try:
             kwargs[key] = int(value)
         except ValueError:
-            raise click.UsageError(
-                f"parameter {key!r}: {value!r} is not an integer") from None
+            _error("usage", f"parameter {key!r}: {value!r} is not an integer", 2)
     try:
         inspect.signature(experiment).bind(**kwargs)
     except TypeError as exc:
-        raise click.UsageError(f"experiment {experiment_id}: {exc}") from None
+        _error("usage", f"experiment {experiment_id}: {exc}", 2)
     try:
         report = experiment(**kwargs)
     except alg.ParameterError as exc:
-        raise click.UsageError(f"experiment {experiment_id}: {exc}") from None
+        _error("usage", f"experiment {experiment_id}: {exc}", 2)
     click.echo(report.render(ctx.obj["fmt"]), nl=False)
     if not report.passed:
         sys.exit(1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 
-from .structures import Structure
+from .structures import CACHE_SIZE, Structure
 
 EQ = "="
 
@@ -203,14 +203,8 @@ def _index(facts, shape) -> dict:
 
 
 # EDB indexes are kept across calls, keyed on the relation's contents, so
-# structures that share a relation share its indexes.  A crosscheck round
-# reads 126 (seed 1); 1024, the bound of homs' table cache, holds it with
-# room to spare.  An index is no larger than its relation, which its cache
-# key holds anyway.
-EDB_INDEX_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=EDB_INDEX_CACHE_SIZE)
+# structures that share a relation share its indexes.
+@lru_cache(maxsize=CACHE_SIZE)
 def _edb_index(relation: frozenset, shape) -> dict:
     "_index of an EDB relation; callers must not mutate it."
     return _index(relation, shape)

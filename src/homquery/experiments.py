@@ -95,17 +95,13 @@ def experiment_cycle_formula(max_vertices: int = 4, max_m: int = 3,
     return report
 
 
-DN_GUARD = 6
-
-
 def experiment_dn(n: int) -> ExperimentReport:
     """
     Run the non-adaptive separator and the adaptive binary search over
     the full promise family; for n <= 3 also cross-check every answer
-    against the brute-force oracle.
+    against the brute-force oracle.  The family's builders refuse an n
+    outside its range (algorithms.DN_GUARD).
     """
-    _check_positive(n=n)
-    check_guard("experiment_dn guard: n", n, DN_GUARD)
     report = ExperimentReport("dn", {"n": n})
     members = [(m, alg.dn_member(n, m)) for m in range(n + 1)]
     separator = alg.dn_nonadaptive_separator(n)

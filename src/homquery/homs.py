@@ -34,9 +34,9 @@ copy) and caches only the frontier states that have no extension.  The
 budget is a count of candidate images tried, carried across components and
 summed over parts: past DEFAULT_BUDGET a call raises WorkBudgetExceeded.
 Plans are cached per source, parts per target and tables per (target
-relation, mask), all keyed on relation contents and bounded at 1024
-entries, so that a sweep of probes over a few dozen targets finds its
-parts and tables still built.
+relation, mask), all keyed on relation contents and bounded at
+structures.CACHE_SIZE entries, so that a sweep of probes over a few dozen
+targets finds its parts and tables still built.
 
 The closed forms never run the search; property tests compare the two
 code paths.  They read a source's gamma and component count from a cache
@@ -51,7 +51,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .analysis import component_count, components_of, gamma, star_transform
-from .structures import Signature, SignatureMismatch, Structure
+from .structures import CACHE_SIZE, Signature, SignatureMismatch, Structure
 
 
 class WorkBudgetExceeded(Exception):
@@ -69,7 +69,7 @@ def _no_images(img) -> tuple:
     return ()
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=CACHE_SIZE)
 def _plan(domain_size: int, relations: tuple[frozenset, ...]):
     """
     Search plan of a source with these relations (in signature order).
@@ -119,16 +119,7 @@ def _plan(domain_size: int, relations: tuple[frozenset, ...]):
     return tuple(slots), tuple(components)
 
 
-# Tables and parts are kept for a whole sweep of targets: with seed 1, a
-# count-large round reads 42 tables over 19 targets, and decide's first round
-# 474 over 270 (328 over 185 once its algorithms' own caches are warm); a
-# bound below that rebuilds them on almost every probe.  A table is no larger
-# than its target relation, which its cache key holds anyway; so are a
-# target's parts, which for a connected target are its own relations.
-TABLE_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _table(relation: frozenset, mask: int) -> dict:
     """
     For facts whose positions in mask hold the element being placed: the
@@ -232,7 +223,7 @@ def _search(component, tables, domain: range, find: bool, used: int):
             return n, img, used
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _parts(domain_size: int, relations: tuple[frozenset, ...]):
     """
     The distinct components of a target with these relations, in ascending
@@ -320,15 +311,7 @@ def hom_value(a: Structure, b: Structure, semiring: str) -> int:
     raise ValueError(f"unknown semiring {semiring!r}")
 
 
-# A sweep calls a closed form for each of a source's targets in turn (12 in
-# crosscheck and cycle-formula, 6 for an n-ary source), so any bound serves
-# those repeats; 1024, the bound of _plan's cache, also holds the 93 distinct
-# sources of a crosscheck round.  An entry is two ints and the key, whose
-# relation the source holds anyway.
-INVARIANT_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=INVARIANT_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _cycle_invariants(domain_size: int, arity: int, relation: frozenset) -> tuple[int, int]:
     """
     (gamma of the star transform, number of components) of the structure

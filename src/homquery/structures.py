@@ -9,11 +9,12 @@ immutable, so a structure may be shared: the probe-family constructors
 argument, and canonical_form one per canonical key.  The combinators
 build a new structure on each call.
 
-A structure is checked once, where it enters the library: Structure(...),
-make_structure and digraph check that the relation map covers the
-signature exactly and that each tuple has the right arity and lies in the
-domain, and decode_structure checks its document itself.  The library's
-own builders emit such tuples by construction and skip the check.
+A structure is checked once, where it enters the library: Signature
+checks names (strings, each declared once) and arities (ints >= 1), and
+Structure(...), make_structure and digraph the domain size (an int >= 1),
+the relation map (the signature's exactly) and each tuple (its arity, ints
+in 0..n-1).  A bool or float is never read as an int.  decode_structure
+adds only JSON's rules; the library's own builders skip the check.
 """
 
 from __future__ import annotations
@@ -62,21 +63,41 @@ class SignatureMismatch(ValueError):
     "Two structures that must share a signature do not."
 
 
+def _shown(value) -> str:
+    "A value as a structure file writes it, or by repr when JSON has no form for it."
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
+def _integer(value, what: str, low: int, high: int | None = None) -> int:
+    # bool is an int subclass: True must not read as 1
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {_shown(value)}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{what} must be {bound}, not {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Signature:
-    # ordered (name, arity) pairs; names distinct, arities >= 1
+    # ordered (name, arity) pairs; names distinct strings, arities ints >= 1
     relations: tuple[tuple[str, int], ...]
     # the relation names in order, computed once: every hom count reads them
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = tuple(name for name, _ in self.relations)
-        if len(set(names)) != len(names):
-            raise ValueError("relation names must be pairwise distinct")
+        names = []
         for name, arity in self.relations:
-            if arity < 1:
-                raise ValueError(f"arity of {name} must be >= 1")
-        object.__setattr__(self, "names", names)
+            if not isinstance(name, str):
+                raise ValueError(f"relation name must be a string, not {_shown(name)}")
+            if name in names:
+                raise ValueError(f"relation {name!r} is declared twice")
+            names.append(name)
+            _integer(arity, f"arity of {name!r}", 1)
+        object.__setattr__(self, "names", tuple(names))
 
 
 DIGRAPH_SIG = Signature((("R", 2),))
@@ -90,39 +111,40 @@ class Structure:
     relations: MappingProxyType[str, frozenset[tuple[int, ...]]] = field(hash=False)
 
     def __post_init__(self):
-        self._freeze()
-        self._check()
+        # checked before freezing, so a True or 1.0 beside an equal 1 is still seen
+        relations = {name: tuple(ts) for name, ts in self.relations.items()}
+        self._check(relations)
+        self._freeze(relations)
 
     @classmethod
     def _trusted(cls, signature: Signature, domain_size: int, relations) -> Structure:
         "Frozen but not checked: for builders whose relation maps are right by construction."
         s = object.__new__(cls)
-        s.__dict__.update(signature=signature, domain_size=domain_size, relations=relations)
-        s._freeze()
+        s.__dict__.update(signature=signature, domain_size=domain_size)
+        s._freeze(relations)
         return s
 
-    def _freeze(self):
-        relations = {name: frozenset(ts) for name, ts in self.relations.items()}
-        object.__setattr__(self, "relations", MappingProxyType(relations))
+    def _freeze(self, relations):
+        frozen = {name: frozenset(ts) for name, ts in relations.items()}
+        object.__setattr__(self, "relations", MappingProxyType(frozen))
 
-    def _check(self):
-        if self.domain_size < 1:
-            raise ValueError("domain must be non-empty")
-        if self.relations.keys() != set(self.signature.names):
+    def _check(self, relations):
+        n = _integer(self.domain_size, "domain", 1)
+        if relations.keys() != set(self.signature.names):
             raise ValueError("relation map must cover the signature exactly")
-        n = self.domain_size
         for name, arity in self.signature.relations:
-            ts = self.relations[name]
+            ts = relations[name]
             if not ts:
                 continue
-            elements = set(itertools.chain.from_iterable(ts))
-            if set(map(len, ts)) == {arity} and 0 <= min(elements) and max(elements) < n:
+            elements = tuple(itertools.chain.from_iterable(ts))
+            if (set(map(len, ts)) == {arity} and set(map(type, elements)) == {int}
+                    and 0 <= min(elements) and max(elements) < n):
                 continue
-            for t in ts:  # some tuple is bad: name the first one
+            for t in ts:  # some tuple or element is bad: name the first one
                 if len(t) != arity:
                     raise ValueError(f"tuple {t} has wrong arity for {name}")
-                if any(not (0 <= e < n) for e in t):
-                    raise ValueError(f"tuple {t} out of domain range")
+                for e in t:
+                    _integer(e, f"element of {name!r}", 0, n - 1)
 
     @property
     def domain(self) -> range:
@@ -149,10 +171,10 @@ class Structure:
 
 def make_structure(signature: Signature, domain_size: int,
                    relations: dict[str, object]) -> Structure:
-    frozen = {name: frozenset(map(tuple, tuples)) for name, tuples in relations.items()}
+    rels = {name: tuple(map(tuple, tuples)) for name, tuples in relations.items()}
     for name in signature.names:
-        frozen.setdefault(name, frozenset())
-    return Structure(signature, domain_size, frozen)
+        rels.setdefault(name, ())
+    return Structure(signature, domain_size, rels)
 
 
 def digraph(domain_size: int, edges) -> Structure:
@@ -315,7 +337,15 @@ def canonical_form(s: Structure) -> Structure:
     return _structure_of_key(s.signature, s.domain_size, canonical_key(s))
 
 
-@functools.lru_cache(maxsize=1024)
+# The bound of every cache keyed on relation contents (homs' plans, tables,
+# parts and cycle invariants, datalog's EDB indexes, canonical forms; no entry
+# is larger than its key).  It holds a seed-1 benchmark round: decide fills
+# 201 plans, 474 tables, 270 parts, 15 canonical forms; count-large 114 plans,
+# 42 tables, 19 parts; crosscheck 93 invariants, 126 EDB indexes.
+CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _structure_of_key(signature: Signature, domain_size: int, key: tuple) -> Structure:
     "One shared structure per canonical key, so kept canonical forms share memory."
     return Structure._trusted(signature, domain_size, dict(zip(signature.names, key)))
@@ -361,17 +391,7 @@ def _unique_keys(pairs):
     return dict(pairs)
 
 
-def _integer(value, what: str, low: int, high: int | None = None) -> int:
-    # bool is an int subclass: true must not read as 1
-    if type(value) is not int:
-        raise StructureDecodeError(f"{what} must be an integer, not {json.dumps(value)}")
-    if value < low or (high is not None and value > high):
-        bound = f">= {low}" if high is None else f"in {low}..{high}"
-        raise StructureDecodeError(f"{what} must be {bound}, not {value}")
-    return value
-
-
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+_JSON_KINDS = {dict: "an object", list: "a list"}
 
 
 def _typed(value, kind: type, what: str):
@@ -391,36 +411,38 @@ def _object(value, what: str, keys: set[str], optional: set[str] = frozenset()) 
     return value
 
 
+def _built(cls, *args):
+    "cls(*args), its ValueError raised as StructureDecodeError."
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise StructureDecodeError(exc) from None
+
+
 def decode_structure(text: str) -> Structure:
     """
     Read encode_structure's JSON form.  Anything else raises
-    StructureDecodeError with a one-line message, nothing is coerced:
-    invalid JSON, duplicate or unknown keys, a boolean or non-integer where
-    an integer belongs, a repeated relation name, a relation outside the
-    signature, a tuple of the wrong arity or an element outside the domain.
+    StructureDecodeError with a one-line message, nothing is coerced.  Here:
+    invalid JSON, duplicate, missing or unknown keys, a wrong container, a
+    relation outside the signature, a tuple that is not a list of its arity;
+    Signature and Structure check the rest, with their own messages.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise StructureDecodeError(f"invalid JSON: {exc}") from None
     _object(doc, "structure", {"signature", "domain"}, {"relations"})
-    arities: dict[str, int] = {}
-    for r in _typed(doc["signature"], list, "signature"):
-        name = _typed(_object(r, "signature entry", {"name", "arity"})["name"], str,
-                      "relation name")
-        if name in arities:
-            raise StructureDecodeError(f"relation {name!r} is declared twice")
-        arities[name] = _integer(r["arity"], f"arity of {name!r}", 1)
-    domain_size = _integer(doc["domain"], "domain", 1)
+    entries = [_object(r, "signature entry", {"name", "arity"})
+               for r in _typed(doc["signature"], list, "signature")]
+    signature = _built(Signature, tuple((r["name"], r["arity"]) for r in entries))
+    arities = dict(signature.relations)
     rels = dict.fromkeys(arities, ())
     for name, tuples in _typed(doc.get("relations", {}), dict, "relations").items():
         if name not in arities:
             raise StructureDecodeError(f"relation {name!r} is not in the signature")
-        rel = set()
         for t in _typed(tuples, list, f"relation {name!r}"):
-            if not isinstance(t, list) or len(t) != arities[name]:
+            if type(t) is not list or len(t) != arities[name]:
                 raise StructureDecodeError(
                     f"relation {name!r}: {json.dumps(t)} is not a list of {arities[name]} elements")
-            rel.add(tuple(_integer(e, f"element of {name!r}", 0, domain_size - 1) for e in t))
-        rels[name] = rel
-    return Structure._trusted(Signature(tuple(arities.items())), domain_size, rels)
+        rels[name] = tuple(map(tuple, tuples))
+    return _built(Structure, signature, doc["domain"], rels)

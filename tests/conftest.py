@@ -24,7 +24,7 @@ _trusted = Structure._trusted.__func__
 
 def _trusted_then_checked(cls, signature, domain_size, relations):
     s = _trusted(cls, signature, domain_size, relations)
-    s._check()
+    s._check(s.relations)
     return s
 
 

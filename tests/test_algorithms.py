@@ -33,6 +33,7 @@ from homquery.structures import (
     directed_cycle,
     directed_path,
     disjoint_union,
+    guards_lifted,
     isomorphic,
     make_structure,
     scalar_multiple,
@@ -127,6 +128,22 @@ def test_dn_family():
         alg.CycleFamilySpec(0, alg.EVEN)
     with pytest.raises(ValueError):
         alg.CycleFamilySpec(2, "both")
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: alg.CycleFamilySpec(n, alg.EVEN),
+    lambda n: alg.dn_member(n, 1),
+    alg.dn_nonadaptive_separator,
+    alg.dn_adaptive_binary_search],
+    ids=["CycleFamilySpec", "dn_member", "dn_nonadaptive_separator", "dn_adaptive_binary_search"])
+def test_dn_builders_share_one_guard(build):
+    build(alg.DN_GUARD)
+    with pytest.raises(GuardExceeded, match=r"^dn guard: n = 7 > 6$"):
+        build(alg.DN_GUARD + 1)
+    with guards_lifted():
+        build(alg.DN_GUARD + 1)
+    with pytest.raises(alg.ParameterError, match=r"^n must be >= 1, got 0$"):
+        build(0)
 
 
 def test_dn_separator_and_binsearch_agree():

@@ -12,7 +12,6 @@ from homquery.catalog import enumerate_digraphs_upto
 from homquery.homs import (
     BOOLEAN,
     COUNT,
-    TABLE_CACHE_SIZE,
     WorkBudgetExceeded,
     _table,
     find_hom,
@@ -24,6 +23,7 @@ from homquery.homs import (
 )
 from homquery.oracle import oracle_hom_count
 from homquery.structures import (
+    CACHE_SIZE,
     DIGRAPH_SIG,
     Signature,
     complete_pair,
@@ -337,7 +337,7 @@ def test_sweep_past_the_table_cache_agrees_with_matrix_powers():
     # targets than the cache holds evict every table before it is read again
     rng = random.Random(7)
     targets = []
-    for _ in range(TABLE_CACHE_SIZE // 2 + 8):
+    for _ in range(CACHE_SIZE // 2 + 8):
         edges = {(rng.randrange(8), rng.randrange(8)) for _ in range(14)}
         targets.append(digraph(8, edges))
     sources = {"P_1": directed_path(1), "P_3": directed_path(3),
@@ -350,7 +350,7 @@ def test_sweep_past_the_table_cache_agrees_with_matrix_powers():
     first = sweep()
     between = _table.cache_info().misses
     second = sweep()
-    assert _table.cache_info().misses - between > TABLE_CACHE_SIZE
+    assert _table.cache_info().misses - between > CACHE_SIZE
     assert between > before
     assert first == second
     for g, counts in zip(targets, first):

@@ -19,6 +19,7 @@ from homquery.structures import (
     GuardExceeded,
     Signature,
     Structure,
+    StructureDecodeError,
     canonical_form,
     canonical_key,
     check_guard,
@@ -60,14 +61,14 @@ def test_structure_validation():
 def test_structure_validation_messages():
     with pytest.raises(ValueError, match=r"^tuple \(0,\) has wrong arity for R$"):
         make_structure(DIGRAPH_SIG, 2, {"R": {(0,)}})
-    with pytest.raises(ValueError, match=r"^tuple \(0, 5\) out of domain range$"):
+    with pytest.raises(ValueError, match=r"^element of 'R' must be in 0\.\.1, not 5$"):
         make_structure(DIGRAPH_SIG, 2, {"R": {(0, 5)}})
-    with pytest.raises(ValueError, match=r"^tuple \(-1, 0\) out of domain range$"):
+    with pytest.raises(ValueError, match=r"^element of 'R' must be in 0\.\.1, not -1$"):
         make_structure(DIGRAPH_SIG, 2, {"R": {(-1, 0)}})
     # the bad tuple is named among good ones, in every relation
     sig = Signature((("P", 1), ("T", 3)))
     good = {(i, j, k) for i in range(3) for j in range(3) for k in range(3)}
-    with pytest.raises(ValueError, match=r"^tuple \(1, 2, 3\) out of domain range$"):
+    with pytest.raises(ValueError, match=r"^element of 'T' must be in 0\.\.2, not 3$"):
         make_structure(sig, 3, {"P": {(0,)}, "T": good | {(1, 2, 3)}})
     with pytest.raises(ValueError, match=r"^tuple \(1, 2\) has wrong arity for T$"):
         make_structure(sig, 3, {"P": {(0,)}, "T": good | {(1, 2)}})
@@ -82,8 +83,10 @@ def test_structure_validation_messages():
 
 def test_library_builds_are_checked_in_the_tests():
     # conftest wraps the builders' unchecked constructor in the boundary check
-    with pytest.raises(ValueError, match=r"^tuple \(0, 5\) out of domain range$"):
+    with pytest.raises(ValueError, match=r"^element of 'R' must be in 0\.\.1, not 5$"):
         Structure._trusted(DIGRAPH_SIG, 2, {"R": [(0, 5)]})
+    with pytest.raises(ValueError, match=r"^element of 'R' must be an integer, not 1\.0$"):
+        Structure._trusted(DIGRAPH_SIG, 2, {"R": [(0, 1.0)]})
     with pytest.raises(ValueError, match=r"^tuple \(0,\) has wrong arity for R$"):
         Structure._trusted(DIGRAPH_SIG, 2, {"R": [(0,)]})
     with pytest.raises(ValueError, match="^relation map must cover the signature exactly$"):
@@ -189,6 +192,81 @@ def test_disjoint_union_associative_up_to_iso(a, b, c):
 @given(small_digraphs())
 def test_serialization_round_trip(s):
     assert decode_structure(encode_structure(s)) == s
+
+
+def test_serialization_round_trip_over_a_mixed_signature():
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        rels = {name: {tuple(rng.randrange(n) for _ in range(arity))
+                       for _ in range(rng.randint(0, 6))}
+                for name, arity in MIXED_SIG.relations}
+        s = make_structure(MIXED_SIG, n, rels)
+        assert decode_structure(encode_structure(s)) == s
+
+
+R2 = '"signature": [{"name": "R", "arity": 2}]'
+
+
+def _arity(value: str) -> str:
+    return '{"signature": [{"name": "R", "arity": %s}], "domain": 2}' % value
+
+
+def _domain(value: str) -> str:
+    return '{' + R2 + ', "domain": %s}' % value
+
+
+def _edge(first: str, second: str) -> str:
+    return '{' + R2 + ', "domain": 2, "relations": {"R": [[%s, %s]]}}' % (first, second)
+
+
+# Each fault as a file and as the Python call that builds the same structure:
+# both paths state the rule once, in Signature or Structure, with one message.
+FAULTS = [
+    ('{"signature": [{"name": 1, "arity": 2}], "domain": 2}', lambda: Signature(((1, 2),)),
+     "relation name must be a string, not 1"),
+    ('{"signature": [{"name": "R", "arity": 2}, {"name": "R", "arity": 1}], "domain": 2}',
+     lambda: Signature((("R", 2), ("R", 1))), "relation 'R' is declared twice"),
+    (_arity("true"), lambda: Signature((("R", True),)),
+     "arity of 'R' must be an integer, not true"),
+    (_arity("1.9"), lambda: Signature((("R", 1.9),)),
+     "arity of 'R' must be an integer, not 1.9"),
+    (_arity("2.0"), lambda: Signature((("R", 2.0),)),
+     "arity of 'R' must be an integer, not 2.0"),
+    (_arity("0"), lambda: Signature((("R", 0),)), "arity of 'R' must be >= 1, not 0"),
+    (_arity('"2"'), lambda: Signature((("R", "2"),)),
+     'arity of \'R\' must be an integer, not "2"'),
+    (_domain("2.7"), lambda: digraph(2.7, []), "domain must be an integer, not 2.7"),
+    (_domain("true"), lambda: digraph(True, []), "domain must be an integer, not true"),
+    (_domain("0"), lambda: make_structure(DIGRAPH_SIG, 0, {}), "domain must be >= 1, not 0"),
+    (_edge("true", "0"), lambda: digraph(2, [(True, 0)]),
+     "element of 'R' must be an integer, not true"),
+    (_edge("0", "1.0"), lambda: digraph(2, [(0, 1.0)]),
+     "element of 'R' must be an integer, not 1.0"),
+    (_edge("0.5", "1"), lambda: digraph(2, [(0.5, 1)]),
+     "element of 'R' must be an integer, not 0.5"),
+    (_edge("0", "2"), lambda: make_structure(DIGRAPH_SIG, 2, {"R": [(0, 2)]}),
+     "element of 'R' must be in 0..1, not 2"),
+    (_edge("0", "-1"), lambda: digraph(2, [(0, -1)]), "element of 'R' must be in 0..1, not -1"),
+]
+
+
+@pytest.mark.parametrize("text, build, message", FAULTS, ids=[m for _, _, m in FAULTS])
+def test_a_fault_has_one_message_in_a_file_and_in_python(text, build, message):
+    with pytest.raises(StructureDecodeError) as from_file:
+        decode_structure(text)
+    with pytest.raises(ValueError) as from_python:
+        build()
+    assert str(from_file.value) == str(from_python.value) == message
+
+
+def test_a_bool_or_float_beside_an_equal_int_is_still_refused():
+    # equal tuples collapse in a set: the check must see them before they do
+    for edges in ([(1, 1), (True, 1)], [(0, 1), (0, 1.0)]):
+        with pytest.raises(ValueError, match="must be an integer"):
+            digraph(2, edges)
+    with pytest.raises(StructureDecodeError, match="must be an integer, not true"):
+        decode_structure('{' + R2 + ', "domain": 2, "relations": {"R": [[1, 1], [true, 1]]}}')
 
 
 def test_serialization_format_fields():
