@@ -9,7 +9,6 @@ unbounded Boolean detectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .analysis import component_count, components, induced_substructure
@@ -139,22 +138,17 @@ ODD = "odd"
 DN_GUARD = 6  # D_n's largest n: dn_nonadaptive_separator(n) holds C_{2^(n-1)}
 
 
+def check_positive(**params: int) -> None:
+    "The one statement of the rule that each named parameter is >= 1."
+    for name, value in params.items():
+        if value < 1:
+            raise ParameterError(f"{name} must be >= 1, got {value}")
+
+
 def _check_dn(n: int) -> None:
     "The one statement of D_n's range, for every builder of its members and algorithms."
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    check_positive(n=n)
     check_guard("dn guard: n", n, DN_GUARD)
-
-
-@dataclass(frozen=True)
-class CycleFamilySpec:
-    n: int
-    parity: str
-
-    def __post_init__(self):
-        _check_dn(self.n)
-        if self.parity not in (EVEN, ODD):
-            raise ParameterError(f"parity must be {EVEN} or {ODD}, got {self.parity!r}")
 
 
 def dn_member(n: int, m: int) -> Structure:
@@ -163,10 +157,12 @@ def dn_member(n: int, m: int) -> Structure:
     return scalar_multiple(2 ** (n - m), directed_cycle(2 ** m))
 
 
-def dn_family(spec: CycleFamilySpec) -> tuple[Structure, ...]:
-    "The members dn_member(n, m) for m <= n of the given parity."
-    wanted = 0 if spec.parity == EVEN else 1
-    return tuple(dn_member(spec.n, m) for m in range(spec.n + 1) if m % 2 == wanted)
+def dn_family(n: int, parity: str) -> tuple[tuple[int, Structure], ...]:
+    "The pairs (m, dn_member(n, m)) for m <= n of the given parity."
+    _check_dn(n)
+    if parity not in (EVEN, ODD):
+        raise ParameterError(f"parity must be {EVEN} or {ODD}, got {parity!r}")
+    return tuple((m, dn_member(n, m)) for m in range(parity == ODD, n + 1, 2))
 
 
 def _dn_answer_vector(n: int, m: int) -> tuple[int, ...]:

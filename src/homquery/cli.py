@@ -16,9 +16,11 @@ Exit codes:
      enumerate --size ("error: usage: <msg>"), a structure file that
      decode_structure rejects ("error: input: <file>: <msg>"), structures
      whose signatures do not match each other or the algorithm's queries
-     ("error: input: <msg>"), or a Datalog program that is neither a
-     builtin nor a file, is not UTF-8 ("error: datalog: <file>: <msg>"),
-     does not parse or does not fit the structure;
+     ("error: input: signature mismatch"), or a Datalog program that is
+     neither a builtin nor a file, is not UTF-8 ("error: datalog: <file>:
+     <msg>"), does not parse or does not fit the structure (a missing EDB
+     relation, a wrong arity, or a derived predicate named as one of the
+     structure's relations);
   3  a refusal, with a one-line message: a size guard ("error: guard:
      <msg>"), the search's work budget ("error: budget: <msg>") or an
      adaptive run's step cap ("error: step-limit: <msg>").
@@ -112,12 +114,10 @@ def _kv(ctx, key, value):
 @click.argument("mode", type=click.Choice(["count", "exists"]))
 @click.option("--from", "source", required=True, type=STRUCTURE_FILE)
 @click.option("--to", "target", required=True, type=STRUCTURE_FILE)
-@click.option("--semiring", type=click.Choice([COUNT, BOOLEAN]), default=COUNT,
-              show_default=True)
-def hom_cmd(mode, source, target, semiring):
+def hom_cmd(mode, source, target):
     "Count or decide homomorphisms from one structure file into another."
     a, b = _load(source), _load(target)
-    click.echo(str(hom_value(a, b, BOOLEAN if mode == "exists" else semiring)))
+    click.echo(str(hom_value(a, b, COUNT if mode == "count" else BOOLEAN)))
 
 
 @main.command("analyze")
@@ -178,15 +178,12 @@ def gen_group():
 def gen_dn_cmd(n, parity, out_dir):
     "Write the power-of-two cycle family members as structure files."
     try:
-        spec = alg.CycleFamilySpec(n, parity)
+        members = alg.dn_family(n, parity)
     except alg.ParameterError as exc:
         _error("usage", f"gen dn: {exc}", 2)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    members = alg.dn_family(spec)
-    start = 0 if parity == alg.EVEN else 1
-    for i, member in enumerate(members):
-        m = start + 2 * i
+    for m, member in members:
         path = out / f"dn_{n}_{parity}_m{m}.json"
         path.write_text(encode_structure(member), encoding="utf-8")
         click.echo(str(path))

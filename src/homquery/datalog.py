@@ -331,6 +331,9 @@ def evaluate(program: DatalogProgram, structure: Structure) -> bool:
             raise DatalogError(f"EDB predicate {name} missing from the structure")
         if arities[name] != arity:
             raise DatalogError(f"arity mismatch for EDB predicate {name}")
+    for name in program.idb:
+        if name in arities:
+            raise DatalogError(f"IDB predicate {name} names a relation of the structure")
 
     total: dict[str, set] = {name: set() for name in program.idb}
     delta: dict[str, set] = {}

@@ -36,12 +36,6 @@ from .structures import (
 )
 
 
-def _check_positive(**params: int):
-    for name, value in params.items():
-        if value < 1:
-            raise alg.ParameterError(f"{name} must be >= 1, got {value}")
-
-
 def report_line(key, value, fmt: str) -> str:
     "One report line: 'key: value' in text format, 'key=value' in machine format."
     return f"{key}{': ' if fmt == 'text' else '='}{value}"
@@ -76,7 +70,7 @@ def experiment_cycle_formula(max_vertices: int = 4, max_m: int = 3,
     m copies of C_n; the closed form must match the full-enumeration
     oracle everywhere.
     """
-    _check_positive(max_vertices=max_vertices, max_m=max_m, max_n=max_n)
+    alg.check_positive(max_vertices=max_vertices, max_m=max_m, max_n=max_n)
     report = ExperimentReport(
         "cycle-formula", {"max_vertices": max_vertices, "max_m": max_m, "max_n": max_n})
     targets = [(m, n, scalar_multiple(m, directed_cycle(n)))
@@ -232,7 +226,7 @@ def experiment_nary(n: int = 3, d_max: int = 3) -> ExperimentReport:
     comparing the closed form against the oracle, and confirm the star
     transform of the n-ary cycle is the plain cycle.
     """
-    _check_positive(n=n, d_max=d_max)
+    alg.check_positive(n=n, d_max=d_max)
     check_guard("experiment_nary guard: n", n, NARY_ARITY_GUARD)
     check_guard("experiment_nary guard: d_max", d_max, NARY_DOMAIN_GUARD)
     report = ExperimentReport("nary", {"n": n, "d_max": d_max})
@@ -269,7 +263,7 @@ def experiment_unbounded_boolean(max_vertices: int = 4) -> ExperimentReport:
     agreement with ground truth, the halting bounds, and the Datalog
     programs on the same inputs.
     """
-    _check_positive(max_vertices=max_vertices)
+    alg.check_positive(max_vertices=max_vertices)
     report = ExperimentReport("unbounded-boolean", {"max_vertices": max_vertices})
     programs = builtin_programs()
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 from .homs import COUNT, hom_value
-from .structures import SignatureMismatch, Structure
+from .structures import Structure
 
 LEFT = "left"
 RIGHT = "right"
@@ -69,27 +69,19 @@ def _decide(strategy: Strategy, transcript: Transcript) -> StrategyDecision:
 @dataclass(frozen=True)
 class NonAdaptiveAlgorithm:
     orientation: str
+    # none decides a constant class: accept reads the empty transcript
     queries: tuple[Structure, ...]
     # either a finite set of accepted answer vectors or a predicate
     accept: Union[frozenset, Callable[[Transcript], bool]]
 
     def __post_init__(self):
         _check_orientation(self.orientation)
-        if len(self.queries) < 1:
-            raise ValueError("at least one query is required")
+        object.__setattr__(self, "queries", tuple(self.queries))
 
     def accepts(self, answers: Transcript) -> bool:
         if callable(self.accept):
             return bool(self.accept(answers))
         return tuple(answers) in self.accept
-
-
-@dataclass(frozen=True)
-class _ZeroQueryAlgorithm(NonAdaptiveAlgorithm):
-    "A flattened strategy that halts before its first query: it asks none."
-
-    def __post_init__(self):
-        _check_orientation(self.orientation)
 
 
 @dataclass(frozen=True)
@@ -105,10 +97,6 @@ class RunReport:
 
 def _answer(query: Structure, input_structure: Structure,
             orientation: str, semiring: str) -> int:
-    # as in homs._run: most probes share the input's Signature object
-    if (query.signature is not input_structure.signature
-            and query.signature != input_structure.signature):
-        raise SignatureMismatch("query signature does not match the input")
     if orientation == LEFT:
         return hom_value(query, input_structure, semiring)
     return hom_value(input_structure, query, semiring)
@@ -182,5 +170,4 @@ def flatten_adaptive_boolean(strategy: Strategy, k: int,
                 return decision.verdict
             transcript = transcript + (answers[index[transcript]],)
 
-    algorithm = NonAdaptiveAlgorithm if queries else _ZeroQueryAlgorithm
-    return algorithm(orientation, queries, accept)
+    return NonAdaptiveAlgorithm(orientation, queries, accept)

@@ -4,7 +4,8 @@ Finite relational structures: signatures, constructors, combinators,
 refinement search, which also decides isomorphism.
 
 Elements are always the canonical integers 0..n-1.  All values are
-immutable, so a structure may be shared: the probe-family constructors
+immutable (Signature and Structure freeze copies of what they are given),
+so a structure may be shared: the probe-family constructors
 (directed_cycle, directed_path, complete_pair) return one object per
 argument, and canonical_form one per canonical key.  The combinators
 build a new structure on each call.
@@ -89,6 +90,7 @@ class Signature:
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "relations", tuple(map(tuple, self.relations)))
         names = []
         for name, arity in self.relations:
             if not isinstance(name, str):
@@ -112,7 +114,7 @@ class Structure:
 
     def __post_init__(self):
         # checked before freezing, so a True or 1.0 beside an equal 1 is still seen
-        relations = {name: tuple(ts) for name, ts in self.relations.items()}
+        relations = {name: tuple(map(tuple, ts)) for name, ts in self.relations.items()}
         self._check(relations)
         self._freeze(relations)
 
@@ -171,7 +173,7 @@ class Structure:
 
 def make_structure(signature: Signature, domain_size: int,
                    relations: dict[str, object]) -> Structure:
-    rels = {name: tuple(map(tuple, tuples)) for name, tuples in relations.items()}
+    rels = dict(relations)
     for name in signature.names:
         rels.setdefault(name, ())
     return Structure(signature, domain_size, rels)
@@ -444,5 +446,5 @@ def decode_structure(text: str) -> Structure:
             if type(t) is not list or len(t) != arities[name]:
                 raise StructureDecodeError(
                     f"relation {name!r}: {json.dumps(t)} is not a list of {arities[name]} elements")
-        rels[name] = tuple(map(tuple, tuples))
+        rels[name] = tuples
     return _built(Structure, signature, doc["domain"], rels)

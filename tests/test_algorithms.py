@@ -117,25 +117,24 @@ def test_lovasz_identification_work_is_pinned(monkeypatch):
 
 
 def test_dn_family():
-    spec = alg.CycleFamilySpec(3, alg.EVEN)
-    members = alg.dn_family(spec)
-    assert len(members) == 2  # m = 0, 2
-    assert isomorphic(members[0], scalar_multiple(8, directed_cycle(1)))
-    assert isomorphic(members[1], scalar_multiple(2, directed_cycle(4)))
-    odd = alg.dn_family(alg.CycleFamilySpec(3, alg.ODD))
-    assert len(odd) == 2  # m = 1, 3
-    with pytest.raises(ValueError):
-        alg.CycleFamilySpec(0, alg.EVEN)
-    with pytest.raises(ValueError):
-        alg.CycleFamilySpec(2, "both")
+    (m0, even0), (m2, even2) = alg.dn_family(3, alg.EVEN)
+    assert (m0, m2) == (0, 2)
+    assert isomorphic(even0, scalar_multiple(8, directed_cycle(1)))
+    assert isomorphic(even2, scalar_multiple(2, directed_cycle(4)))
+    assert [m for m, _ in alg.dn_family(3, alg.ODD)] == [1, 3]
+    with pytest.raises(alg.ParameterError, match=r"^parity must be even or odd, got 'both'$"):
+        alg.dn_family(2, "both")
+    # n is checked before the parity
+    with pytest.raises(alg.ParameterError, match=r"^n must be >= 1, got 0$"):
+        alg.dn_family(0, "both")
 
 
 @pytest.mark.parametrize("build", [
-    lambda n: alg.CycleFamilySpec(n, alg.EVEN),
+    lambda n: alg.dn_family(n, alg.EVEN),
     lambda n: alg.dn_member(n, 1),
     alg.dn_nonadaptive_separator,
     alg.dn_adaptive_binary_search],
-    ids=["CycleFamilySpec", "dn_member", "dn_nonadaptive_separator", "dn_adaptive_binary_search"])
+    ids=["dn_family", "dn_member", "dn_nonadaptive_separator", "dn_adaptive_binary_search"])
 def test_dn_builders_share_one_guard(build):
     build(alg.DN_GUARD)
     with pytest.raises(GuardExceeded, match=r"^dn guard: n = 7 > 6$"):

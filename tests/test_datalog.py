@@ -240,6 +240,10 @@ def test_evaluate_edb_errors():
                          {"R": set(), "P": set(), "Q": set()})
     with pytest.raises(DatalogError):
         evaluate(p, bad)  # R has the wrong arity
+    # a derived R would hide the structure's R, whose facts it never reads
+    clash = parse_program("R(x, y) :- R(y, x).\nAns() :- R(z, z).")
+    with pytest.raises(DatalogError, match="^IDB predicate R names a relation of the structure$"):
+        evaluate(clash, directed_cycle(1))
 
 
 def test_directed_cycle_program_frozen_cases():

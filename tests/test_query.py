@@ -28,8 +28,14 @@ def test_non_adaptive_validation():
     q = (directed_path(1),)
     with pytest.raises(ValueError):
         NonAdaptiveAlgorithm("sideways", q, frozenset())
-    with pytest.raises(ValueError):
-        NonAdaptiveAlgorithm(LEFT, (), frozenset())
+    # no query decides a constant class, under either form of accept
+    for accept, verdict in ((frozenset({()}), True), (frozenset(), False),
+                            (lambda t: t == (), True)):
+        report = run_non_adaptive(NonAdaptiveAlgorithm(LEFT, (), accept), directed_cycle(3))
+        assert (report.verdict, report.transcript, report.queries_issued) == (verdict, (), ())
+    # queries are frozen, so the algorithm hashes
+    listed = NonAdaptiveAlgorithm(LEFT, list(q), frozenset())
+    assert listed.queries == q and hash(listed) == hash(NonAdaptiveAlgorithm(LEFT, q, frozenset()))
     # an adaptive run reads its orientation through the same check
     with pytest.raises(ValueError):
         run_adaptive(even_edge_strategy, directed_cycle(3), "sideways", max_steps=1)

@@ -49,6 +49,24 @@ def test_signature_validation():
         Signature((("R", 0),))
 
 
+def test_signature_freezes_its_relations():
+    relations = [["R", 2]]
+    sig = Signature(relations)
+    assert sig == DIGRAPH_SIG and hash(sig) == hash(DIGRAPH_SIG)
+    assert complete_pair(sig) == complete_pair(DIGRAPH_SIG)
+    # the caller's list is copied, so changing it later leaves sig as it was
+    relations.append(("S", 1))
+    relations[0][1] = 3
+    assert sig.relations == (("R", 2),) and sig.names == ("R",)
+    assert make_structure(sig, 2, {"R": [(0, 1)]}) == digraph(2, [(0, 1)])
+
+
+def test_structure_freezes_each_tuple():
+    built = Structure(DIGRAPH_SIG, 2, {"R": [[0, 1], [1, 1]]})
+    assert built == Structure(DIGRAPH_SIG, 2, {"R": ((0, 1), (1, 1))})
+    assert built.relations["R"] == {(0, 1), (1, 1)} and hash(built) == hash(digraph(2, built.relations["R"]))
+
+
 def test_structure_validation():
     with pytest.raises(ValueError):
         make_structure(DIGRAPH_SIG, 0, {"R": set()})
