@@ -92,6 +92,9 @@ class _Main(click.Group):
               default="text", show_default=True)
 @click.pass_context
 def main(ctx, guard_override, fmt):
+    # exact counts are printed in full, past Python's 4,300-digit default
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     ctx.ensure_object(dict)
     ctx.obj["fmt"] = fmt
     if guard_override:

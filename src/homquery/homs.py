@@ -2,41 +2,45 @@
 Homomorphism counting and existence between finite relational structures,
 plus the closed-form counts into disjoint unions of (n-ary) cycles.
 
-The general engine is exact (Python integers).  It is a dynamic program
-over the source's elements, taken component by component in the BFS order
-of analysis.components_of (adjacency = shared facts); a fact is checked at
-the position of its last element.  The *frontier* of a position is the set
-of earlier elements that facts checked there or later still read.  The
-number of ways to extend a partial map from a position on depends only on
-the frontier's images, so it is computed once per frontier image tuple and
-cached: variable elimination along the order (Diaz, Serna and Thilikos,
-TCS 2002; Dalmau and Jonsson, TCS 2004).  The images an element may take
-are read from lookup tables over the target's relations, keyed on the
-images already fixed in each fact checked at its position, and intersected
-in ascending order.  Counts of components multiply.
+The general engine is exact (Python integers).  Source and target are
+split alike into parts: components whose relations are equal once each is
+relabelled by its ascending elements are copies of one part, and a
+connected structure is one part.  Counts of source components multiply,
+and a connected one's count into a disjoint union is a weighted sum
+(Lovasz, Large networks and graph limits, AMS 2012, ch. 5), so a source
+part with k copies counts (sum of m_i hom(C, H_i)) ** k into target parts
+H_i with m_i copies each: one search per pair of distinct parts, however
+many copies either side holds.  A source part that reads a table which is
+empty for a target part, such as a relation the part lacks, counts 0 into
+it without a search.
 
-The target is split into parts: its components whose relations are equal
-once each is relabelled by its ascending elements are copies of one part.
-A source component is connected, so its count into a disjoint union is a
-weighted sum, hom(C, m_1 H_1 + ... + m_k H_k) = sum of m_i hom(C, H_i)
-(Lovasz, Large networks and graph limits, AMS 2012, ch. 5), and the search
-runs once per distinct part, however many copies the target holds.  A
-connected target is one part.  A source component that reads a table
-which is empty for a part, such as a relation the part lacks, counts 0
-into that part without a search.
+The search is a dynamic program over a connected source part's elements
+in the BFS order of analysis.components_of (adjacency = shared facts); a
+fact is checked at the position of its last element.  The *frontier* of a
+position is the set of earlier elements that facts checked there or later
+still read.  The number of ways to extend a partial map from a position on
+depends only on the frontier's images, so it is computed once per frontier
+image tuple and cached: variable elimination along the order (Diaz, Serna
+and Thilikos, TCS 2002; Dalmau and Jonsson, TCS 2004).  The images an
+element may take are read from lookup tables over the target part's
+relations, keyed on the images already fixed in each fact checked at its
+position, and intersected in ascending order.
 
 The search is one flat loop over a stack of open positions, so Python's
 recursion limit puts no bound on source size.  find_hom runs it in
-ascending candidate order over the parts in ascending order of their least
-element, stops at the first complete map (the lexicographically least one
-within the first part that has one, mapped back through that part's first
-copy) and caches only the frontier states that have no extension.  The
-budget is a count of candidate images tried, carried across components and
-summed over parts: past DEFAULT_BUDGET a call raises WorkBudgetExceeded.
-Plans are cached per source, parts per target and tables per (target
-relation, mask), all keyed on relation contents and bounded at
-structures.CACHE_SIZE entries, so that a sweep of probes over a few dozen
-targets finds its parts and tables still built.
+ascending candidate order over the target parts in ascending order of
+their least element, stops at the first complete map (the
+lexicographically least one within the first target part that has one,
+mapped back through that part's first copy) and caches only the frontier
+states that have no extension.  Relabelling by ascending element keeps
+components_of's order, so every copy of a source part has that least
+witness, and it is applied to each.  The budget is a count of candidate
+images tried, summed over the distinct parts of source and target: past
+DEFAULT_BUDGET a call raises WorkBudgetExceeded.  Plans are cached per
+source part, parts per structure and tables per (target relation, mask),
+all keyed on relation contents and bounded at structures.CACHE_SIZE
+entries, so that a sweep of probes over a few dozen targets finds its
+parts and tables still built.
 
 The closed forms never run the search; property tests compare the two
 code paths.  They read a source's gamma and component count from a cache
@@ -72,51 +76,40 @@ def _no_images(img) -> tuple:
 @lru_cache(maxsize=CACHE_SIZE)
 def _plan(domain_size: int, relations: tuple[frozenset, ...]):
     """
-    Search plan of a source with these relations (in signature order).
+    Search plan of a connected source with these relations (in signature order).
 
-    Returns (needs, components).  needs lists the (relation index, mask)
-    tables the plan reads; mask marks the tuple positions that hold the
-    element being placed.  components pairs each component with the table
-    slots (indices into needs) that it reads.  A component is (order,
-    frontier, checks):
-    order is its element order, components_of's BFS; frontier[i] gives
-    the key of the frontier's images at position i, or None where every
-    earlier element is still read, so that no two partial maps share a key
-    and caching would only cost memory; checks[i] lists (table slot, key of
-    the fixed images) for each fact checked at position i.
+    Returns (needs, plan).  needs lists the (relation index, mask) tables
+    the plan reads; mask marks the tuple positions that hold the element
+    being placed.  plan is (order, frontier, checks): order is the element
+    order, components_of's BFS; frontier[i] gives the key of the frontier's
+    images at position i, or None where every earlier element is still
+    read, so that no two partial maps share a key and caching would only
+    cost memory; checks[i] lists (table slot, key of the fixed images) for
+    each fact checked at position i, a slot being an index into needs.
     """
-    facts = [(r, t) for r, tuples in enumerate(relations) for t in sorted(tuples)]
-    orders = components_of(domain_size, relations)
-    position, component_of = [0] * domain_size, [0] * domain_size
-    for c, order in enumerate(orders):
-        for i, v in enumerate(order):
-            position[v], component_of[v] = i, c
+    order, = components_of(domain_size, relations)
+    position = {v: i for i, v in enumerate(order)}
 
-    slots: dict[tuple[int, int], int] = {}
-    checks: list[list[list]] = [[[] for _ in order] for order in orders]
-    last_read: list[list[int]] = [list(range(len(order))) for order in orders]
-    for r, t in facts:
-        c = component_of[t[0]]
-        at = max(position[e] for e in t)
-        new = orders[c][at]
-        mask = sum(1 << k for k, e in enumerate(t) if e == new)
-        fixed = [position[e] for e in t if e != new]
-        slot = slots.setdefault((r, mask), len(slots))
-        checks[c][at].append((slot, itemgetter(*fixed) if fixed else _no_images))
-        for p in fixed:
-            last_read[c][p] = max(last_read[c][p], at)
+    needs: dict[tuple[int, int], int] = {}
+    checks: list[list] = [[] for _ in order]
+    last_read = list(range(domain_size))
+    for r, tuples in enumerate(relations):
+        for t in sorted(tuples):
+            at = max(map(position.__getitem__, t))
+            new = order[at]
+            mask = sum(1 << k for k, e in enumerate(t) if e == new)
+            fixed = [position[e] for e in t if e != new]
+            slot = needs.setdefault((r, mask), len(needs))
+            checks[at].append((slot, itemgetter(*fixed) if fixed else _no_images))
+            for p in fixed:
+                last_read[p] = max(last_read[p], at)
 
-    components = []
-    for c, order in enumerate(orders):
-        frontier, live = [None], []
-        for i in range(1, len(order)):
-            # an element still read at i is i - 1 or was still read at i - 1
-            live = [p for p in live + [i - 1] if last_read[c][p] >= i]
-            frontier.append(None if len(live) == i else itemgetter(*live))
-        reads = tuple(sorted({slot for at in checks[c] for slot, _ in at}))
-        components.append(((tuple(order), tuple(frontier),
-                            tuple(tuple(at) for at in checks[c])), reads))
-    return tuple(slots), tuple(components)
+    frontier, live = [None], []
+    for i in range(1, domain_size):
+        # an element still read at i is i - 1 or was still read at i - 1
+        live = [p for p in live + [i - 1] if last_read[p] >= i]
+        frontier.append(None if len(live) == i else itemgetter(*live))
+    return tuple(needs), (tuple(order), tuple(frontier), tuple(map(tuple, checks)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -149,14 +142,14 @@ def _table(relation: frozenset, mask: int) -> dict:
     return {k: tuple(sorted(vs)) for k, vs in grouped.items()}
 
 
-def _search(component, tables, domain: range, find: bool, used: int):
+def _search(plan, tables, domain: range, find: bool, used: int):
     """
-    (number of homomorphisms of one source component into the target part
+    (number of homomorphisms of a connected source part into the target part
     whose tables are given, images by position, used plus the candidates tried).
     With find set the number is 1 or 0, and on 1 the images are the first
     homomorphism found.
     """
-    order, frontier, checks = component
+    order, frontier, checks = plan
     budget, last = DEFAULT_BUDGET, len(order) - 1
     img = [0] * len(order)
     # memo[i] caches counts from position i on, keyed on the frontier's images
@@ -226,17 +219,16 @@ def _search(component, tables, domain: range, find: bool, used: int):
 @lru_cache(maxsize=CACHE_SIZE)
 def _parts(domain_size: int, relations: tuple[frozenset, ...]):
     """
-    The distinct components of a target with these relations, in ascending
-    order of their least element: (domain, relations, elements, copies) for
+    The distinct components of a structure with these relations, in
+    ascending order of their least element: (size, relations, copies) for
     each.  Components whose relations are equal once each is relabelled by
     its ascending elements are copies of one part, which holds them so
-    relabelled; elements are those of its first copy, by new label.  A
-    connected target is one part that keeps its own relations.
+    relabelled; copies lists each copy's elements by new label.  A
+    connected structure is one part that keeps its own relations.
     """
     found = components_of(domain_size, relations)
     if len(found) == 1:
-        whole = range(domain_size)
-        return ((whole, relations, whole, 1),)
+        return ((domain_size, relations, (range(domain_size),)),)
     label, owner = [0] * domain_size, [0] * domain_size
     for c, elements in enumerate(found):
         elements.sort()
@@ -248,9 +240,8 @@ def _parts(domain_size: int, relations: tuple[frozenset, ...]):
             facts[owner[t[0]]][r].add(tuple(map(label.__getitem__, t)))
     copies: dict[tuple, list] = {}
     for elements, rels in zip(found, facts):
-        copies.setdefault((len(elements), tuple(map(frozenset, rels))), []).append(elements)
-    return tuple((range(size), rels, tuple(same[0]), len(same))
-                 for (size, rels), same in copies.items())
+        copies.setdefault((len(elements), tuple(map(frozenset, rels))), []).append(tuple(elements))
+    return tuple((size, rels, tuple(same)) for (size, rels), same in copies.items())
 
 
 def _run(a: Structure, b: Structure, find: bool):
@@ -259,32 +250,32 @@ def _run(a: Structure, b: Structure, find: bool):
     if a.signature is not b.signature and a.signature != b.signature:
         raise SignatureMismatch("signature mismatch")
     names = a.signature.names
-    needs, components = _plan(a.domain_size, tuple(map(a.relations.__getitem__, names)))
-    parts = []
-    for domain, relations, elements, copies in _parts(
-            b.domain_size, tuple(map(b.relations.__getitem__, names))):
-        tables = [_table(relations[r], mask) for r, mask in needs]
-        # with no table empty, no component skips the part
-        parts.append((domain, elements, copies, tables, all(tables)))
+    sources = _parts(a.domain_size, tuple(map(a.relations.__getitem__, names)))
+    targets = _parts(b.domain_size, tuple(map(b.relations.__getitem__, names)))
     total, used = 1, 0
     witness = {} if find else None
-    for component, slots in components:
-        # a source component is connected, so its count into a disjoint union
-        # is the sum of its counts into the union's components
+    for size, relations, copies in sources:
+        needs, plan = _plan(size, relations)
+        # a source part is connected, so its count into a disjoint union is
+        # the sum of its counts into the union's components
         count = 0
-        for domain, elements, copies, tables, full in parts:
-            if not full and not all(map(tables.__getitem__, slots)):
-                # a fact of this component has no image in this part
+        for target_size, target_relations, target_copies in targets:
+            tables = [_table(target_relations[r], mask) for r, mask in needs]
+            if not all(tables):
+                # a fact of the source part has no image in this target part
                 continue
-            n, images, used = _search(component, tables, domain, find, used)
+            n, images, used = _search(plan, tables, range(target_size), find, used)
             if find and n:
-                witness.update(zip(component[0], map(elements.__getitem__, images)))
+                # every copy has the same least witness
+                images = list(map(target_copies[0].__getitem__, images))
+                for copy in copies:
+                    witness.update(zip(map(copy.__getitem__, plan[0]), images))
                 count = 1
                 break
-            count += copies * n
+            count += len(target_copies) * n
         if not count:
             return 0, None
-        total *= count
+        total *= count ** len(copies)
     return total, witness
 
 

@@ -342,8 +342,8 @@ def canonical_form(s: Structure) -> Structure:
 # The bound of every cache keyed on relation contents (homs' plans, tables,
 # parts and cycle invariants, datalog's EDB indexes, canonical forms; no entry
 # is larger than its key).  It holds a seed-1 benchmark round: decide fills
-# 201 plans, 474 tables, 270 parts, 15 canonical forms; count-large 114 plans,
-# 42 tables, 19 parts; crosscheck 93 invariants, 126 EDB indexes.
+# 180 plans, 474 tables, 310 parts, 15 canonical forms; count-large 100 plans,
+# 42 tables, 133 parts; crosscheck 93 invariants, 126 EDB indexes.
 CACHE_SIZE = 1024
 
 

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -17,6 +19,7 @@ from homquery.structures import (
     encode_structure,
     isomorphic,
     make_structure,
+    scalar_multiple,
 )
 
 
@@ -60,6 +63,22 @@ def test_hom_from_a_deep_source(runner, files, tmp_path):
     for mode, expected in (("count", "3"), ("exists", "1")):
         r = runner.invoke(main, ["hom", mode, "--from", str(path), "--to", files["c3"]])
         assert r.exit_code == 0 and r.output.strip() == expected
+
+
+def test_hom_count_prints_every_digit(runner, tmp_path):
+    # hom(2,200 copies of P_1, K_10 with loops) = (10^2)^2200 = 10^4400, past
+    # Python's default limit of 4,300 digits on int to str
+    paths = []
+    for name, s in (("p1x2200", scalar_multiple(2200, directed_path(1))),
+                    ("k10", digraph(10, set(itertools.product(range(10), repeat=2))))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(encode_structure(s), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    try:
+        r = runner.invoke(main, ["hom", "count", "--from", str(paths[0]), "--to", str(paths[1])])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert r.exit_code == 0 and r.output == "1" + "0" * 4400 + "\n"
 
 
 def test_analyze(runner, files):

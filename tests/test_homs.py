@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import count_calls, small_digraphs
 from homquery import homs
+from homquery.algorithms import right_separator
 from homquery.analysis import component_count, gamma
 from homquery.catalog import enumerate_digraphs_upto
 from homquery.homs import (
@@ -101,12 +102,14 @@ def test_budget_counts_each_candidate_image_tried(monkeypatch):
     # the least budget a call finishes within is the number of candidate
     # images it tries: each one at an inner position (memo hits too), all of
     # the last position's at once in a count and the first in a find, summed
-    # over the source's components and, for each, over the target's distinct
-    # parts, so it does not grow with the number of copies of a part
+    # over the source's distinct parts and, for each, over the target's
+    # distinct parts, so it does not grow with the number of copies of a part
+    # on either side
     pair = complete_pair(DIGRAPH_SIG)
     in_star = digraph(3, {(1, 0), (2, 0)})
     c2s = scalar_multiple(5000, directed_cycle(2))
     assert hom_count(directed_cycle(4), c2s) == 10_000
+    f3 = right_separator(3)[0]
     cases = [(hom_count, digraph(7, {(0, i) for i in range(1, 7)}), pair, 26),
              (hom_count, in_star, pair, 10),
              (find_hom, in_star, pair, 3),
@@ -120,8 +123,12 @@ def test_budget_counts_each_candidate_image_tried(monkeypatch):
              # K_1 has no edge, so C_3 tries no image in it: only P_2 is searched
              (find_hom, directed_cycle(3), disjoint_union(digraph(1, set()), directed_path(2)), 5),
              # placed in the order 0, 2, 9, 3 (BFS over ascending neighbours);
-             # the order 0, 9, 2, 3 would try 26
-             (hom_count, digraph(10, {(0, 9), (2, 0), (2, 3)}), pair, 30)]
+             # the order 0, 9, 2, 3 would try 26; the six isolated elements
+             # are copies of one part, whose two images are tried once
+             (hom_count, digraph(10, {(0, 9), (2, 0), (2, 3)}), pair, 20),
+             # 5,000 copies of P_2 are one part, searched as P_2 alone
+             (hom_count, directed_path(2), f3, 1_115),
+             (hom_count, scalar_multiple(5000, directed_path(2)), f3, 1_115)]
     for run, a, b, tried in cases:
         monkeypatch.setattr(homs, "DEFAULT_BUDGET", tried)
         run(a, b)
@@ -187,7 +194,7 @@ def test_engine_matches_oracle_on_every_catalog_pair():
 
 
 def _union_target_cases():
-    "(source, union target) pairs whose target repeats, orders or mixes its components."
+    "(source, union target) pairs; targets and some sources repeat, order or mix components."
     c2, c3, p2 = directed_cycle(2), directed_cycle(3), directed_path(2)
     dot = digraph(1, set())
     # repeated components and an isolated element
@@ -198,9 +205,14 @@ def _union_target_cases():
     # the first part (C_2) has no hom from C_3, a later one (C_3) has
     late = disjoint_union(scalar_multiple(2, c2), c3)
     sources = [c2, c3, p2, directed_path(3), dot, digraph(2, set()),
-               directed_cycle(6), disjoint_union(p2, c3), digraph(3, {(0, 1), (2, 1)})]
+               directed_cycle(6), disjoint_union(p2, c3), digraph(3, {(0, 1), (2, 1)}),
+               scalar_multiple(3, c2)]
     for target in (repeated, mirrored, late):
         yield from ((a, target) for a in sources)
+    # a source with repeated components, into targets small enough for the
+    # oracle's guard (9 source elements)
+    for target in (mirrored, disjoint_union(c2, c3)):
+        yield disjoint_union(scalar_multiple(2, p2), c3), target
     # each source component reads a table that is empty for the other's part
     # (a loop has none in P_1): a part is skipped only for the component
     # that reads the empty table
@@ -212,6 +224,7 @@ def _union_target_cases():
     bare = make_structure(sig, 2, {"P": {(1,)}, "T": set()})
     mixed = disjoint_union(scalar_multiple(2, tri), disjoint_union(bare, loop))
     for a in (tri, loop, bare, scalar_multiple(2, tri), disjoint_union(bare, loop),
+              disjoint_union(scalar_multiple(2, tri), loop),
               make_structure(sig, 2, {"P": {(0,)}, "T": {(0, 1, 1)}})):
         yield a, mixed
 
@@ -226,26 +239,36 @@ def test_engine_matches_oracle_on_union_targets():
             assert _is_hom(w, a, b), (a, b, w)
 
 
-def test_target_parts_group_equal_relabelled_components():
-    def parts(b):
-        return [(len(domain), copies) for domain, _, _, copies
-                in homs._parts(b.domain_size, (b.relations["R"],))]
+def test_parts_group_equal_relabelled_components():
+    def parts(s):
+        return [(size, len(copies)) for size, _, copies
+                in homs._parts(s.domain_size, (s.relations["R"],))]
 
     c2 = directed_cycle(2)
     assert parts(directed_cycle(5)) == [(5, 1)]
     assert parts(scalar_multiple(5000, c2)) == [(2, 5000)]
     assert parts(disjoint_union(c2, disjoint_union(digraph(1, set()), c2))) == [(2, 2), (1, 1)]
     assert parts(digraph(4, {(0, 1), (3, 2)})) == [(2, 1), (2, 1)]
-    # a connected target keeps its own relations
+    # a source with six isolated elements: they are copies of one part
+    assert parts(digraph(10, {(0, 9), (2, 0), (2, 3)})) == [(4, 1), (1, 6)]
+    # each copy lists its elements by new label, ascending
+    (_, relations, copies), = homs._parts(6, (digraph(6, {(3, 0), (0, 3), (1, 5), (5, 1),
+                                                         (2, 4), (4, 2)}).relations["R"],))
+    assert relations == (frozenset({(0, 1), (1, 0)}),)
+    assert copies == ((0, 3), (1, 5), (2, 4))
+    # a connected structure keeps its own relations
     c5 = directed_cycle(5)
-    (_, relations, _, _), = homs._parts(5, (c5.relations["R"],))
-    assert relations[0] is c5.relations["R"]
+    (_, relations, copies), = homs._parts(5, (c5.relations["R"],))
+    assert relations[0] is c5.relations["R"] and list(copies[0]) == [0, 1, 2, 3, 4]
 
 
 def test_find_hom_into_a_union_maps_into_the_first_part_with_a_hom():
     # C_3 has no hom into C_2, so the witness lands in the copy of C_3 at 4-6
     late = disjoint_union(scalar_multiple(2, directed_cycle(2)), directed_cycle(3))
     assert find_hom(directed_cycle(3), late) == {0: 4, 1: 5, 2: 6}
+    # from a union source, each copy takes the same least witness
+    assert find_hom(scalar_multiple(2, directed_cycle(3)), late) == \
+        {0: 4, 1: 5, 2: 6, 3: 4, 4: 5, 5: 6}
 
 
 def test_deep_sources_run_past_the_recursion_limit():
