@@ -177,7 +177,7 @@ def gen_group():
 @gen_group.command("dn")
 @click.option("--n", required=True, type=int)
 @click.option("--parity", required=True, type=click.Choice([alg.EVEN, alg.ODD]))
-@click.option("--out-dir", type=click.Path(), default=".", show_default=True)
+@click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True)
 def gen_dn_cmd(n, parity, out_dir):
     "Write the power-of-two cycle family members as structure files."
     try:

@@ -1,23 +1,25 @@
 """
 Reproducible desk-scale experiments cross-checking every closed form
-against brute force and replaying the separation constructions on their
-finite pools.  Each experiment is a pure function of its parameters and
-renders to a stable line-oriented key:value report ending in PASS/FAIL.
+against brute force and the separation constructions' query counts
+against exact lower bounds over probe types.  Each experiment is a pure
+function of its parameters and renders to a stable line-oriented
+key:value report ending in PASS/FAIL.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import algorithms as alg
-from .analysis import component_count, gamma, star_transform
+from .analysis import gamma, star_transform
 from .catalog import enumerate_digraphs_upto
 from .datalog import builtin_programs, evaluate
 from .homs import (
     COUNT,
+    hom_count,
     hom_into_cycle_union_formula,
     hom_into_nary_cycle_union_formula,
 )
@@ -25,11 +27,11 @@ from .oracle import has_directed_cycle, oracle_hom_count
 from .query import run_non_adaptive
 from .registry import run_registered
 from .structures import (
-    DIGRAPH_SIG,
     Signature,
     Structure,
     check_guard,
     directed_cycle,
+    directed_path,
     isomorphic,
     n_ary_cycle,
     scalar_multiple,
@@ -92,9 +94,10 @@ def experiment_cycle_formula(max_vertices: int = 4, max_m: int = 3,
 def experiment_dn(n: int) -> ExperimentReport:
     """
     Run the non-adaptive separator and the adaptive binary search over
-    the full promise family; for n <= 3 also cross-check every answer
-    against the brute-force oracle.  The family's builders refuse an n
-    outside its range (algorithms.DN_GUARD).
+    the full promise family, and check over every probe type that no
+    algorithm needs fewer queries than they make; for n <= 3 also
+    cross-check every answer against the brute-force oracle.  The
+    family's builders refuse an n outside its range (algorithms.DN_GUARD).
     """
     report = ExperimentReport("dn", {"n": n})
     members = [(m, alg.dn_member(n, m)) for m in range(n + 1)]
@@ -132,20 +135,23 @@ def experiment_dn(n: int) -> ExperimentReport:
     report.check("adaptive-correct", adaptive_correct)
     report.add("adaptive-query-bound", max_queries)
     report.check("adaptive-within-bound", within_bound)
+    _check_lower_bounds(report, [(2 ** m, member, m % 2 == 0) for m, member in members],
+                        (len(separator.queries), max_queries))
     return report
 
 
-def experiment_adaptive_not_better(k: int = 1, seed: int = 0) -> ExperimentReport:
+def experiment_adaptive_not_better(k: int = 1) -> ExperimentReport:
     """
     Build the k-query instance on the primes (2, 3, 5, 7)[:2k], verify the
     hom matrix is nonzero exactly on the diagonal and the classification
-    accepts exactly j <= k; for k=1 also brute-force the matrix and replay
-    the adversary argument over a finite query pool (illustrative).
+    accepts exactly j <= k, and check over every probe type that no
+    algorithm, adaptive or not, decides the family in fewer than k
+    queries; for k=1 also brute-force the matrix.
     """
     primes = (2, 3, 5, 7)[:2 * k]
     if k < 1 or len(primes) != 2 * k:
         raise alg.ParameterError(f"k={k} needs 2k distinct primes, got primes={primes}")
-    report = ExperimentReport("adaptive-not-better", {"k": k, "primes": primes, "seed": seed})
+    report = ExperimentReport("adaptive-not-better", {"k": k, "primes": primes})
     algorithm, structures = alg.adaptive_not_better_instance(k, primes)
 
     diagonal_ok = True
@@ -171,49 +177,58 @@ def experiment_adaptive_not_better(k: int = 1, seed: int = 0) -> ExperimentRepor
         report.add("brute-force-matrix", brute)
         report.check("brute-force-diagonal-value-36", brute[0][0] == 36)
         report.check("brute-force-off-diagonal-zero", brute[0][1] == 0)
-        _adversary_replay(report, k, structures, primes, seed)
+    _check_lower_bounds(report, [(math.prod(primes) // p, member, j < k)
+                                 for j, (p, member) in enumerate(zip(primes, structures))],
+                        (len(algorithm.queries), k))
     return report
 
 
-def _adversary_replay(report, k, structures, primes, seed):
+def _least_queries(outcomes, accept) -> tuple:
     """
-    Finite-pool illustration of the adversary argument: every pooled
-    query has a two-valued outcome on the family (0 or P^c(F)) and its
-    nonzero set is empty, a single member, or the whole family; hence an
-    adaptive (k-1)-query run leaves >= k+1 members on one computation
-    path, among them a member of the class and a non-member.
+    (fewest non-adaptive probes, least adaptive depth) that decide accept[i]
+    on members i when a probe shows only which members its outcome holds:
+    by brute force over sets of outcomes, and by a DP over member subsets.
     """
-    product = math.prod(primes)
-    pool = list(enumerate_digraphs_upto(4))
-    rng = random.Random(seed)
-    for _ in range(300):  # seeded 5-vertex augmentation of the pool
-        edges = {(rng.randrange(5), rng.randrange(5))
-                 for _ in range(rng.randrange(1, 26))}
-        pool.append(Structure._trusted(DIGRAPH_SIG, 5, {"R": edges}))
-    report.add("pool-size", len(pool))
-    report.add("pool-coverage", "all iso-classes <= 4 vertices "
-               "plus seeded 5-vertex sample (illustrative, not a proof)")
+    masks = {sum(1 << i for i in outcome) for outcome in outcomes}
+    yes = sum(1 << i for i, accepted in enumerate(accept) if accepted)
+    pairs = [(a, r) for a, r in itertools.product(range(len(accept)), repeat=2)
+             if accept[a] and not accept[r]]
+    non_adaptive = next((
+        size for size in range(len(masks) + 1)
+        if any(all(any(((o >> a) ^ (o >> r)) & 1 for o in chosen) for a, r in pairs)
+               for chosen in itertools.combinations(masks, size))), math.inf)
 
-    dichotomy_ok = True
-    split_ok = True
-    for f in pool:
-        values = [hom_into_cycle_union_formula(f, primes[j], product // primes[j])
-                  for j in range(len(structures))]
-        allowed = {0, product ** component_count(f)}
-        if not set(values) <= allowed:
-            dichotomy_ok = False
-        nonzero = sum(1 for v in values if v)
-        if nonzero not in (0, 1, len(structures)):
-            split_ok = False
-    report.check("pool-outcomes-two-valued", dichotomy_ok)
-    report.check("pool-nonzero-set-trivial-or-singleton", split_ok)
+    @cache
+    def depth(alive: int):
+        if (alive & yes) in (0, alive):
+            return 0
+        return min((1 + max(depth(alive & o), depth(alive & ~o))
+                    for o in masks if 0 != alive & o != alive), default=math.inf)
+    return non_adaptive, depth((1 << len(accept)) - 1)
 
-    # the adversary keeps all members on one path through k-1 queries, so
-    # at least k+1 survive; any straddling pair is then indistinguishable
-    survivors = len(structures) - (k - 1)
-    report.add("adversary-survivors-lower-bound", survivors)
-    report.check("straddling-pair-survives", survivors >= k + 1)
-    report.add("lower-bound-status", "illustrative at desk scale")
+
+def _check_lower_bounds(report, family, upper_bounds):
+    """
+    Exact lower bounds on a family of (L, N/L copies of C_L, accepted)
+    triples, N = lcm of the L.  hom(F, c·C_L) is (cL)^c(F) if L divides
+    gamma(F), else 0, so a probe shows only its type, gamma(F) mod N,
+    which C_gamma or (for gamma = 0) P_1 realizes.  The least queries over
+    all types must be the upper bounds (non-adaptive, adaptive), and the
+    engine must agree with each outcome on one probe that realizes it.
+    """
+    lengths, members, accept = zip(*family)
+    types = {}
+    for g in range(math.lcm(*lengths)):
+        types.setdefault(frozenset(i for i, L in enumerate(lengths) if g % L == 0), g)
+    least = _least_queries(types, accept)
+    report.add("least-non-adaptive-queries", least[0])
+    report.add("least-adaptive-queries", least[1])
+    report.check("upper-bounds-optimal", least == upper_bounds)
+    report.check("types-match-engine", all(
+        {i for i, member in enumerate(members) if hom_count(probe, member)} == outcome
+        for outcome, g in types.items()
+        for probe in [directed_cycle(g) if g else directed_path(1)]))
+    report.add("lower-bound-status", "exhaustive over probe types, given the closed form")
 
 
 NARY_ARITY_GUARD = 3  # n

@@ -3,9 +3,9 @@ Stable algorithm registry for the CLI and the experiment harness.
 
 Each entry knows its orientation, semiring, how to build the runnable
 (non-adaptive algorithm or adaptive strategy) and, for an adaptive one,
-a safe step cap on a given input.  These caps are the one statement of
-each step cap: the experiments run the adaptive algorithms through
-run_registered, which builds each entry once per parameter set.
+a safe step cap on a given input and parameters.  These caps are the one
+statement of each step cap: the experiments run the adaptive algorithms
+through run_registered, which builds each entry once per parameter set.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ class AlgorithmEntry:
     orientation: str
     semiring: str
     build: Callable[..., object]          # (**params) -> strategy or NonAdaptiveAlgorithm
-    step_cap: Optional[Callable[[Structure], int]] = None   # adaptive entries only
+    step_cap: Optional[Callable[..., int]] = None   # (input, **params); adaptive entries only
 
 
 UNARY_PQ_SIG = Signature((("P", 1), ("Q", 1)))
+DN_DEFAULT_N = 2  # n of dn-sep and dn-binsearch when none is given
 
 
 def some_element_in_all_predicates(s: Structure) -> bool:
@@ -66,12 +67,12 @@ _register(AlgorithmEntry(
 
 _register(AlgorithmEntry(
     "dn-sep", LEFT, COUNT,
-    build=lambda n=2: alg.dn_nonadaptive_separator(n)))
+    build=lambda n=DN_DEFAULT_N: alg.dn_nonadaptive_separator(n)))
 
 _register(AlgorithmEntry(
     "dn-binsearch", LEFT, COUNT,
-    build=lambda n=2: alg.dn_adaptive_binary_search(n),
-    step_cap=lambda s: max(1, (s.domain_size + 1).bit_length())))
+    build=lambda n=DN_DEFAULT_N: alg.dn_adaptive_binary_search(n),
+    step_cap=lambda s, n=DN_DEFAULT_N: n + 1))  # D_n's member count > n.bit_length()
 
 _register(AlgorithmEntry(
     "unary-full", LEFT, COUNT,
@@ -110,4 +111,4 @@ def run_registered(name: str, input_structure: Structure, **params) -> RunReport
     if isinstance(runnable, NonAdaptiveAlgorithm):
         return run_non_adaptive(runnable, input_structure, entry.semiring)
     return run_adaptive(runnable, input_structure, entry.orientation,
-                        entry.semiring, max_steps=entry.step_cap(input_structure))
+                        entry.semiring, max_steps=entry.step_cap(input_structure, **params))

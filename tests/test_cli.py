@@ -143,6 +143,18 @@ def test_run_n_in_range(runner, files):
     assert r.exit_code == 0 and r.output.strip().endswith("NO")
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dn_binsearch_halts_on_the_loop_for_every_n(runner, tmp_path, n):
+    # the step cap is stated on n, not on the input's size: on C_1 (m = 0)
+    # the search takes n.bit_length() queries, 3 for n = 4
+    path = tmp_path / "c1.json"
+    path.write_text(encode_structure(directed_cycle(1)), encoding="utf-8")
+    r = runner.invoke(main, ["run", "--algorithm", "dn-binsearch", "--n", str(n),
+                             "--input", str(path)])
+    assert r.exit_code == 0, r.output
+    assert r.output == f"queries: {n.bit_length()}\nYES\n"
+
+
 @pytest.mark.parametrize("args, message", [
     (["run", "--algorithm", "cycle2q", "--input", "pq"], "signature mismatch"),
     (["run", "--algorithm", "unary-full", "--input", "c3"], "signature mismatch"),
@@ -195,6 +207,15 @@ def test_gen_dn(runner, tmp_path):
     assert doc["domain"] == 4  # 4 copies of the loop
 
 
+def test_gen_dn_into_a_file_is_usage_error(runner, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    r = runner.invoke(main, ["gen", "dn", "--n", "2", "--parity", "even",
+                             "--out-dir", str(taken)])
+    assert r.exit_code == 2 and "Traceback" not in r.output
+    assert "is a file" in r.output
+
+
 def test_enumerate(runner):
     r = runner.invoke(main, ["enumerate", "--size", "2"])
     assert r.exit_code == 0
@@ -232,7 +253,8 @@ def test_experiment_command(runner):
 
 def test_experiment_bad_parameters_are_usage_errors(runner):
     for args, named in [(["dn"], "'n'"), (["dn", "n=abc"], "'n'"),
-                        (["dn", "foo"], "'foo'"), (["nary", "bogus=1"], "'bogus'")]:
+                        (["dn", "foo"], "'foo'"), (["nary", "bogus=1"], "'bogus'"),
+                        (["adaptive-not-better", "seed=0"], "'seed'")]:
         line = _one_error_line(runner.invoke(main, ["experiment", *args]), 2, "error: usage: ")
         assert named in line, (args, line)
 

@@ -6,19 +6,21 @@ from conftest import (
     nary_report,
     unbounded_boolean_report,
 )
-from homquery import registry
+from homquery import algorithms as alg
+from homquery import experiments, registry
 from homquery.algorithms import ParameterError, unbounded_boolean_cycle_detector
 from homquery.experiments import (
     EXPERIMENTS,
     ExperimentReport,
+    _least_queries,
     experiment_cycle_formula,
     experiment_adaptive_not_better,
     experiment_dn,
     experiment_nary,
     experiment_unbounded_boolean,
 )
-from homquery.query import Query
-from homquery.structures import directed_path
+from homquery.query import NonAdaptiveAlgorithm, Query
+from homquery.structures import directed_cycle, directed_path
 
 DN_3_TEXT = """\
 experiment: dn
@@ -33,6 +35,11 @@ vectors-match-oracle: ok
 adaptive-correct: ok
 adaptive-query-bound: 2
 adaptive-within-bound: ok
+least-non-adaptive-queries: 3
+least-adaptive-queries: 2
+upper-bounds-optimal: ok
+types-match-engine: ok
+lower-bound-status: exhaustive over probe types, given the closed form
 result: PASS
 """
 
@@ -70,7 +77,6 @@ ADAPTIVE_NOT_BETTER_MACHINE = """\
 experiment=adaptive-not-better
 param.k=1
 param.primes=(2, 3)
-param.seed=0
 member.j=1=vector=(36,) accepted=True
 member.j=2=vector=(0,) accepted=False
 matrix-nonzero-exactly-on-diagonal=ok
@@ -78,13 +84,11 @@ accepts-exactly-first-k=ok
 brute-force-matrix=[[36, 0]]
 brute-force-diagonal-value-36=ok
 brute-force-off-diagonal-zero=ok
-pool-size=3460
-pool-coverage=all iso-classes <= 4 vertices plus seeded 5-vertex sample (illustrative, not a proof)
-pool-outcomes-two-valued=ok
-pool-nonzero-set-trivial-or-singleton=ok
-adversary-survivors-lower-bound=2
-straddling-pair-survives=ok
-lower-bound-status=illustrative at desk scale
+least-non-adaptive-queries=1
+least-adaptive-queries=1
+upper-bounds-optimal=ok
+types-match-engine=ok
+lower-bound-status=exhaustive over probe types, given the closed form
 result=PASS
 """
 
@@ -125,6 +129,11 @@ vectors-pairwise-distinct: ok
 adaptive-correct: ok
 adaptive-query-bound: 3
 adaptive-within-bound: ok
+least-non-adaptive-queries: 6
+least-adaptive-queries: 3
+upper-bounds-optimal: ok
+types-match-engine: ok
+lower-bound-status: exhaustive over probe types, given the closed form
 result: PASS
 """
 
@@ -132,13 +141,17 @@ ADAPTIVE_NOT_BETTER_2_TEXT = """\
 experiment: adaptive-not-better
 param.k: 2
 param.primes: (2, 3, 5, 7)
-param.seed: 0
 member.j=1: vector=(44100, 0) accepted=True
 member.j=2: vector=(0, 9261000) accepted=True
 member.j=3: vector=(0, 0) accepted=False
 member.j=4: vector=(0, 0) accepted=False
 matrix-nonzero-exactly-on-diagonal: ok
 accepts-exactly-first-k: ok
+least-non-adaptive-queries: 2
+least-adaptive-queries: 2
+upper-bounds-optimal: ok
+types-match-engine: ok
+lower-bound-status: exhaustive over probe types, given the closed form
 result: PASS
 """
 
@@ -193,11 +206,47 @@ def test_adaptive_not_better_passes():
     assert report.passed, report.render()
 
 
-def test_adaptive_not_better_is_deterministic():
-    # the default (seed 0) report is pinned byte for byte by
-    # test_reports_match_frozen_text; a different seed still passes
-    # (different adversary sample)
-    assert experiment_adaptive_not_better(seed=3).passed
+@pytest.mark.parametrize("n, least", [
+    (1, (1, 1)), (2, (2, 2)), (3, (3, 2)), (4, (4, 3)), (5, (5, 3)), (6, (6, 3))])
+def test_least_queries_on_dn_outcomes(n, least):
+    # a probe of type tau = 0..n shows which members m <= tau; members of
+    # even m are accepted
+    outcomes = [set(range(tau + 1)) for tau in range(n + 1)]
+    assert _least_queries(outcomes, [m % 2 == 0 for m in range(n + 1)]) == least
+
+
+@pytest.mark.parametrize("k, least", [(1, (1, 1)), (2, (2, 2))])
+def test_least_queries_on_the_instance_outcomes(k, least):
+    # a probe shows no member, one member or all 2k; the first k are accepted
+    members = range(2 * k)
+    outcomes = [set(), set(members), *({j} for j in members)]
+    assert _least_queries(outcomes, [j < k for j in members]) == least
+
+
+def test_optimality_fails_for_a_separator_one_query_short(monkeypatch):
+    separator = alg.dn_nonadaptive_separator
+
+    def short(n):
+        full = separator(n)
+        return NonAdaptiveAlgorithm(full.orientation, full.queries[:-1],
+                                    frozenset(v[:-1] for v in full.accept))
+
+    monkeypatch.setattr(alg, "dn_nonadaptive_separator", short)
+    rows = dict(experiment_dn(3).rows)
+    assert rows["least-non-adaptive-queries"] == "3"
+    assert rows["upper-bounds-optimal"] == "FAILED"
+
+
+@pytest.mark.parametrize("experiment", [lambda: experiment_dn(3),
+                                        experiment_adaptive_not_better],
+                         ids=["dn", "adaptive-not-better"])
+def test_types_match_engine_fails_for_a_wrong_gamma_zero_probe(monkeypatch, experiment):
+    # C_1 has gamma 1, not 0: it maps into no member but D_n's m = 0, while
+    # a gamma-0 probe maps into every member
+    monkeypatch.setattr(experiments, "directed_path", lambda length: directed_cycle(1))
+    rows = dict(experiment().rows)
+    assert rows["upper-bounds-optimal"] == "ok"
+    assert rows["types-match-engine"] == "FAILED"
 
 
 def test_nary_experiment_passes():
