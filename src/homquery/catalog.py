@@ -16,23 +16,22 @@ the mask and indexed by that byte's value: the value's images under all
 n! permutations, in one list, and its edges, as a tuple of shared edge
 tuples.  A permutation moves each bit to one bit, so the images of a
 mask's bytes share no bit, and a mask's images are the elementwise sums
-of its bytes' image lists.
+of its bytes' image lists; its edges are its bytes' edge tuples joined.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .structures import DIGRAPH_SIG, Signature, Structure, check_guard
 
 CATALOG_GUARD = 4  # vertices; 5 would scan 2^25 masks under 120 permutations
 
 
-@dataclass(frozen=True)
-class IsoClassCatalog:
+class IsoClassCatalog(NamedTuple):
     size: int
     signature: Signature
     representatives: tuple[Structure, ...]
@@ -66,24 +65,20 @@ def enumerate_digraphs(n: int) -> IsoClassCatalog:
     # Scanning in ascending order, the first mask met of each orbit is its
     # minimum; find jumps past the masks already marked as images.
     marked = bytearray(1 << bits)
+    higher_bytes = list(zip(shifts[1:], images[1:], edges[1:]))
     reps = []
     mask = 0
     while mask >= 0:
-        reps.append(mask)
-        orbit = images[0][mask & 255]
-        for shift, byte_images in zip(shifts[1:], images[1:]):
-            orbit = map(operator.add, orbit, byte_images[mask >> shift & 255])
+        orbit, mask_edges = images[0][mask & 255], edges[0][mask & 255]
+        for shift, byte_images, byte_edges in higher_bytes:
+            byte = mask >> shift & 255
+            orbit = map(operator.add, orbit, byte_images[byte])
+            mask_edges += byte_edges[byte]
         for image in orbit:
             marked[image] = 1
+        reps.append(Structure._trusted(DIGRAPH_SIG, n, {"R": mask_edges}))
         mask = marked.find(0, mask + 1)
-    return IsoClassCatalog(
-        size=n,
-        signature=DIGRAPH_SIG,
-        representatives=tuple(
-            Structure._trusted(DIGRAPH_SIG, n, {"R": itertools.chain.from_iterable(
-                byte_edges[m >> shift & 255] for shift, byte_edges in zip(shifts, edges))})
-            for m in reps),
-    )
+    return IsoClassCatalog(size=n, signature=DIGRAPH_SIG, representatives=tuple(reps))
 
 
 @lru_cache(maxsize=None)

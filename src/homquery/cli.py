@@ -13,14 +13,14 @@ Exit codes:
   2  bad usage or input, with a one-line message: a missing, unknown,
      non-integer or out-of-range experiment parameter, a run --n that
      the algorithm does not take, an out-of-range run --n, gen dn --n or
-     enumerate --size ("error: usage: <msg>"), a structure file that
-     decode_structure rejects ("error: input: <file>: <msg>"), structures
-     whose signatures do not match each other or the algorithm's queries
-     ("error: input: signature mismatch"), or a Datalog program that is
-     neither a builtin nor a file, is not UTF-8 ("error: datalog: <file>:
-     <msg>"), does not parse or does not fit the structure (a missing EDB
-     relation, a wrong arity, or a derived predicate named as one of the
-     structure's relations);
+     enumerate --size, a gen dn --out-dir that cannot be made ("error:
+     usage: <msg>"), a structure file that decode_structure rejects
+     ("error: input: <file>: <msg>"), structures whose signatures do not
+     match each other or the algorithm's queries ("error: input: signature
+     mismatch"), or a Datalog program that is neither a builtin nor a
+     file, is not UTF-8 ("error: datalog: <file>: <msg>"), does not parse
+     or does not fit the structure (a missing EDB relation, a wrong arity,
+     or a derived predicate named as one of the structure's relations);
   3  a refusal, with a one-line message: a size guard ("error: guard:
      <msg>"), the search's work budget ("error: budget: <msg>") or an
      adaptive run's step cap ("error: step-limit: <msg>").
@@ -185,7 +185,10 @@ def gen_dn_cmd(n, parity, out_dir):
     except alg.ParameterError as exc:
         _error("usage", f"gen dn: {exc}", 2)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # such as a file on the path
+        _error("usage", f"gen dn: --out-dir {out_dir}: {exc.strerror}", 2)
     for m, member in members:
         path = out / f"dn_{n}_{parity}_m{m}.json"
         path.write_text(encode_structure(member), encoding="utf-8")

@@ -21,20 +21,19 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .structures import CACHE_SIZE, Structure
 
 EQ = "="
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     predicate: str  # EQ for equality atoms
     variables: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     head: Atom
     body: tuple[Atom, ...]
 
@@ -165,8 +164,7 @@ def _tuple_getter(positions: tuple[int, ...]):
 EDB, FULL, DELTA = "edb", "full", "delta"   # where a probe reads its facts
 
 
-@dataclass(frozen=True)
-class _Probe:
+class _Probe(NamedTuple):
     """
     Join the bindings with one relation atom through a hash index on the
     atom's bound positions.  The index maps a key to the values of the
@@ -183,8 +181,7 @@ class _Probe:
     probe_key: object                       # binding -> key
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     "One rule variant: join steps (a probe, or None for a domain step), then the projection."
     head: str
     steps: tuple

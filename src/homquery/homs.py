@@ -74,20 +74,21 @@ def _no_images(img) -> tuple:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _plan(domain_size: int, relations: tuple[frozenset, ...]):
+def _plan(relations: tuple[frozenset, ...], order: tuple[int, ...]):
     """
-    Search plan of a connected source with these relations (in signature order).
+    Search plan of a connected source with these relations (in signature
+    order), whose elements in components_of's BFS order are order.
 
     Returns (needs, plan).  needs lists the (relation index, mask) tables
     the plan reads; mask marks the tuple positions that hold the element
-    being placed.  plan is (order, frontier, checks): order is the element
-    order, components_of's BFS; frontier[i] gives the key of the frontier's
-    images at position i, or None where every earlier element is still
-    read, so that no two partial maps share a key and caching would only
-    cost memory; checks[i] lists (table slot, key of the fixed images) for
-    each fact checked at position i, a slot being an index into needs.
+    being placed.  plan is (order, frontier, checks): frontier[i] gives the
+    key of the frontier's images at position i, or None where every
+    earlier element is still read, so that no two partial maps share a key
+    and caching would only cost memory; checks[i] lists (table slot, key
+    of the fixed images) for each fact checked at position i, a slot being
+    an index into needs.
     """
-    order, = components_of(domain_size, relations)
+    domain_size = len(order)
     position = {v: i for i, v in enumerate(order)}
 
     needs: dict[tuple[int, int], int] = {}
@@ -109,7 +110,7 @@ def _plan(domain_size: int, relations: tuple[frozenset, ...]):
         # an element still read at i is i - 1 or was still read at i - 1
         live = [p for p in live + [i - 1] if last_read[p] >= i]
         frontier.append(None if len(live) == i else itemgetter(*live))
-    return tuple(needs), (tuple(order), tuple(frontier), tuple(map(tuple, checks)))
+    return tuple(needs), (order, tuple(frontier), tuple(map(tuple, checks)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -220,28 +221,32 @@ def _search(plan, tables, domain: range, find: bool, used: int):
 def _parts(domain_size: int, relations: tuple[frozenset, ...]):
     """
     The distinct components of a structure with these relations, in
-    ascending order of their least element: (size, relations, copies) for
-    each.  Components whose relations are equal once each is relabelled by
-    its ascending elements are copies of one part, which holds them so
-    relabelled; copies lists each copy's elements by new label.  A
-    connected structure is one part that keeps its own relations.
+    ascending order of their least element: (size, relations, order,
+    copies) for each.  Components whose relations are equal once each is
+    relabelled by its ascending elements are copies of one part, which
+    holds them so relabelled; order lists the part's elements in
+    components_of's BFS order, and copies each copy's elements by new
+    label.  A connected structure is one part that keeps its own relations.
     """
     found = components_of(domain_size, relations)
     if len(found) == 1:
-        return ((domain_size, relations, (range(domain_size),)),)
+        return ((domain_size, relations, tuple(found[0]), (range(domain_size),)),)
+    # relabelling by ascending elements keeps the order of any two, so it
+    # takes a component's BFS order to the BFS order of the relabelled part
     label, owner = [0] * domain_size, [0] * domain_size
-    for c, elements in enumerate(found):
-        elements.sort()
+    ascending = [tuple(sorted(elements)) for elements in found]
+    for c, elements in enumerate(ascending):
         for i, e in enumerate(elements):
             label[e], owner[e] = i, c
     facts = [[set() for _ in relations] for _ in found]
     for r, tuples in enumerate(relations):
         for t in tuples:
             facts[owner[t[0]]][r].add(tuple(map(label.__getitem__, t)))
-    copies: dict[tuple, list] = {}
-    for elements, rels in zip(found, facts):
-        copies.setdefault((len(elements), tuple(map(frozenset, rels))), []).append(tuple(elements))
-    return tuple((size, rels, tuple(same)) for (size, rels), same in copies.items())
+    parts: dict[tuple, tuple] = {}
+    for bfs, elements, rels in zip(found, ascending, facts):
+        parts.setdefault((len(elements), tuple(map(frozenset, rels))), (bfs, []))[1].append(elements)
+    return tuple((size, rels, tuple(map(label.__getitem__, bfs)), tuple(same))
+                 for (size, rels), (bfs, same) in parts.items())
 
 
 def _run(a: Structure, b: Structure, find: bool):
@@ -254,12 +259,12 @@ def _run(a: Structure, b: Structure, find: bool):
     targets = _parts(b.domain_size, tuple(map(b.relations.__getitem__, names)))
     total, used = 1, 0
     witness = {} if find else None
-    for size, relations, copies in sources:
-        needs, plan = _plan(size, relations)
+    for _, relations, order, copies in sources:
+        needs, plan = _plan(relations, order)
         # a source part is connected, so its count into a disjoint union is
         # the sum of its counts into the union's components
         count = 0
-        for target_size, target_relations, target_copies in targets:
+        for target_size, target_relations, _, target_copies in targets:
             tables = [_table(target_relations[r], mask) for r, mask in needs]
             if not all(tables):
                 # a fact of the source part has no image in this target part

@@ -10,9 +10,8 @@ through run_registered, which builds each entry once per parameter set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import algorithms as alg
 from .catalog import enumerate_digraphs_upto
@@ -29,8 +28,7 @@ from .query import (
 from .structures import Signature, Structure
 
 
-@dataclass(frozen=True)
-class AlgorithmEntry:
+class AlgorithmEntry(NamedTuple):
     name: str
     orientation: str
     semiring: str

@@ -4,11 +4,12 @@ Finite relational structures: signatures, constructors, combinators,
 refinement search, which also decides isomorphism.
 
 Elements are always the canonical integers 0..n-1.  All values are
-immutable (Signature and Structure freeze copies of what they are given),
-so a structure may be shared: the probe-family constructors
-(directed_cycle, directed_path, complete_pair) return one object per
-argument, and canonical_form one per canonical key.  The combinators
-build a new structure on each call.
+immutable (Signature and Structure freeze copies of what they are given;
+a structure's relations are frozensets behind a read-only mapping, set
+once as it is made), so a structure may be shared: the probe-family
+constructors (directed_cycle, directed_path, complete_pair) return one
+object per argument, and canonical_form one per canonical key.  The
+combinators build a new structure on each call.
 
 A structure is checked once, where it enters the library: Signature
 checks names (strings, each declared once) and arities (ints >= 1), and
@@ -116,19 +117,17 @@ class Structure:
         # checked before freezing, so a True or 1.0 beside an equal 1 is still seen
         relations = {name: tuple(map(tuple, ts)) for name, ts in self.relations.items()}
         self._check(relations)
-        self._freeze(relations)
+        self.__dict__["relations"] = MappingProxyType(
+            {name: frozenset(ts) for name, ts in relations.items()})
 
     @classmethod
     def _trusted(cls, signature: Signature, domain_size: int, relations) -> Structure:
         "Frozen but not checked: for builders whose relation maps are right by construction."
         s = object.__new__(cls)
-        s.__dict__.update(signature=signature, domain_size=domain_size)
-        s._freeze(relations)
+        # one step, past the frozen __setattr__: the catalog <= 4 builds 3,160 of these
+        s.__dict__.update(signature=signature, domain_size=domain_size, relations=MappingProxyType(
+            {name: frozenset(ts) for name, ts in relations.items()}))
         return s
-
-    def _freeze(self, relations):
-        frozen = {name: frozenset(ts) for name, ts in relations.items()}
-        object.__setattr__(self, "relations", MappingProxyType(frozen))
 
     def _check(self, relations):
         n = _integer(self.domain_size, "domain", 1)

@@ -216,6 +216,15 @@ def test_gen_dn_into_a_file_is_usage_error(runner, tmp_path):
     assert "is a file" in r.output
 
 
+def test_gen_dn_under_a_file_is_usage_error(runner, tmp_path):
+    under = tmp_path / "taken" / "family"
+    under.parent.write_text("", encoding="utf-8")
+    r = runner.invoke(main, ["gen", "dn", "--n", "2", "--parity", "even",
+                             "--out-dir", str(under)])
+    assert _one_error_line(r, 2, "error: usage: ") == \
+        f"error: usage: gen dn: --out-dir {under}: Not a directory"
+
+
 def test_enumerate(runner):
     r = runner.invoke(main, ["enumerate", "--size", "2"])
     assert r.exit_code == 0

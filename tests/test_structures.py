@@ -13,6 +13,8 @@ import homquery
 from conftest import relabel, small_digraphs
 from homquery.analysis import induced_substructure
 from homquery.catalog import enumerate_digraphs, enumerate_digraphs_upto
+from homquery.datalog import builtin_programs
+from homquery.registry import REGISTRY
 from homquery.structures import (
     DIGRAPH_SIG,
     LIFTED_GUARD,
@@ -433,6 +435,18 @@ def test_probe_constructors_share_one_read_only_structure_per_argument():
     assert directed_cycle(4) is not directed_cycle(5)
     assert directed_path(3) is not directed_path(4)
     assert complete_pair(Signature((("P", 1),))) is not complete_pair(DIGRAPH_SIG)
+
+
+def test_records_are_immutable():
+    program = builtin_programs()["directed-cycle"]
+    rule, plan = program.rules[1], program.delta_plans[0]
+    for record, name in ((rule.head, "predicate"), (rule, "body"), (plan, "steps"),
+                         (plan.steps[0], "source"), (REGISTRY["lovasz"], "step_cap"),
+                         (enumerate_digraphs(2), "representatives")):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        assert getattr(record, name) is before
 
 
 def test_check_guard_and_guards_lifted():
