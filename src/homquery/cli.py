@@ -276,6 +276,8 @@ def experiment_cmd(ctx, experiment_id, params):
         key = key.replace("-", "_")
         if key not in int_params:
             _error("usage", f"experiment {experiment_id}: no integer parameter {key!r}", 2)
+        if key in kwargs:
+            _error("usage", f"experiment {experiment_id}: parameter {key!r} given twice", 2)
         try:
             kwargs[key] = int(value)
         except ValueError:

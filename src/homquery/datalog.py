@@ -54,9 +54,16 @@ class DatalogProgram:
 
     def __post_init__(self):
         check_safety(self)
-        edb = {atom.predicate: len(atom.variables)
-               for rule in self.rules for atom in rule.body
-               if atom.predicate != EQ and atom.predicate not in self.idb}
+        # every atom of a predicate has one arity: an IDB predicate's is that
+        # of its heads, an EDB predicate's is the same throughout the program
+        edb: dict[str, int] = {}
+        for rule in self.rules:
+            for atom in (rule.head, *rule.body):
+                if atom.predicate == EQ:
+                    continue
+                arities = self.idb if atom.predicate in self.idb else edb
+                if arities.setdefault(atom.predicate, len(atom.variables)) != len(atom.variables):
+                    raise DatalogError(f"inconsistent arity for {atom.predicate}")
         first, later = _compile_program(self.rules, self.idb, self.goal)
         object.__setattr__(self, "edb", edb)
         object.__setattr__(self, "first_plans", first)
@@ -115,18 +122,13 @@ def parse_program(text: str) -> DatalogProgram:
     if not rules:
         raise DatalogError("empty program")
 
-    idb: dict[str, int] = {}
-    for rule in rules:
-        name = rule.head.predicate
-        arity = len(rule.head.variables)
-        if idb.setdefault(name, arity) != arity:
-            raise DatalogError(f"inconsistent arity for {name}")
-
-    goals = [name for name in idb
-             if idb[name] == 0 and name.lower() == "ans"]
+    # DatalogProgram checks that each predicate's atoms agree on its arity
+    idb = {rule.head.predicate: len(rule.head.variables) for rule in rules}
+    goals = {rule.head.predicate for rule in rules
+             if not rule.head.variables and rule.head.predicate.lower() == "ans"}
     if len(goals) != 1:
         raise DatalogError("program needs exactly one nullary goal Ans()")
-    return DatalogProgram(tuple(rules), idb, goals[0])
+    return DatalogProgram(tuple(rules), idb, goals.pop())
 
 
 def check_safety(program: DatalogProgram):

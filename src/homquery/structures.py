@@ -290,24 +290,19 @@ def _refine(colours: list[int], incidence) -> list[int]:
             return colours
 
 
-def _swap_is_automorphism(x: int, y: int, rels, incidence) -> bool:
-    swap = {x: y, y: x}
-    return all(tuple(swap.get(e, e) for e in t) in rels[r]
-               for r, _, t in incidence[x] + incidence[y])
-
-
 def canonical_key(s: Structure) -> tuple:
     """
     The least relation key (each relation's sorted tuples, in signature
-    order) over the leaves of an individualization-refinement search
-    (McKay and Piperno, J. Symb. Comput. 2014).  A node refines its
+    order) over the leaves of a depth-first individualization-refinement
+    search (McKay and Piperno, J. Symb. Comput. 2014).  A node refines its
     colouring; a discrete colouring is a leaf, read as a labeling.
     Otherwise each element of the first colour class with more than one
-    element gets, in turn, a colour of its own in a child node, unless its
-    swap with an element already given one is an automorphism (then its
-    subtree is that one's image and has the same keys).
-    Isomorphism-invariant; with the domain size it determines s up to
-    isomorphism.
+    element gets, in turn, a colour of its own in a child node.  A leaf
+    with an earlier leaf's key cuts its subtree below where their paths
+    part: the two differ by an automorphism, which maps this path onto the
+    earlier one (refinement ranks by old colour first), so the earlier,
+    fully explored child there has the same keys.  Isomorphism-invariant;
+    with the domain size it determines s up to isomorphism.
     """
     rels = [s.relations[name] for name in s.signature.names]
     incidence: list[list[tuple]] = [[] for _ in s.domain]
@@ -315,22 +310,25 @@ def canonical_key(s: Structure) -> tuple:
         for t in ts:
             for i, e in enumerate(t):
                 incidence[e].append((r, i, t))
-    best, nodes = None, [[0] * s.domain_size]
+    seen: dict[tuple, tuple[int, ...]] = {}  # each key met -> the path of its first leaf
+    nodes = [((), [0] * s.domain_size)]  # (individualized elements, colouring)
     while nodes:
-        colours = _refine(nodes.pop(), incidence)
-        if len(set(colours)) == s.domain_size:
-            relabel = itertools.repeat(colours.__getitem__)
-            key = tuple(tuple(sorted(map(tuple, map(map, relabel, ts)))) for ts in rels)
-            best = key if best is None or key < best else best
-            continue
-        split = min(c for c, k in collections.Counter(colours).items() if k > 1)
-        tried: list[int] = []
-        for x in (e for e, c in enumerate(colours) if c == split):
-            if not any(_swap_is_automorphism(x, y, rels, incidence) for y in tried):
-                tried.append(x)
+        path, colours = nodes.pop()
+        colours = _refine(colours, incidence)
+        if len(set(colours)) < s.domain_size:
+            split = min(c for c, k in collections.Counter(colours).items() if k > 1)
+            for x in (e for e, c in enumerate(colours) if c == split):
                 # x keeps the least colour of its class; every other element shifts up
-                nodes.append([2 * c + (e != x) for e, c in enumerate(colours)])
-    return best
+                nodes.append((path + (x,), [2 * c + (e != x) for e, c in enumerate(colours)]))
+            continue
+        relabel = itertools.repeat(colours.__getitem__)
+        key = tuple(tuple(sorted(map(tuple, map(map, relabel, ts)))) for ts in rels)
+        first = seen.setdefault(key, path)
+        if first != path:
+            child = path[:1 + next(d for d, (x, y) in enumerate(zip(path, first)) if x != y)]
+            while nodes and nodes[-1][0][:len(child)] == child:
+                nodes.pop()
+    return min(seen)
 
 
 def canonical_form(s: Structure) -> Structure:

@@ -263,7 +263,11 @@ def test_experiment_command(runner):
 def test_experiment_bad_parameters_are_usage_errors(runner):
     for args, named in [(["dn"], "'n'"), (["dn", "n=abc"], "'n'"),
                         (["dn", "foo"], "'foo'"), (["nary", "bogus=1"], "'bogus'"),
-                        (["adaptive-not-better", "seed=0"], "'seed'")]:
+                        (["adaptive-not-better", "seed=0"], "'seed'"),
+                        # a parameter given twice, also in its two spellings
+                        (["dn", "n=2", "n=3"], "'n' given twice"),
+                        (["cycle-formula", "max-vertices=2", "max_vertices=3"],
+                         "'max_vertices' given twice")]:
         line = _one_error_line(runner.invoke(main, ["experiment", *args]), 2, "error: usage: ")
         assert named in line, (args, line)
 
@@ -283,11 +287,21 @@ def test_datalog_errors_are_one_line(runner, tmp_path, files):
     # its R would hide the structure's R, whose facts it would never read
     clash = tmp_path / "clash.dl"
     clash.write_text("R(x, y) :- R(y, x).\nAns() :- R(z, z).\n", encoding="utf-8")
-    for args in (["run", "--program", str(malformed), "--structure", files["c3"]],
-                 ["check", "--program", str(malformed)],
-                 # P and Q are missing from a digraph
-                 ["run", "--program", "pq-reachability", "--structure", files["c3"]],
-                 ["run", "--program", str(clash), "--structure", files["c3"]]):
+    cases = [["run", "--program", str(malformed), "--structure", files["c3"]],
+             ["check", "--program", str(malformed)],
+             # P and Q are missing from a digraph
+             ["run", "--program", "pq-reachability", "--structure", files["c3"]],
+             ["run", "--program", str(clash), "--structure", files["c3"]]]
+    # an atom whose arity differs from its predicate's, in run and in check
+    for i, text in enumerate(["X(x) :- R(x, y).\nAns() :- X(x, y).\n",
+                              "X(x) :- R(x, y).\nAns() :- X().\n",
+                              "Ans() :- Ans(x).\n",
+                              "Ans() :- R(x), R(x, y).\n"]):
+        arity = tmp_path / f"arity{i}.dl"
+        arity.write_text(text, encoding="utf-8")
+        cases += [["run", "--program", str(arity), "--structure", files["c3"]],
+                  ["check", "--program", str(arity)]]
+    for args in cases:
         r = runner.invoke(main, ["datalog", *args])
         assert r.exit_code == 2, (args, r.output)
         assert "Traceback" not in r.output

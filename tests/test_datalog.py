@@ -202,6 +202,21 @@ def test_parse_errors():
         parse_program("X(x) :- P(x).\nX(x, y) :- P(x), P(y).\nAns() :- X(z).")
 
 
+@pytest.mark.parametrize("text, predicate", [
+    ("X(x) :- R(x, y).\nAns() :- X(x, y).", "X"),  # a body atom against its heads
+    ("X(x) :- R(x, y).\nAns() :- X().", "X"),
+    ("Ans() :- Ans(x).", "Ans"),
+    ("Ans(x) :- R(x, x).\nAns() :- R(x, x).", "Ans"),  # two heads, in either order
+    ("Ans() :- R(x, x).\nAns(x) :- R(x, x).", "Ans"),
+    ("Ans() :- R(x), R(x, y).", "R"),  # an EDB predicate, in either order
+    ("Ans() :- R(x, y), R(x).", "R"),
+    ("X(x) :- R(x, y).\nAns() :- X(x), R(x).", "R"),  # across rules
+])
+def test_every_atom_of_a_predicate_has_one_arity(text, predicate):
+    with pytest.raises(DatalogError, match=f"^inconsistent arity for {predicate}$"):
+        parse_program(text)
+
+
 def test_safety():
     with pytest.raises(DatalogError):
         parse_program("X(x, y) :- P(x).\nAns() :- X(a, b).")

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import hashlib
 import importlib
 import inspect
 import itertools
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import homquery
 from conftest import relabel, small_digraphs
+from homquery import structures
 from homquery.analysis import induced_substructure
 from homquery.catalog import enumerate_digraphs, enumerate_digraphs_upto
 from homquery.datalog import builtin_programs
@@ -337,6 +340,53 @@ def test_symmetric_inputs_past_the_factorial_range():
             assert isomorphic(a, shuffled)
         assert canonical_key(directed_cycle(12)) != canonical_key(scalar_multiple(2, c6))
         assert not isomorphic(directed_cycle(12), scalar_multiple(2, c6))
+
+
+# sha256 of repr(keys) below; a pruning change that keeps the leaf keys keeps it
+CANONICAL_KEYS_DIGEST = "4137c3c3d5b5c57f3f9207c3f0ea12da6579204a63efb1d03e9b1a963da5aac7"
+
+
+def test_canonical_keys_match_a_frozen_digest():
+    # every catalog <= 4 class, then 200 shuffled unions of 2 to 5 catalog <= 3
+    # classes, one of them repeated, on at most 15 elements: 3,360 keys
+    keys = [canonical_key(r) for r in enumerate_digraphs_upto(4)]
+    small = enumerate_digraphs_upto(3)
+    rng = random.Random(30)
+    unions = []
+    while len(unions) < 200:
+        parts = rng.choices(small, k=rng.randint(1, 4))
+        parts.append(rng.choice(parts))
+        if sum(p.domain_size for p in parts) <= 15:
+            union = functools.reduce(disjoint_union, parts)
+            perm = list(union.domain)
+            rng.shuffle(perm)
+            unions.append(relabel(union, perm))
+    with guards_lifted():
+        keys += [canonical_key(u) for u in unions]
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == CANONICAL_KEYS_DIGEST
+
+
+def test_unions_of_equal_parts_take_few_refinements(monkeypatch):
+    # each node of the search is one _refine call; a repeated leaf key cuts its
+    # subtree, so m copies of C_k do not cost k^m * m! leaves
+    calls = []
+    refine = structures._refine
+
+    def counted(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(structures, "_refine", counted)
+    rng = random.Random(6)
+    with guards_lifted():
+        for m, k, refinements in [(4, 4, 115), (5, 3, 156), (6, 2, 168), (6, 4, 350)]:
+            union = scalar_multiple(m, directed_cycle(k))
+            calls.clear()
+            key = canonical_key(union)
+            assert len(calls) == refinements, (m, k)
+            perm = list(union.domain)
+            rng.shuffle(perm)
+            assert canonical_key(relabel(union, perm)) == key
 
 
 def _isomorphic_by_all_permutations(a, b):
