@@ -10,17 +10,18 @@ lovasz and right2q algorithms.
 Exit codes:
   0  every assertion made by the invoked command passed;
   1  an assertion failed (an experiment reports FAIL);
-  2  bad usage or input, with a one-line message: a missing, unknown,
-     non-integer or out-of-range experiment parameter, a run --n that
-     the algorithm does not take, an out-of-range run --n, gen dn --n or
-     enumerate --size, a gen dn --out-dir that cannot be made ("error:
-     usage: <msg>"), a structure file that decode_structure rejects
+  2  bad usage or input, with a one-line message: an option, argument or command
+     that click rejects, a missing, unknown, non-integer or out-of-range
+     experiment parameter, a run --n that the algorithm does not take, an
+     out-of-range run --n, gen dn --n or enumerate --size, a gen dn --out-dir
+     or member file that cannot be written ("error: usage: <msg>", click's own
+     message for click's), a structure file that decode_structure rejects
      ("error: input: <file>: <msg>"), structures whose signatures do not
      match each other or the algorithm's queries ("error: input: signature
-     mismatch"), or a Datalog program that is neither a builtin nor a
-     file, is not UTF-8 ("error: datalog: <file>: <msg>"), does not parse
-     or does not fit the structure (a missing EDB relation, a wrong arity,
-     or a derived predicate named as one of the structure's relations);
+     mismatch"), or a Datalog program that is neither a builtin nor a file,
+     is not UTF-8 ("error: datalog: <file>: <msg>"), does not parse or does
+     not fit the structure (a missing EDB relation, a wrong arity, or a
+     derived predicate named as one of the structure's relations);
   3  a refusal, with a one-line message: a size guard ("error: guard:
      <msg>"), the search's work budget ("error: budget: <msg>") or an
      adaptive run's step cap ("error: step-limit: <msg>").
@@ -28,6 +29,7 @@ Exit codes:
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import sys
 import typing
@@ -45,7 +47,7 @@ from .datalog import (
     evaluate,
     parse_program,
 )
-from .experiments import EXPERIMENTS, report_line
+from .experiments import EXPERIMENTS
 from .homs import BOOLEAN, COUNT, WorkBudgetExceeded, hom_value
 from .oracle import oracle_hom_count
 from .query import StepLimitExceeded
@@ -62,6 +64,7 @@ from .structures import (
 
 # a directory passes exists=True and then fails to read with a traceback
 STRUCTURE_FILE = click.Path(exists=True, dir_okay=False)
+_NO_ARGS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
 
 def _error(kind: str, message, code: int) -> typing.NoReturn:
@@ -70,33 +73,45 @@ def _error(kind: str, message, code: int) -> typing.NoReturn:
 
 
 class _Main(click.Group):
-    "Turns a refusal (guard, budget, step cap) into exit code 3, a signature mismatch into 2."
+    "Reports each usage, input or Datalog error (exit 2) and refusal (exit 3) in one line."
+
+    def make_context(self, *args, **kwargs):
+        with _one_line_errors():
+            return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        try:
+        with _one_line_errors():
             return super().invoke(ctx)
-        except SignatureMismatch as exc:
-            _error("input", exc, 2)
-        except GuardExceeded as exc:
-            _error("guard", exc, 3)
-        except WorkBudgetExceeded as exc:
-            _error("budget", exc, 3)
-        except StepLimitExceeded as exc:
-            _error("step-limit", exc, 3)
+
+
+@contextlib.contextmanager
+def _one_line_errors():
+    try:
+        yield
+    except _NO_ARGS_HELP:  # click >= 8.2 raises a bare group's help as a usage error
+        raise
+    except click.UsageError as exc:
+        _error("usage", exc.format_message(), 2)
+    except SignatureMismatch as exc:
+        _error("input", exc, 2)
+    except DatalogError as exc:
+        _error("datalog", exc, 2)
+    except GuardExceeded as exc:
+        _error("guard", exc, 3)
+    except WorkBudgetExceeded as exc:
+        _error("budget", exc, 3)
+    except StepLimitExceeded as exc:
+        _error("step-limit", exc, 3)
 
 
 @click.group(cls=_Main)
 @click.option("--guard-override", is_flag=True,
               help="Lift every desk-scale size guard to 10^9 (may take very long).")
-@click.option("--format", "fmt", type=click.Choice(["text", "machine"]),
-              default="text", show_default=True)
 @click.pass_context
-def main(ctx, guard_override, fmt):
+def main(ctx, guard_override):
     # exact counts are printed in full, past Python's 4,300-digit default
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    ctx.ensure_object(dict)
-    ctx.obj["fmt"] = fmt
     if guard_override:
         ctx.with_resource(guards_lifted())
         click.echo("warning: size guards lifted", err=True)
@@ -109,8 +124,8 @@ def _load(path: str) -> Structure:
         _error("input", f"{path}: {exc}", 2)
 
 
-def _kv(ctx, key, value):
-    click.echo(report_line(key, value, ctx.obj["fmt"]))
+def _kv(key, value):
+    click.echo(f"{key}: {value}")
 
 
 @main.command("hom")
@@ -125,19 +140,18 @@ def hom_cmd(mode, source, target):
 
 @main.command("analyze")
 @click.argument("structure_file", type=STRUCTURE_FILE)
-@click.pass_context
-def analyze_cmd(ctx, structure_file):
+def analyze_cmd(structure_file):
     "Print structural parameters of a structure file."
     s = _load(structure_file)
-    _kv(ctx, "domain", s.domain_size)
-    _kv(ctx, "components", component_count(s))
-    _kv(ctx, "berge-acyclic", is_berge_acyclic(s))
+    _kv("domain", s.domain_size)
+    _kv("components", component_count(s))
+    _kv("berge-acyclic", is_berge_acyclic(s))
     if s.is_digraph():
-        _kv(ctx, "gamma", gamma(s))
+        _kv("gamma", gamma(s))
     try:
-        _kv(ctx, "core-size", core(s).domain_size)
+        _kv("core-size", core(s).domain_size)
     except GuardExceeded:
-        _kv(ctx, "core-size", "skipped (size guard)")
+        _kv("core-size", "skipped (size guard)")
 
 
 @main.command("run")
@@ -147,8 +161,7 @@ def analyze_cmd(ctx, structure_file):
 @click.option("--trace", is_flag=True)
 @click.option("--n", "n_param", type=int, default=None,
               help="Family parameter for dn-sep / dn-binsearch.")
-@click.pass_context
-def run_cmd(ctx, name, input_file, trace, n_param):
+def run_cmd(name, input_file, trace, n_param):
     "Run a registered query algorithm against a structure file."
     params = {} if n_param is None else {"n": n_param}
     try:
@@ -164,8 +177,8 @@ def run_cmd(ctx, name, input_file, trace, n_param):
         for i, (query, answer) in enumerate(
                 zip(report.queries_issued, report.transcript), start=1):
             facts = sum(len(ts) for ts in query.relations.values())
-            _kv(ctx, f"query.{i}", f"size={query.domain_size} facts={facts} answer={answer}")
-    _kv(ctx, "queries", report.query_count)
+            _kv(f"query.{i}", f"size={query.domain_size} facts={facts} answer={answer}")
+    _kv("queries", report.query_count)
     click.echo("YES" if report.verdict else "NO")
 
 
@@ -191,22 +204,24 @@ def gen_dn_cmd(n, parity, out_dir):
         _error("usage", f"gen dn: --out-dir {out_dir}: {exc.strerror}", 2)
     for m, member in members:
         path = out / f"dn_{n}_{parity}_m{m}.json"
-        path.write_text(encode_structure(member), encoding="utf-8")
+        try:
+            path.write_text(encode_structure(member), encoding="utf-8")
+        except OSError as exc:  # such as a directory at the path
+            _error("usage", f"gen dn: {path}: {exc.strerror}", 2)
         click.echo(str(path))
 
 
 @main.command("enumerate")
 @click.option("--size", required=True, type=int)
-@click.pass_context
-def enumerate_cmd(ctx, size):
+def enumerate_cmd(size):
     "List all digraph iso-classes of the given size."
     try:
         catalog = enumerate_digraphs(size)
     except ValueError as exc:
         _error("usage", f"enumerate: {exc}", 2)
-    _kv(ctx, "classes", len(catalog.representatives))
+    _kv("classes", len(catalog.representatives))
     for i, rep in enumerate(catalog.representatives):
-        _kv(ctx, f"class.{i}", sorted(rep.relations["R"]))
+        _kv(f"class.{i}", sorted(rep.relations["R"]))
 
 
 @main.group("datalog")
@@ -223,10 +238,9 @@ def _load_program(spec: str):
             f"{spec!r} is neither a builtin program "
             f"({', '.join(sorted(BUILTIN_PROGRAM_TEXTS))}) nor a file")
     try:
-        text = path.read_text(encoding="utf-8")
+        return parse_program(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise DatalogError(f"{spec}: {exc}") from None
-    return parse_program(text)
 
 
 @datalog_group.command("run")
@@ -238,32 +252,22 @@ def _load_program(spec: str):
 def datalog_run_cmd(program, structure_file):
     "Evaluate a Boolean Datalog program on a structure file."
     structure = _load(structure_file)
-    try:
-        holds = evaluate(_load_program(program), structure)
-    except DatalogError as exc:
-        _error("datalog", exc, 2)
-    click.echo("true" if holds else "false")
+    click.echo("true" if evaluate(_load_program(program), structure) else "false")
 
 
 @datalog_group.command("check")
 @click.option("--program", required=True)
-@click.pass_context
-def datalog_check_cmd(ctx, program):
+def datalog_check_cmd(program):
     "Parse a program and print its (monadic, linear) classification."
-    try:
-        p = _load_program(program)
-    except DatalogError as exc:
-        _error("datalog", exc, 2)
-    monadic, linear = classify_program(p)
-    _kv(ctx, "monadic", monadic)
-    _kv(ctx, "linear", linear)
+    monadic, linear = classify_program(_load_program(program))
+    _kv("monadic", monadic)
+    _kv("linear", linear)
 
 
 @main.command("experiment")
 @click.argument("experiment_id", type=click.Choice(sorted(EXPERIMENTS)))
 @click.argument("params", nargs=-1)
-@click.pass_context
-def experiment_cmd(ctx, experiment_id, params):
+def experiment_cmd(experiment_id, params):
     "Run an experiment; PARAMS are key=value integers (e.g. n=3)."
     experiment = EXPERIMENTS[experiment_id]
     int_params = {name for name, hint in typing.get_type_hints(experiment).items()
@@ -290,7 +294,7 @@ def experiment_cmd(ctx, experiment_id, params):
         report = experiment(**kwargs)
     except alg.ParameterError as exc:
         _error("usage", f"experiment {experiment_id}: {exc}", 2)
-    click.echo(report.render(ctx.obj["fmt"]), nl=False)
+    click.echo(report.render(), nl=False)
     if not report.passed:
         sys.exit(1)
 

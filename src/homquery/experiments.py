@@ -2,8 +2,8 @@
 Reproducible desk-scale experiments cross-checking every closed form
 against brute force and the separation constructions' query counts
 against exact lower bounds over probe types.  Each experiment is a pure
-function of its parameters and renders to a stable line-oriented
-key:value report ending in PASS/FAIL.
+function of its parameters and renders to a stable report of
+"key: value" lines, split at the first ": ", ending in PASS/FAIL.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ from .structures import (
 )
 
 
-def report_line(key, value, fmt: str) -> str:
-    "One report line: 'key: value' in text format, 'key=value' in machine format."
-    return f"{key}{': ' if fmt == 'text' else '='}{value}"
-
-
 @dataclass
 class ExperimentReport:
     experiment: str
@@ -58,11 +53,11 @@ class ExperimentReport:
         if not ok:
             self.passed = False
 
-    def render(self, fmt: str = "text") -> str:
+    def render(self) -> str:
         rows = [("experiment", self.experiment),
                 *((f"param.{key}", self.parameters[key]) for key in sorted(self.parameters)),
                 *self.rows, ("result", "PASS" if self.passed else "FAIL")]
-        return "".join(report_line(key, value, fmt) + "\n" for key, value in rows)
+        return "".join(f"{key}: {value}\n" for key, value in rows)
 
 
 def experiment_cycle_formula(max_vertices: int = 4, max_m: int = 3,

@@ -428,7 +428,7 @@ def decode_structure(text: str) -> Structure:
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise StructureDecodeError(f"invalid JSON: {exc}") from None
     _object(doc, "structure", {"signature", "domain"}, {"relations"})
     entries = [_object(r, "signature entry", {"name", "arity"})

@@ -1,11 +1,13 @@
 import hashlib
 import itertools
 import json
+import re
 import sys
 
 import pytest
 from click.testing import CliRunner
 
+import test_experiments
 from homquery import cli
 from homquery.cli import main
 from homquery.homs import WorkBudgetExceeded
@@ -88,9 +90,10 @@ def test_analyze(runner, files):
     assert "components: 1" in r.output
     assert "berge-acyclic: False" in r.output
     assert "core-size: 3" in r.output
-    # machine format swaps the separator
+    # the machine format is retired: its keys could hold its separator "="
     r = runner.invoke(main, ["--format", "machine", "analyze", files["c3"]])
-    assert "gamma=3" in r.output
+    assert _one_error_line(r, 2, "error: usage: ") == \
+        "error: usage: No such option '--format'."
 
 
 def test_run_algorithm(runner, files):
@@ -225,6 +228,16 @@ def test_gen_dn_under_a_file_is_usage_error(runner, tmp_path):
         f"error: usage: gen dn: --out-dir {under}: Not a directory"
 
 
+def test_gen_dn_onto_a_directory_is_usage_error(runner, tmp_path):
+    # a directory where a member file goes cannot be written, root or not
+    member = tmp_path / "dn_2_even_m0.json"
+    member.mkdir()
+    r = runner.invoke(main, ["gen", "dn", "--n", "2", "--parity", "even",
+                             "--out-dir", str(tmp_path)])
+    assert _one_error_line(r, 2, "error: usage: ") == \
+        f"error: usage: gen dn: {member}: Is a directory"
+
+
 def test_enumerate(runner):
     r = runner.invoke(main, ["enumerate", "--size", "2"])
     assert r.exit_code == 0
@@ -257,7 +270,8 @@ def test_experiment_command(runner):
     assert r.exit_code == 0
     assert r.output.rstrip().endswith("PASS")
     r = runner.invoke(main, ["--format", "machine", "experiment", "dn", "n=2"])
-    assert "experiment=dn" in r.output
+    assert _one_error_line(r, 2, "error: usage: ") == \
+        "error: usage: No such option '--format'."
 
 
 def test_experiment_bad_parameters_are_usage_errors(runner):
@@ -340,7 +354,6 @@ def test_guard_refusals_exit_3(runner, tmp_path):
     for args in (["experiment", "dn", "n=7"],
                  ["experiment", "cycle-formula", "max_vertices=5"],
                  ["experiment", "nary", "n=4"],
-                 ["--format", "machine", "experiment", "dn", "n=7"],
                  ["oracle", "hom", "--from", str(c9), "--to", str(c9)],
                  ["enumerate", "--size", "5"]):
         r = runner.invoke(main, args)
@@ -362,6 +375,40 @@ def test_oracle_guard_message_names_the_power(runner, files, tmp_path):
     assert r.exit_code == 3 and "Traceback" not in r.output
     assert r.output.strip().splitlines()[-1] == \
         "error: guard: oracle guard: maps = 3^2000 > 1000000000"
+
+
+@pytest.mark.parametrize("args", [
+    ["hom", "count", "--from", "missing.json", "--to", "missing.json"],
+    ["enumerate", "--size", "x"],
+    ["--bogus"],
+    ["bogus"],
+    ["gen", "dn", "--n", "2", "--parity", "x"],
+    ["--format", "machine", "experiment", "dn", "n=2"]],
+    ids=["missing-file", "non-integer", "unknown-option", "unknown-command",
+         "bad-choice", "format-machine"])
+def test_click_parse_errors_are_one_line_usage_errors(runner, tmp_path, args):
+    args = [str(tmp_path / a) if a == "missing.json" else a for a in args]
+    r = runner.invoke(main, args)
+    _one_error_line(r, 2, "error: usage: ")
+    assert "Usage:" not in r.output and "Try" not in r.output
+
+
+def test_output_lines_split_at_their_first_colon(runner, files):
+    # every key/value line splits at its first ": " into a key without
+    # blanks, so no key can hold the separator
+    outputs = [text for name, text in vars(test_experiments).items()
+               if name.endswith("_TEXT")]
+    for args in (["analyze", files["c3"]], ["enumerate", "--size", "2"],
+                 ["run", "--algorithm", "lovasz", "--input", files["c3"], "--trace"],
+                 ["datalog", "check", "--program", "nonzero-net-cycle"]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 0, (args, r.output)
+        outputs.append(r.output.removesuffix("YES\n").removesuffix("NO\n"))
+    assert len(outputs) == 12
+    for output in outputs:
+        for line in output.splitlines():
+            key, sep, _ = line.partition(": ")
+            assert sep and re.fullmatch(r"\S+", key), line
 
 
 def _one_error_line(r, code, prefix):
@@ -420,6 +467,7 @@ MALFORMED_STRUCTURES = [
     ('{' + R2 + ', "domain": 2, "relations": {"R": [[0]]}}',
      "relation 'R': [0] is not a list of 2 elements"),
     ('{' + R2 + ', "domain": 0}', "domain must be >= 1, not 0"),
+    pytest.param("[" * 200000, "invalid JSON", id="deeply-nested"),
 ]
 
 

@@ -73,23 +73,23 @@ datalog-cross-check: ok
 result: PASS
 """
 
-ADAPTIVE_NOT_BETTER_MACHINE = """\
-experiment=adaptive-not-better
-param.k=1
-param.primes=(2, 3)
-member.j=1=vector=(36,) accepted=True
-member.j=2=vector=(0,) accepted=False
-matrix-nonzero-exactly-on-diagonal=ok
-accepts-exactly-first-k=ok
-brute-force-matrix=[[36, 0]]
-brute-force-diagonal-value-36=ok
-brute-force-off-diagonal-zero=ok
-least-non-adaptive-queries=1
-least-adaptive-queries=1
-upper-bounds-optimal=ok
-types-match-engine=ok
-lower-bound-status=exhaustive over probe types, given the closed form
-result=PASS
+ADAPTIVE_NOT_BETTER_TEXT = """\
+experiment: adaptive-not-better
+param.k: 1
+param.primes: (2, 3)
+member.j=1: vector=(36,) accepted=True
+member.j=2: vector=(0,) accepted=False
+matrix-nonzero-exactly-on-diagonal: ok
+accepts-exactly-first-k: ok
+brute-force-matrix: [[36, 0]]
+brute-force-diagonal-value-36: ok
+brute-force-off-diagonal-zero: ok
+least-non-adaptive-queries: 1
+least-adaptive-queries: 1
+upper-bounds-optimal: ok
+types-match-engine: ok
+lower-bound-status: exhaustive over probe types, given the closed form
+result: PASS
 """
 
 CYCLE_FORMULA_TEXT = """\
@@ -160,13 +160,14 @@ def test_report_rendering_and_checks():
     r = ExperimentReport("demo", {"n": 2})
     r.add("value", 7)
     r.check("good", True)
-    text = r.render("text")
+    text = r.render()
     assert "experiment: demo" in text
     assert "param.n: 2" in text
     assert "value: 7" in text
     assert text.rstrip().endswith("PASS")
-    machine = r.render("machine")
-    assert "experiment=demo" in machine and "param.n=2" in machine
+    # one output form: render takes no format
+    with pytest.raises(TypeError):
+        r.render("machine")
 
     r.check("bad", False)
     assert not r.passed
@@ -255,8 +256,8 @@ def test_nary_experiment_passes():
 
 
 def test_experiments_render_deterministically():
-    first = experiment_dn(2).render("machine")
-    second = experiment_dn(2).render("machine")
+    first = experiment_dn(2).render()
+    second = experiment_dn(2).render()
     assert first == second
 
 
@@ -264,7 +265,7 @@ def test_reports_match_frozen_text():
     assert experiment_dn(3).render() == DN_3_TEXT
     assert experiment_unbounded_boolean(3).render() == UNBOUNDED_BOOLEAN_3_TEXT
     assert unbounded_boolean_report().render() == UNBOUNDED_BOOLEAN_TEXT
-    assert adaptive_not_better_report().render("machine") == ADAPTIVE_NOT_BETTER_MACHINE
+    assert adaptive_not_better_report().render() == ADAPTIVE_NOT_BETTER_TEXT
     assert cycle_formula_report().render() == CYCLE_FORMULA_TEXT
     assert nary_report().render() == NARY_TEXT
     assert experiment_dn(6).render() == DN_6_TEXT
