@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, reduce
 
-from .analysis import component_count, components, induced_substructure
+from .analysis import component_count
 from .catalog import enumerate_digraphs, enumerate_digraphs_upto
 from .homs import hom_count, hom_into_cycle_union_formula
 from .query import (
@@ -320,10 +320,9 @@ def right_separator(n: int, sig: Signature = DIGRAPH_SIG) -> tuple[Structure, di
     (F_n, its table from each count hom(A, F_n) to the class A of n vertices).
 
     F_n is the disjoint union of m_i copies of each connected class H_i of
-    at most n vertices, so hom(A, F_n) is the product over the components C
-    of A of sum_i m_i hom(C, H_i): the table takes only counts between tiny
-    structures, and the weights' injectivity is checked as it is built.
-    Callers must not mutate the table.
+    at most n vertices.  The table holds hom_count(A, F_n) for each class A,
+    the very count a run's second query receives, and the weights'
+    injectivity is checked as it is built.  Callers must not mutate the table.
     """
     if sig != DIGRAPH_SIG:
         raise ValueError("only digraph signatures are supported")
@@ -339,19 +338,14 @@ brute_force_distinguisher = right_separator
 def _right_separator(n: int) -> tuple[Structure, dict]:
     if n > RIGHT2Q_SIZE_CAP:
         raise GuardExceeded(f"input size {n} > cap {RIGHT2Q_SIZE_CAP}")
-    weighted = list(zip(RIGHT_SEPARATOR_WEIGHTS, (
-        h for h in enumerate_digraphs_upto(n) if component_count(h) == 1)))
-    sums: dict[Structure, int] = {}  # hom(C, F_n) of each connected C met
+    separator = reduce(disjoint_union, (
+        scalar_multiple(m, h) for m, h in zip(RIGHT_SEPARATOR_WEIGHTS, (
+            h for h in enumerate_digraphs_upto(n) if component_count(h) == 1))))
     table: dict[int, Structure] = {}
     for a in enumerate_digraphs(n).representatives:
-        count = 1
-        for c in (induced_substructure(a, keep) for keep in components(a)):
-            if c not in sums:
-                sums[c] = sum(m * hom_count(c, h) for m, h in weighted)
-            count *= sums[c]
-        if table.setdefault(count, a) is not a:
+        if table.setdefault(hom_count(a, separator), a) is not a:
             raise StrategyContractError(f"separator weights merge two classes of {n} vertices")
-    return reduce(disjoint_union, (scalar_multiple(m, h) for m, h in weighted)), table
+    return separator, table
 
 
 def right_two_query_decider(predicate) -> Strategy:

@@ -45,14 +45,9 @@ def components_of(domain_size: int, relations) -> list[list[int]]:
     return out
 
 
-def components(s: Structure) -> list[list[int]]:
-    "The element lists of the connected components of the incidence multigraph."
-    return components_of(s.domain_size, s.relations.values())
-
-
 def component_count(s: Structure) -> int:
     "Number of connected components of the incidence multigraph."
-    return len(components(s))
+    return len(components_of(s.domain_size, s.relations.values()))
 
 
 def is_berge_acyclic(s: Structure) -> bool:

@@ -60,6 +60,17 @@ class ExperimentReport:
         return "".join(f"{key}: {value}\n" for key, value in rows)
 
 
+def _tally_formula(report: ExperimentReport, pairs) -> None:
+    "Report the cases and mismatches of (closed form, oracle) count pairs; none may differ."
+    cases = mismatches = 0
+    for observed, expected in pairs:
+        cases += 1
+        mismatches += observed != expected
+    report.add("cases", cases)
+    report.add("mismatches", mismatches)
+    report.check("formula-matches-oracle", mismatches == 0)
+
+
 def experiment_cycle_formula(max_vertices: int = 4, max_m: int = 3,
                        max_n: int = 4) -> ExperimentReport:
     """
@@ -72,17 +83,9 @@ def experiment_cycle_formula(max_vertices: int = 4, max_m: int = 3,
         "cycle-formula", {"max_vertices": max_vertices, "max_m": max_m, "max_n": max_n})
     targets = [(m, n, scalar_multiple(m, directed_cycle(n)))
                for m in range(1, max_m + 1) for n in range(1, max_n + 1)]
-    cases = mismatches = 0
-    for a in enumerate_digraphs_upto(max_vertices):
-        for m, n, target in targets:
-            expected = oracle_hom_count(a, target)
-            observed = hom_into_cycle_union_formula(a, m, n)
-            cases += 1
-            if expected != observed:
-                mismatches += 1
-    report.add("cases", cases)
-    report.add("mismatches", mismatches)
-    report.check("formula-matches-oracle", mismatches == 0)
+    _tally_formula(report, (
+        (hom_into_cycle_union_formula(a, m, n), oracle_hom_count(a, target))
+        for a in enumerate_digraphs_upto(max_vertices) for m, n, target in targets))
     return report
 
 
@@ -240,25 +243,22 @@ def experiment_nary(n: int = 3, d_max: int = 3) -> ExperimentReport:
     check_guard("experiment_nary guard: n", n, NARY_ARITY_GUARD)
     check_guard("experiment_nary guard: d_max", d_max, NARY_DOMAIN_GUARD)
     report = ExperimentReport("nary", {"n": n, "d_max": d_max})
-    cases = mismatches = 0
-    for arity in range(1, n + 1):
-        max_tuples = 4 if arity <= 2 else 3
-        targets = [(d, m, scalar_multiple(m, n_ary_cycle(d, arity)))
-                   for d in range(1, d_max + 1) for m in (1, 2)]
-        for domain in (1, 2, 3):
-            all_tuples = list(itertools.product(range(domain), repeat=arity))
-            for count in range(0, max_tuples + 1):
-                for chosen in itertools.combinations(all_tuples, count):
-                    s = Structure._trusted(Signature((("R", arity),)), domain, {"R": chosen})
-                    for d, m, target in targets:
-                        observed = hom_into_nary_cycle_union_formula(s, m, d)
-                        expected = oracle_hom_count(s, target)
-                        cases += 1
-                        if observed != expected:
-                            mismatches += 1
-    report.add("cases", cases)
-    report.add("mismatches", mismatches)
-    report.check("formula-matches-oracle", mismatches == 0)
+
+    def pairs():
+        for arity in range(1, n + 1):
+            max_tuples = 4 if arity <= 2 else 3
+            targets = [(d, m, scalar_multiple(m, n_ary_cycle(d, arity)))
+                       for d in range(1, d_max + 1) for m in (1, 2)]
+            for domain in (1, 2, 3):
+                all_tuples = list(itertools.product(range(domain), repeat=arity))
+                for count in range(0, max_tuples + 1):
+                    for chosen in itertools.combinations(all_tuples, count):
+                        s = Structure._trusted(Signature((("R", arity),)), domain, {"R": chosen})
+                        for d, m, target in targets:
+                            yield (hom_into_nary_cycle_union_formula(s, m, d),
+                                   oracle_hom_count(s, target))
+
+    _tally_formula(report, pairs())
 
     star_ok = all(
         isomorphic(star_transform(n_ary_cycle(d, arity)), directed_cycle(d))

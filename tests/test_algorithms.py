@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from conftest import count_calls, hom_vector, shortest_cycle_is_power_of_four, small_digraphs
 from homquery import algorithms as alg
-from homquery.analysis import gamma
+from homquery.analysis import component_count, components_of, gamma, induced_substructure
 from homquery.catalog import enumerate_digraphs, enumerate_digraphs_upto
 from homquery.datalog import NONZERO_NET_CYCLE_PROGRAM, evaluate, parse_program
 from homquery.homs import BOOLEAN, COUNT, hom_count
@@ -229,20 +229,36 @@ def test_right_separator_weights_separate_every_class():
         alg.right_separator(2, Signature((("R", 2), ("P", 1))))
 
 
-def test_right_separator_table_matches_the_engine():
-    # the table comes from the product law; the engine counts into F_n itself,
-    # on every class of 1-3 vertices
-    for n in (1, 2, 3):
+def test_right_separator_table_matches_the_oracle():
+    # |F_1| = 2 and |F_2| = 28: the oracle counts into F_n itself, at most
+    # 28^2 = 784 maps per class
+    for n in (1, 2):
         separator, table = alg.right_separator(n)
-        items = sorted(table.items())
-        assert [hom_count(a, separator) for _, a in items] == [c for c, _ in items]
+        assert {oracle_hom_count(a, separator): a for a in table.values()} == table
+
+
+def test_right_separator_table_matches_the_product_law():
+    # |F_3| = 463 is past the oracle's guard: hom(A, F_3) is the product over
+    # the components C of A of sum_i m_i hom(C, H_i) (Lovasz, Large networks
+    # and graph limits, AMS 2012, ch. 5), each hom(C, H_i) counted by the oracle
+    connected = [h for h in enumerate_digraphs_upto(3) if component_count(h) == 1]
+    weighted = list(zip(alg.RIGHT_SEPARATOR_WEIGHTS, connected))
+    sums: dict = {}
+    for count, a in alg.right_separator(3)[1].items():
+        expected = 1
+        for keep in components_of(a.domain_size, a.relations.values()):
+            c = induced_substructure(a, keep)
+            if c not in sums:
+                sums[c] = sum(m * oracle_hom_count(c, h) for m, h in weighted)
+            expected *= sums[c]
+        assert count == expected
 
 
 def test_right_separator_fill_work_is_pinned(monkeypatch):
-    # hom counts between tiny structures only, one per (distinct component, H_i)
+    # one hom count into F_n per class of n vertices
     calls = count_calls(monkeypatch, hom_count)
     alg._right_separator.cache_clear()
-    for n, cost in [(1, 4), (2, 81), (3, 9025)]:
+    for n, cost in [(1, 2), (2, 10), (3, 104)]:
         calls[0] = 0
         alg.right_separator(n)
         assert calls[0] == cost
@@ -316,22 +332,30 @@ def test_right_two_query_decider():
 
 
 def test_unbounded_boolean_cycle_detector():
+    # halts within 2|A| queries, with equality on some input
     strategy = alg.unbounded_boolean_cycle_detector()
+    cap = REGISTRY["ub-bool-cycle"].step_cap
+    slack = []
     for s in enumerate_digraphs_upto(3):
-        report = run_adaptive(strategy, s, LEFT, BOOLEAN,
-                              max_steps=2 * (s.domain_size + 1))
+        report = run_adaptive(strategy, s, LEFT, BOOLEAN, max_steps=cap(s))
         assert report.verdict == has_directed_cycle(s)
-        assert report.query_count <= 2 * (s.domain_size + 1)
+        slack.append(2 * s.domain_size - report.query_count)
+    assert min(slack) == 0
 
 
 def test_unbounded_boolean_netcycle_detector():
+    # halts within max(|A| - 1, gamma(A) + 1) rounds, with equality on some input
     program = parse_program(NONZERO_NET_CYCLE_PROGRAM)
     strategy = alg.unbounded_boolean_nonzero_net_cycle_detector()
+    cap = REGISTRY["ub-bool-netcycle"].step_cap
+    slack = []
     for s in enumerate_digraphs_upto(3):
-        cap = 2 * max(s.domain_size + 1, gamma(s) + 1)
-        report = run_adaptive(strategy, s, RIGHT, BOOLEAN, max_steps=cap)
+        report = run_adaptive(strategy, s, RIGHT, BOOLEAN, max_steps=cap(s))
         assert report.verdict == (gamma(s) != 0)
         assert report.verdict == evaluate(program, s)
+        rounds = (report.query_count + 1) // 2
+        slack.append(max(s.domain_size - 1, gamma(s) + 1) - rounds)
+    assert min(slack) == 0
 
 
 def test_registry_entries_run():
