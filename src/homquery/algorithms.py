@@ -234,10 +234,10 @@ def adaptive_not_better_instance(k: int, primes):
 
 def predicate_subsets(sig: Signature) -> tuple[tuple[str, ...], ...]:
     "All subsets of a unary signature's predicates, in frozen bitmask order."
-    names = sig.names
-    return tuple(
-        tuple(name for i, name in enumerate(names) if mask >> i & 1)
-        for mask in range(1 << len(names)))
+    subsets = [()]
+    for name in sig.names:  # each name doubles the list, as the next bit does
+        subsets += [subset + (name,) for subset in subsets]
+    return tuple(subsets)
 
 
 def unary_singleton(sig: Signature, subset) -> Structure:
@@ -253,23 +253,15 @@ def reconstruct_unary_counts(sig: Signature, answers) -> dict[tuple[str, ...], i
     recover by inclusion-exclusion the count of elements satisfying each
     subset exactly.
     """
-    return _exact_counts(predicate_subsets(sig), answers)
-
-
-def _exact_counts(subsets, answers) -> dict[tuple[str, ...], int]:
     # subset i holds the predicates at the set bits of i, so S contains T iff
     # s & t == t, and then |S| - |T| is the bit count of s ^ t
     return {subset: sum(-a if (s ^ t).bit_count() & 1 else a
                         for s, a in enumerate(answers) if s & t == t)
-            for t, subset in enumerate(subsets)}
+            for t, subset in enumerate(predicate_subsets(sig))}
 
 
 def reconstruct_unary_structure(sig: Signature, answers) -> Structure:
-    return _unary_structure(sig, predicate_subsets(sig), answers)
-
-
-def _unary_structure(sig: Signature, subsets, answers) -> Structure:
-    exact = _exact_counts(subsets, answers)
+    exact = reconstruct_unary_counts(sig, answers)
     if any(v < 0 for v in exact.values()):
         raise StrategyContractError("inconsistent unary answer vector")
     total = sum(exact.values())
@@ -292,11 +284,10 @@ def unary_full_decider(sig: Signature, predicate) -> NonAdaptiveAlgorithm:
     """
     if any(arity != 1 for _, arity in sig.relations):
         raise ValueError("signature must be unary")
-    subsets = predicate_subsets(sig)
-    queries = tuple(unary_singleton(sig, subset) for subset in subsets)
+    queries = tuple(unary_singleton(sig, subset) for subset in predicate_subsets(sig))
 
     def accept(answers) -> bool:
-        return predicate(_unary_structure(sig, subsets, answers))
+        return predicate(reconstruct_unary_structure(sig, answers))
 
     return NonAdaptiveAlgorithm(LEFT, queries, accept)
 

@@ -53,26 +53,15 @@ def component_count(s: Structure) -> int:
 def is_berge_acyclic(s: Structure) -> bool:
     """
     True iff the incidence multigraph (elements vs facts, one edge per
-    position of a fact's tuple) has no cycle: union-find over the elements,
-    where each fact must join elements from pairwise distinct components.
-    A repeated element within one fact gives parallel edges, a cycle.
+    position of a fact's tuple) has no cycle.  A multigraph is a forest iff
+    its edges number its vertices less its components: the fact arities
+    summed equal |A| + #facts - components, i.e. (arity - 1) summed over
+    the facts plus the components equals |A|.  Every fact lies in its
+    elements' component, so the components are those of components_of.  A
+    repeated element within one fact gives parallel edges, a cycle.
     """
-    parent = list(s.domain)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, t in s.facts():
-        root = find(t[0])
-        for a in t[1:]:
-            ra = find(a)
-            if ra == root:
-                return False
-            parent[ra] = root
-    return True
+    return sum((arity - 1) * len(s.relations[name])
+               for name, arity in s.signature.relations) + component_count(s) == s.domain_size
 
 
 def gamma(d: Structure) -> int:

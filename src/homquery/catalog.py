@@ -26,14 +26,12 @@ import operator
 from functools import lru_cache
 from typing import NamedTuple
 
-from .structures import DIGRAPH_SIG, Signature, Structure, check_guard
+from .structures import DIGRAPH_SIG, Structure, check_guard
 
 CATALOG_GUARD = 4  # vertices; 5 would scan 2^25 masks under 120 permutations
 
 
 class IsoClassCatalog(NamedTuple):
-    size: int
-    signature: Signature
     representatives: tuple[Structure, ...]
 
 
@@ -78,7 +76,7 @@ def enumerate_digraphs(n: int) -> IsoClassCatalog:
             marked[image] = 1
         reps.append(Structure._trusted(DIGRAPH_SIG, n, {"R": mask_edges}))
         mask = marked.find(0, mask + 1)
-    return IsoClassCatalog(size=n, signature=DIGRAPH_SIG, representatives=tuple(reps))
+    return IsoClassCatalog(tuple(reps))
 
 
 @lru_cache(maxsize=None)

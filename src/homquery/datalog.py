@@ -44,30 +44,41 @@ class DatalogError(Exception):
 
 @dataclass(frozen=True)
 class DatalogProgram:
+    """
+    A program is its rules.  The goal, the one nullary Ans() head
+    (case-insensitive name), and each IDB predicate's arity, that of its
+    heads, are derived from them; so are the EDB arities and the join plans.
+    """
     rules: tuple[Rule, ...]
-    idb: dict[str, int]   # predicate -> arity
-    goal: str
+    idb: dict[str, int] = field(init=False)   # predicate -> arity
+    goal: str = field(init=False)
     # EDB predicate arities and join plans, computed once per program (see _compile_program)
     edb: dict[str, int] = field(init=False, repr=False, compare=False)
     first_plans: tuple = field(init=False, repr=False, compare=False)
     delta_plans: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        goals = {rule.head.predicate for rule in self.rules
+                 if not rule.head.variables and rule.head.predicate.lower() == "ans"}
+        if len(goals) != 1:
+            raise DatalogError("program needs exactly one nullary goal Ans()")
         check_safety(self)
         # every atom of a predicate has one arity: an IDB predicate's is that
         # of its heads, an EDB predicate's is the same throughout the program
+        idb = {rule.head.predicate: len(rule.head.variables) for rule in self.rules}
         edb: dict[str, int] = {}
         for rule in self.rules:
             for atom in (rule.head, *rule.body):
                 if atom.predicate == EQ:
                     continue
-                arities = self.idb if atom.predicate in self.idb else edb
+                arities = idb if atom.predicate in idb else edb
                 if arities.setdefault(atom.predicate, len(atom.variables)) != len(atom.variables):
                     raise DatalogError(f"inconsistent arity for {atom.predicate}")
-        first, later = _compile_program(self.rules, self.idb, self.goal)
-        object.__setattr__(self, "edb", edb)
-        object.__setattr__(self, "first_plans", first)
-        object.__setattr__(self, "delta_plans", later)
+        goal = goals.pop()
+        first, later = _compile_program(self.rules, idb, goal)
+        for name, value in (("idb", idb), ("goal", goal), ("edb", edb),
+                            ("first_plans", first), ("delta_plans", later)):
+            object.__setattr__(self, name, value)
 
 
 _ATOM_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_']*)\s*\(([^)]*)\)\s*$")
@@ -121,14 +132,7 @@ def parse_program(text: str) -> DatalogProgram:
         rules.append(Rule(head, body))
     if not rules:
         raise DatalogError("empty program")
-
-    # DatalogProgram checks that each predicate's atoms agree on its arity
-    idb = {rule.head.predicate: len(rule.head.variables) for rule in rules}
-    goals = {rule.head.predicate for rule in rules
-             if not rule.head.variables and rule.head.predicate.lower() == "ans"}
-    if len(goals) != 1:
-        raise DatalogError("program needs exactly one nullary goal Ans()")
-    return DatalogProgram(tuple(rules), idb, goals.pop())
+    return DatalogProgram(tuple(rules))
 
 
 def check_safety(program: DatalogProgram):

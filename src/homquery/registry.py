@@ -29,7 +29,6 @@ from .structures import Signature, Structure
 
 
 class AlgorithmEntry(NamedTuple):
-    name: str
     orientation: str
     semiring: str
     build: Callable[..., object]          # (**params) -> strategy or NonAdaptiveAlgorithm
@@ -45,51 +44,39 @@ def some_element_in_all_predicates(s: Structure) -> bool:
                for e in s.domain)
 
 
-REGISTRY: dict[str, AlgorithmEntry] = {}
-
-
-def _register(entry: AlgorithmEntry):
-    REGISTRY[entry.name] = entry
-
-
-_register(AlgorithmEntry(
-    "cycle2q", LEFT, COUNT,
-    build=alg.cycle_detector_2query,
-    step_cap=lambda s: 2))
-
-_register(AlgorithmEntry(
-    "lovasz", LEFT, COUNT,
-    build=lambda: alg.lovasz_universal_decider(has_directed_cycle),
-    step_cap=lambda s: 1 + len(enumerate_digraphs_upto(
-        min(s.domain_size, alg.LOVASZ_SIZE_CAP)))))
-
-_register(AlgorithmEntry(
-    "dn-sep", LEFT, COUNT,
-    build=lambda n=DN_DEFAULT_N: alg.dn_nonadaptive_separator(n)))
-
-_register(AlgorithmEntry(
-    "dn-binsearch", LEFT, COUNT,
-    build=lambda n=DN_DEFAULT_N: alg.dn_adaptive_binary_search(n),
-    step_cap=lambda s, n=DN_DEFAULT_N: n + 1))  # D_n's member count > n.bit_length()
-
-_register(AlgorithmEntry(
-    "unary-full", LEFT, COUNT,
-    build=lambda: alg.unary_full_decider(UNARY_PQ_SIG, some_element_in_all_predicates)))
-
-_register(AlgorithmEntry(
-    "right2q", RIGHT, COUNT,
-    build=lambda: alg.right_two_query_decider(has_directed_cycle),
-    step_cap=lambda s: 2))
-
-_register(AlgorithmEntry(
-    "ub-bool-cycle", LEFT, BOOLEAN,
-    build=alg.unbounded_boolean_cycle_detector,
-    step_cap=lambda s: 2 * (s.domain_size + 1)))
-
-_register(AlgorithmEntry(
-    "ub-bool-netcycle", RIGHT, BOOLEAN,
-    build=alg.unbounded_boolean_nonzero_net_cycle_detector,
-    step_cap=lambda s: 2 * max(s.domain_size + 1, 2)))
+REGISTRY: dict[str, AlgorithmEntry] = {
+    "cycle2q": AlgorithmEntry(
+        LEFT, COUNT,
+        build=alg.cycle_detector_2query,
+        step_cap=lambda s: 2),
+    "lovasz": AlgorithmEntry(
+        LEFT, COUNT,
+        build=lambda: alg.lovasz_universal_decider(has_directed_cycle),
+        step_cap=lambda s: 1 + len(enumerate_digraphs_upto(
+            min(s.domain_size, alg.LOVASZ_SIZE_CAP)))),
+    "dn-sep": AlgorithmEntry(
+        LEFT, COUNT,
+        build=lambda n=DN_DEFAULT_N: alg.dn_nonadaptive_separator(n)),
+    "dn-binsearch": AlgorithmEntry(
+        LEFT, COUNT,
+        build=lambda n=DN_DEFAULT_N: alg.dn_adaptive_binary_search(n),
+        step_cap=lambda s, n=DN_DEFAULT_N: n + 1),  # D_n's member count > n.bit_length()
+    "unary-full": AlgorithmEntry(
+        LEFT, COUNT,
+        build=lambda: alg.unary_full_decider(UNARY_PQ_SIG, some_element_in_all_predicates)),
+    "right2q": AlgorithmEntry(
+        RIGHT, COUNT,
+        build=lambda: alg.right_two_query_decider(has_directed_cycle),
+        step_cap=lambda s: 2),
+    "ub-bool-cycle": AlgorithmEntry(
+        LEFT, BOOLEAN,
+        build=alg.unbounded_boolean_cycle_detector,
+        step_cap=lambda s: 2 * (s.domain_size + 1)),
+    "ub-bool-netcycle": AlgorithmEntry(
+        RIGHT, BOOLEAN,
+        build=alg.unbounded_boolean_nonzero_net_cycle_detector,
+        step_cap=lambda s: 2 * max(s.domain_size + 1, 2)),
+}
 
 
 # Every build is a stateless closure or a frozen NonAdaptiveAlgorithm whose

@@ -378,6 +378,17 @@ def test_registry_entries_run():
                              "ub-bool-netcycle"}
 
 
+def test_nonadaptive_entries_state_their_build_orientation():
+    # run_registered reads a non-adaptive build's own orientation, never the
+    # entry's, so the two must agree
+    builds = {name: entry.build() for name, entry in REGISTRY.items()}
+    nonadaptive = {name for name, build in builds.items()
+                   if isinstance(build, NonAdaptiveAlgorithm)}
+    assert nonadaptive == {"dn-sep", "unary-full"}
+    for name in nonadaptive:
+        assert REGISTRY[name].orientation == builds[name].orientation, name
+
+
 def test_registry_caps_cover_catalog_runs():
     # each adaptive entry's step cap admits every run its size cap admits:
     # a run ends in a verdict or a guard refusal, never at the step cap

@@ -89,10 +89,29 @@ def test_is_berge_acyclic():
     two_rel = Signature((("R", 2), ("S", 2)))
     s = make_structure(two_rel, 2, {"R": {(0, 1)}, "S": {(0, 1)}})
     assert not is_berge_acyclic(s)
+    # as does one pair held in R and, reversed, in S beside a tree edge: two facts
+    s = make_structure(two_rel, 3, {"R": {(0, 1), (1, 2)}, "S": {(2, 1)}})
+    assert not is_berge_acyclic(s)
     ternary = Signature((("T", 3),))
     # a fact with a repeated element is not Berge-acyclic
     assert not is_berge_acyclic(make_structure(ternary, 2, {"T": {(0, 1, 0)}}))
     assert is_berge_acyclic(make_structure(ternary, 3, {"T": {(0, 1, 2)}}))
+
+
+def test_berge_acyclic_counts():
+    # the digraph classes of 1-4 vertices that are oriented forests
+    assert [sum(map(is_berge_acyclic, enumerate_digraphs(n).representatives))
+            for n in (1, 2, 3, 4)] == [1, 2, 5, 14]
+    # seeded structures with a unary, a binary and a ternary relation
+    sig = Signature((("R", 2), ("P", 1), ("T", 3)))
+    rng = random.Random(33)
+    sample = []
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        sample.append(make_structure(sig, n, {
+            name: {tuple(rng.randrange(n) for _ in range(arity)) for _ in range(rng.randint(0, 2))}
+            for name, arity in sig.relations}))
+    assert sum(map(is_berge_acyclic, sample)) == 257
 
 
 def test_gamma_frozen_values():

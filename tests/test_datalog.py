@@ -12,6 +12,8 @@ from homquery.datalog import (
     EQ,
     Atom,
     DatalogError,
+    DatalogProgram,
+    Rule,
     builtin_programs,
     check_safety,
     classify_program,
@@ -171,6 +173,26 @@ def test_parse_program():
     first = p.rules[0]
     assert first.head == Atom("X", ("x",))
     assert first.body == (Atom("P", ("x",)),)
+
+
+def test_program_is_its_rules():
+    # the goal and the IDB arities are derived from the rules, so a program
+    # rebuilt from a parsed program's rules is that program
+    for text in BUILTIN_PROGRAM_TEXTS.values():
+        parsed = parse_program(text)
+        rebuilt = DatalogProgram(parsed.rules)
+        assert rebuilt == parsed
+        assert (rebuilt.idb, rebuilt.goal) == (parsed.idb, parsed.goal)
+    cycle = DatalogProgram(parse_program(BUILTIN_PROGRAM_TEXTS["directed-cycle"]).rules)
+    assert evaluate(cycle, directed_cycle(3)) and not evaluate(cycle, directed_path(3))
+    # a goal stated beside the rules could disagree with them
+    with pytest.raises(TypeError):
+        DatalogProgram(cycle.rules, cycle.idb, "Goal")
+    no_goal = (Rule(Atom("X", ("x",)), (Atom("P", ("x",)),)),
+               Rule(Atom("Ans", ("x",)), (Atom("X", ("x",)),)))
+    for rules in (no_goal, no_goal[:1], ()):
+        with pytest.raises(DatalogError, match=r"^program needs exactly one nullary goal Ans\(\)$"):
+            DatalogProgram(rules)
 
 
 def test_parse_comments_dots_and_primes():
