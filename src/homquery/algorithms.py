@@ -15,7 +15,6 @@ from .analysis import component_count
 from .catalog import enumerate_digraphs, enumerate_digraphs_upto
 from .homs import hom_count, hom_into_cycle_union_formula
 from .query import (
-    LEFT,
     Halt,
     NonAdaptiveAlgorithm,
     Query,
@@ -180,7 +179,7 @@ def dn_nonadaptive_separator(n: int) -> NonAdaptiveAlgorithm:
     _check_dn(n)
     queries = tuple(directed_cycle(2 ** r) for r in range(n))
     accept = frozenset(_dn_answer_vector(n, m) for m in range(0, n + 1, 2))
-    return NonAdaptiveAlgorithm(LEFT, queries, accept)
+    return NonAdaptiveAlgorithm(queries, accept)
 
 
 def dn_adaptive_binary_search(n: int) -> Strategy:
@@ -229,7 +228,7 @@ def adaptive_not_better_instance(k: int, primes):
             for i in range(k))
 
     accept = frozenset(vector(j) for j in range(k))
-    return NonAdaptiveAlgorithm(LEFT, queries, accept), structures
+    return NonAdaptiveAlgorithm(queries, accept), structures
 
 
 def predicate_subsets(sig: Signature) -> tuple[tuple[str, ...], ...]:
@@ -289,7 +288,7 @@ def unary_full_decider(sig: Signature, predicate) -> NonAdaptiveAlgorithm:
     def accept(answers) -> bool:
         return predicate(reconstruct_unary_structure(sig, answers))
 
-    return NonAdaptiveAlgorithm(LEFT, queries, accept)
+    return NonAdaptiveAlgorithm(queries, accept)
 
 
 # One weight m_i per connected digraph class H_i of at most 3 vertices, in

@@ -9,10 +9,12 @@ Rule text format, one rule per line:
 
     Head(x, y) :- Body1(x, z), Body2(z, y), x = y.
 
-Equality atoms relate two variables; the goal predicate is a nullary
-`Ans()` (case-insensitive name).  Every head variable must occur in the
-body (equality atoms count as occurrences).  Equalities cost nothing at
-run time: a rule is compiled with the variables they join renamed to one.
+Every argument is a variable, an identifier such as x or y' (there are
+no constants); equality atoms relate two variables; the goal predicate is
+a nullary `Ans()` (case-insensitive name).  Every head variable must occur
+in the body (equality atoms count as occurrences).  Equalities cost
+nothing at run time: a rule is compiled with the variables they join
+renamed to one.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ class DatalogProgram:
     heads, are derived from them; so are the EDB arities and the join plans.
     """
     rules: tuple[Rule, ...]
-    idb: dict[str, int] = field(init=False)   # predicate -> arity
-    goal: str = field(init=False)
+    # derived from rules, so rules alone decide == and the hash
+    idb: dict[str, int] = field(init=False, compare=False)   # predicate -> arity
+    goal: str = field(init=False, compare=False)
     # EDB predicate arities and join plans, computed once per program (see _compile_program)
     edb: dict[str, int] = field(init=False, repr=False, compare=False)
     first_plans: tuple = field(init=False, repr=False, compare=False)
@@ -81,8 +84,9 @@ class DatalogProgram:
             object.__setattr__(self, name, value)
 
 
-_ATOM_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_']*)\s*\(([^)]*)\)\s*$")
-_EQ_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_']*)\s*=\s*([A-Za-z_][A-Za-z0-9_']*)\s*$")
+_NAME = r"[A-Za-z_][A-Za-z0-9_']*"  # a predicate or a variable
+_ATOM_RE = re.compile(rf"\s*({_NAME})\s*\(([^)]*)\)\s*$")
+_EQ_RE = re.compile(rf"\s*({_NAME})\s*=\s*({_NAME})\s*$")
 
 
 def _parse_atom(text: str) -> Atom:
@@ -96,6 +100,9 @@ def _parse_atom(text: str) -> Atom:
     variables = tuple(a.strip() for a in args.split(",")) if args else ()
     if any(not v for v in variables):
         raise DatalogError(f"empty argument in atom {text!r}")
+    for v in variables:
+        if not re.fullmatch(_NAME, v):
+            raise DatalogError(f"argument {v!r} in atom {text!r} is not a variable")
     return Atom(name, variables)
 
 

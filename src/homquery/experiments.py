@@ -18,13 +18,12 @@ from .analysis import gamma, star_transform
 from .catalog import enumerate_digraphs_upto
 from .datalog import builtin_programs, evaluate
 from .homs import (
-    COUNT,
     hom_count,
     hom_into_cycle_union_formula,
     hom_into_nary_cycle_union_formula,
 )
 from .oracle import has_directed_cycle, oracle_hom_count
-from .query import run_non_adaptive
+from .query import LEFT, run_non_adaptive
 from .registry import run_registered
 from .structures import (
     Signature,
@@ -97,9 +96,9 @@ def experiment_dn(n: int) -> ExperimentReport:
     cross-check every answer against the brute-force oracle.  The
     family's builders refuse an n outside its range (algorithms.DN_GUARD).
     """
+    alg.check_positive(n=n)
     report = ExperimentReport("dn", {"n": n})
     members = [(m, alg.dn_member(n, m)) for m in range(n + 1)]
-    separator = alg.dn_nonadaptive_separator(n)
     max_queries = n.bit_length()  # ceil(log2(n+1))
 
     vectors = {}
@@ -109,12 +108,12 @@ def experiment_dn(n: int) -> ExperimentReport:
     within_bound = True
     for m, member in members:
         expected = m % 2 == 0
-        rep = run_non_adaptive(separator, member, COUNT)
+        rep = run_registered("dn-sep", member, n=n)
         vectors[m] = rep.transcript
         if rep.verdict != expected:
             all_correct = False
         if n <= 3:
-            oracle_vector = tuple(oracle_hom_count(q, member) for q in separator.queries)
+            oracle_vector = tuple(oracle_hom_count(q, member) for q in rep.queries_issued)
             if oracle_vector != rep.transcript:
                 oracle_agree = False
         arep = run_registered("dn-binsearch", member, n=n)
@@ -133,8 +132,9 @@ def experiment_dn(n: int) -> ExperimentReport:
     report.check("adaptive-correct", adaptive_correct)
     report.add("adaptive-query-bound", max_queries)
     report.check("adaptive-within-bound", within_bound)
+    # the separator asks every input the same queries, so any run counts them
     _check_lower_bounds(report, [(2 ** m, member, m % 2 == 0) for m, member in members],
-                        (len(separator.queries), max_queries))
+                        (rep.query_count, max_queries))
     return report
 
 
@@ -155,17 +155,13 @@ def experiment_adaptive_not_better(k: int = 1) -> ExperimentReport:
     diagonal_ok = True
     classification_ok = True
     for j, member in enumerate(structures):
-        vector = tuple(
-            hom_into_cycle_union_formula(algorithm.queries[i], primes[j],
-                                         math.prod(primes) // primes[j])
-            for i in range(k))
-        for i, value in enumerate(vector):
+        rep = run_non_adaptive(algorithm, member, LEFT)
+        for i, value in enumerate(rep.transcript):
             if (value != 0) != (i == j):
                 diagonal_ok = False
-        verdict = run_non_adaptive(algorithm, member, COUNT).verdict
-        if verdict != (j < k):
+        if rep.verdict != (j < k):
             classification_ok = False
-        report.add(f"member.j={j + 1}", f"vector={vector} accepted={verdict}")
+        report.add(f"member.j={j + 1}", f"vector={rep.transcript} accepted={rep.verdict}")
     report.check("matrix-nonzero-exactly-on-diagonal", diagonal_ok)
     report.check("accepts-exactly-first-k", classification_ok)
 

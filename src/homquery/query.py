@@ -3,9 +3,9 @@ Query algorithms over hom counts: non-adaptive algorithms as a fixed
 query tuple plus an acceptance predicate, adaptive algorithms as decision
 callbacks over the transcript of answers so far.
 
-Orientation LEFT asks hom(F, input); RIGHT asks hom(input, F).  Answers
-are exact integers under the counting semiring and 0/1 under the Boolean
-one.
+Both runners take the orientation at run time: LEFT asks hom(F, input),
+RIGHT asks hom(input, F).  Answers are exact integers under the counting
+semiring and 0/1 under the Boolean one.
 """
 
 from __future__ import annotations
@@ -68,14 +68,12 @@ def _decide(strategy: Strategy, transcript: Transcript) -> StrategyDecision:
 
 @dataclass(frozen=True)
 class NonAdaptiveAlgorithm:
-    orientation: str
     # none decides a constant class: accept reads the empty transcript
     queries: tuple[Structure, ...]
     # either a finite set of accepted answer vectors or a predicate
     accept: Union[frozenset, Callable[[Transcript], bool]]
 
     def __post_init__(self):
-        _check_orientation(self.orientation)
         object.__setattr__(self, "queries", tuple(self.queries))
 
     def accepts(self, answers: Transcript) -> bool:
@@ -103,8 +101,9 @@ def _answer(query: Structure, input_structure: Structure,
 
 
 def run_non_adaptive(alg: NonAdaptiveAlgorithm, input_structure: Structure,
-                     semiring: str = COUNT) -> RunReport:
-    answers = tuple(_answer(q, input_structure, alg.orientation, semiring)
+                     orientation: str, semiring: str = COUNT) -> RunReport:
+    _check_orientation(orientation)
+    answers = tuple(_answer(q, input_structure, orientation, semiring)
                     for q in alg.queries)
     return RunReport(alg.accepts(answers), answers, alg.queries)
 
@@ -133,34 +132,30 @@ def run_adaptive(strategy: Strategy, input_structure: Structure,
         transcript = transcript + (answer,)
 
 
-def flatten_adaptive_boolean(strategy: Strategy, k: int,
-                             orientation: str) -> NonAdaptiveAlgorithm:
+def flatten_adaptive_boolean(strategy: Strategy, k: int) -> NonAdaptiveAlgorithm:
     """
     Turn a depth-<=k Boolean adaptive strategy into a non-adaptive
     algorithm by materializing every query reachable within k steps (at
-    most 2^k - 1, one per internal tree node, none if it halts at once).
+    most 2^k - 1, one per internal tree node, none if it halts at once),
+    breadth first, so by transcript length and then lexicographically.
     Exploring the tree and replaying it in the acceptance predicate both
     step through _decide, so a strategy breaks the contract here exactly
-    when it would in run_adaptive.
+    when it would in run_adaptive.  The result runs in either orientation,
+    as the strategy does.
     """
-    nodes: dict[Transcript, Structure] = {}
-
-    def explore(transcript: Transcript):
+    index: dict[Transcript, int] = {}
+    queries: list[Structure] = []
+    frontier: list[Transcript] = [()]
+    for transcript in frontier:  # the loop reaches the children it appends
         decision = _decide(strategy, transcript)
         if isinstance(decision, Halt):
-            return
+            continue
         if len(transcript) >= k:
             raise StrategyContractError(
                 f"strategy exceeds depth {k} on transcript {transcript}")
-        nodes[transcript] = decision.structure
-        for bit in (0, 1):
-            explore(transcript + (bit,))
-
-    explore(())
-    ordered = sorted(nodes)  # breadth-like, deterministic
-    ordered.sort(key=len)
-    index = {t: i for i, t in enumerate(ordered)}
-    queries = tuple(nodes[t] for t in ordered)
+        index[transcript] = len(queries)
+        queries.append(decision.structure)
+        frontier += (transcript + (0,), transcript + (1,))
 
     def accept(answers: Transcript) -> bool:
         transcript: Transcript = ()
@@ -170,4 +165,4 @@ def flatten_adaptive_boolean(strategy: Strategy, k: int,
                 return decision.verdict
             transcript = transcript + (answers[index[transcript]],)
 
-    return NonAdaptiveAlgorithm(orientation, queries, accept)
+    return NonAdaptiveAlgorithm(queries, accept)

@@ -1,11 +1,13 @@
 """
 Stable algorithm registry for the CLI and the experiment harness.
 
-Each entry knows its orientation, semiring, how to build the runnable
-(non-adaptive algorithm or adaptive strategy) and, for an adaptive one,
-a safe step cap on a given input and parameters.  These caps are the one
-statement of each step cap: the experiments run the adaptive algorithms
-through run_registered, which builds each entry once per parameter set.
+Each entry states its orientation and semiring, how to build the
+runnable (non-adaptive algorithm or adaptive strategy) and, for an
+adaptive one, a safe step cap on a given input and parameters.  These are
+the one statement of each: run_registered passes the orientation and
+semiring to either runner and the cap to run_adaptive, and the
+experiments run the registered algorithms through it, which builds each
+entry once per parameter set.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .query import (
     run_adaptive,
     run_non_adaptive,
 )
-from .structures import Signature, Structure
+from .structures import CACHE_SIZE, Signature, Structure
 
 
 class AlgorithmEntry(NamedTuple):
@@ -81,10 +83,7 @@ REGISTRY: dict[str, AlgorithmEntry] = {
 
 # Every build is a stateless closure or a frozen NonAdaptiveAlgorithm whose
 # probes depend on the parameters alone, so one build serves every input.
-BUILD_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=BUILD_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _built(name: str, params: tuple):
     return REGISTRY[name].build(**dict(params))
 
@@ -94,6 +93,7 @@ def run_registered(name: str, input_structure: Structure, **params) -> RunReport
     entry = REGISTRY[name]
     runnable = _built(name, tuple(sorted(params.items())))
     if isinstance(runnable, NonAdaptiveAlgorithm):
-        return run_non_adaptive(runnable, input_structure, entry.semiring)
+        return run_non_adaptive(runnable, input_structure, entry.orientation,
+                                entry.semiring)
     return run_adaptive(runnable, input_structure, entry.orientation,
                         entry.semiring, max_steps=entry.step_cap(input_structure, **params))

@@ -188,12 +188,20 @@ def edges_of(d: Structure) -> frozenset[tuple[int, int]]:
     return d.relations[d.signature.names[0]]
 
 
+# The bound of every bounded cache in the library: those keyed on relation
+# contents (homs' plans, tables, parts and cycle invariants, datalog's EDB
+# indexes, canonical forms; no entry is larger than its key), the probe
+# constructors below and the registry's builds.  It holds a seed-1 benchmark
+# round: decide fills 180 plans, 474 tables, 310 parts, 15 canonical forms;
+# count-large 100 plans, 42 tables, 133 parts; crosscheck 93 invariants, 126
+# EDB indexes.  Over three seed-1 rounds of each workload the probe caches
+# hold at most 8 entries each and the registry's builds 16: none evicts.
+CACHE_SIZE = 1024
+
+
 # Probes repeat across decisions and depend only on their argument, so the
 # probe-family constructors keep one shared structure per argument.
-PROBE_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=PROBE_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def directed_cycle(n: int) -> Structure:
     "The directed cycle on n vertices; n=1 is a single loop."
     if n < 1:
@@ -201,7 +209,7 @@ def directed_cycle(n: int) -> Structure:
     return Structure._trusted(DIGRAPH_SIG, n, {"R": [(i, (i + 1) % n) for i in range(n)]})
 
 
-@functools.lru_cache(maxsize=PROBE_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def directed_path(n: int) -> Structure:
     "The directed path with n edges on n+1 vertices; n=0 is an edgeless point."
     if n < 0:
@@ -226,7 +234,7 @@ def complete_singleton(sig: Signature) -> Structure:
     return Structure._trusted(sig, 1, {name: [(0,) * arity] for name, arity in sig.relations})
 
 
-@functools.lru_cache(maxsize=PROBE_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def complete_pair(sig: Signature) -> Structure:
     "Two elements; each relation of arity m holds on all 2^m tuples."
     return Structure._trusted(sig, 2, {name: itertools.product((0, 1), repeat=arity)
@@ -334,14 +342,6 @@ def canonical_key(s: Structure) -> tuple:
 def canonical_form(s: Structure) -> Structure:
     "The relabeling of s whose relations give canonical_key(s)."
     return _structure_of_key(s.signature, s.domain_size, canonical_key(s))
-
-
-# The bound of every cache keyed on relation contents (homs' plans, tables,
-# parts and cycle invariants, datalog's EDB indexes, canonical forms; no entry
-# is larger than its key).  It holds a seed-1 benchmark round: decide fills
-# 180 plans, 474 tables, 310 parts, 15 canonical forms; count-large 100 plans,
-# 42 tables, 133 parts; crosscheck 93 invariants, 126 EDB indexes.
-CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)

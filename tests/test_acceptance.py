@@ -254,7 +254,7 @@ def test_criterion_13_unary_full_reconstruction():
                 s = make_structure(sig, n, {
                     "P": {(i,) for i in range(n) if pbits >> i & 1},
                     "Q": {(i,) for i in range(n) if qbits >> i & 1}})
-                rep = run_non_adaptive(decider, s, COUNT)
+                rep = run_non_adaptive(decider, s, LEFT, COUNT)
                 rebuilt = alg.reconstruct_unary_structure(sig, rep.transcript)
                 if not isomorphic(rebuilt, s) or rep.verdict != predicate(s):
                     ok = False

@@ -153,7 +153,7 @@ def test_dn_separator_and_binsearch_agree():
         for m in range(n + 1):
             member = scalar_multiple(2 ** (n - m), directed_cycle(2 ** m))
             expected = (m % 2 == 0)
-            assert run_non_adaptive(sep, member).verdict == expected
+            assert run_non_adaptive(sep, member, LEFT).verdict == expected
             report = run_adaptive(search, member, LEFT, max_steps=n.bit_length())
             assert report.verdict == expected
             assert report.query_count <= n.bit_length()
@@ -176,7 +176,7 @@ def test_adaptive_not_better_instance():
     assert len(structures) == 2
     # accepts exactly the first k structures of the family
     for j, s in enumerate(structures):
-        assert run_non_adaptive(nonadaptive, s).verdict == (j < 1)
+        assert run_non_adaptive(nonadaptive, s, LEFT).verdict == (j < 1)
     with pytest.raises(ValueError):
         alg.adaptive_not_better_instance(1, (2, 2))
     with pytest.raises(GuardExceeded):
@@ -211,7 +211,7 @@ def test_unary_full_decider_decides_everything():
                 s = make_structure(sig, n, {
                     "P": {(i,) for i in range(n) if p_bits >> i & 1},
                     "Q": {(i,) for i in range(n) if q_bits >> i & 1}})
-                assert run_non_adaptive(decider, s).verdict == some_element_in_all_predicates(s)
+                assert run_non_adaptive(decider, s, LEFT).verdict == some_element_in_all_predicates(s)
     with pytest.raises(ValueError):
         alg.unary_full_decider(Signature((("R", 2),)), some_element_in_all_predicates)
 
@@ -365,8 +365,7 @@ def test_registry_entries_run():
     assert run_registered("lovasz", c3).verdict
     assert run_registered("ub-bool-cycle", c3).verdict
     assert run_registered("ub-bool-netcycle", c3).verdict
-    assert not run_registered("ub-bool-netcycle", directed_cycle(2) if False
-                              else digraph(2, {(0, 1)})).verdict
+    assert not run_registered("ub-bool-netcycle", digraph(2, {(0, 1)})).verdict
     member = scalar_multiple(2, directed_cycle(2))
     assert not run_registered("dn-sep", member, n=2).verdict
     assert not run_registered("dn-binsearch", member, n=2).verdict
@@ -376,17 +375,6 @@ def test_registry_entries_run():
     assert set(REGISTRY) == {"cycle2q", "lovasz", "dn-sep", "dn-binsearch",
                              "unary-full", "right2q", "ub-bool-cycle",
                              "ub-bool-netcycle"}
-
-
-def test_nonadaptive_entries_state_their_build_orientation():
-    # run_registered reads a non-adaptive build's own orientation, never the
-    # entry's, so the two must agree
-    builds = {name: entry.build() for name, entry in REGISTRY.items()}
-    nonadaptive = {name for name, build in builds.items()
-                   if isinstance(build, NonAdaptiveAlgorithm)}
-    assert nonadaptive == {"dn-sep", "unary-full"}
-    for name in nonadaptive:
-        assert REGISTRY[name].orientation == builds[name].orientation, name
 
 
 def test_registry_caps_cover_catalog_runs():

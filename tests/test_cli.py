@@ -274,6 +274,16 @@ def test_experiment_command(runner):
         "error: usage: No such option '--format'."
 
 
+def test_failed_experiment_exits_1(runner, monkeypatch):
+    # a report that fails is printed whole, with nothing on stderr
+    test_experiments.pad_left_detector(monkeypatch)
+    r = runner.invoke(main, ["experiment", "unbounded-boolean", "max_vertices=1"])
+    assert r.exit_code == 1
+    assert "left-detector-within-bound: FAILED\n" in r.stdout
+    assert r.stdout.endswith("result: FAIL\n")
+    assert r.stderr == ""
+
+
 def test_experiment_bad_parameters_are_usage_errors(runner):
     for args, named in [(["dn"], "'n'"), (["dn", "n=abc"], "'n'"),
                         (["dn", "foo"], "'foo'"), (["nary", "bogus=1"], "'bogus'"),
@@ -315,6 +325,11 @@ def test_datalog_errors_are_one_line(runner, tmp_path, files):
         arity.write_text(text, encoding="utf-8")
         cases += [["run", "--program", str(arity), "--structure", files["c3"]],
                   ["check", "--program", str(arity)]]
+    # a constant where a variable belongs, which would hold on any edge
+    constant = tmp_path / "constant.dl"
+    constant.write_text("Ans() :- R(0, 1).\n", encoding="utf-8")
+    cases += [["run", "--program", str(constant), "--structure", files["c3"]],
+              ["check", "--program", str(constant)]]
     for args in cases:
         r = runner.invoke(main, ["datalog", *args])
         assert r.exit_code == 2, (args, r.output)

@@ -181,8 +181,10 @@ def test_program_is_its_rules():
     for text in BUILTIN_PROGRAM_TEXTS.values():
         parsed = parse_program(text)
         rebuilt = DatalogProgram(parsed.rules)
-        assert rebuilt == parsed
+        assert rebuilt == parsed and hash(rebuilt) == hash(parsed)
         assert (rebuilt.idb, rebuilt.goal) == (parsed.idb, parsed.goal)
+    # the rules alone are a program's identity, so programs key sets and caches
+    assert len(set(builtin_programs().values())) == 3
     cycle = DatalogProgram(parse_program(BUILTIN_PROGRAM_TEXTS["directed-cycle"]).rules)
     assert evaluate(cycle, directed_cycle(3)) and not evaluate(cycle, directed_path(3))
     # a goal stated beside the rules could disagree with them
@@ -222,6 +224,15 @@ def test_parse_errors():
         parse_program("x = y :- P(x), P(y).\nAns() :- P(z).")  # eq head
     with pytest.raises(DatalogError):
         parse_program("X(x) :- P(x).\nX(x, y) :- P(x), P(y).\nAns() :- X(z).")
+    with pytest.raises(DatalogError, match=r"^cannot parse atom ' R\(x'$"):
+        parse_program("Ans() :- R(x")
+    with pytest.raises(DatalogError, match=r"^empty argument in atom ' R\(x, \)'$"):
+        parse_program("Ans() :- R(x, )")
+    # every argument is a variable: a constant or a spaced name is refused
+    with pytest.raises(DatalogError, match=r"^argument '0' in atom ' R\(0, 1\)' is not a variable$"):
+        parse_program("Ans() :- R(0, 1).")
+    with pytest.raises(DatalogError, match=r"^argument 'x y' in atom ' R\(x y, z\)' is not a variable$"):
+        parse_program("Ans() :- R(x y, z).")
 
 
 @pytest.mark.parametrize("text, predicate", [

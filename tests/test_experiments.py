@@ -225,14 +225,11 @@ def test_least_queries_on_the_instance_outcomes(k, least):
 
 
 def test_optimality_fails_for_a_separator_one_query_short(monkeypatch):
-    separator = alg.dn_nonadaptive_separator
-
-    def short(n):
-        full = separator(n)
-        return NonAdaptiveAlgorithm(full.orientation, full.queries[:-1],
-                                    frozenset(v[:-1] for v in full.accept))
-
-    monkeypatch.setattr(alg, "dn_nonadaptive_separator", short)
+    full = alg.dn_nonadaptive_separator(3)
+    short = NonAdaptiveAlgorithm(full.queries[:-1], frozenset(v[:-1] for v in full.accept))
+    built = registry._built
+    monkeypatch.setattr(registry, "_built", lambda name, params:
+                        short if name == "dn-sep" else built(name, params))
     rows = dict(experiment_dn(3).rows)
     assert rows["least-non-adaptive-queries"] == "3"
     assert rows["upper-bounds-optimal"] == "FAILED"
@@ -272,10 +269,13 @@ def test_reports_match_frozen_text():
     assert experiment_adaptive_not_better(k=2).render() == ADAPTIVE_NOT_BETTER_2_TEXT
 
 
-def test_left_detector_bound_fails_a_detector_two_queries_longer(monkeypatch):
-    # the check is 2|A| queries, two below ub-bool-cycle's step cap
-    # 2(|A|+1): a detector padded by two queries stays under the cap, and
-    # fails the check on the loop, where the detector alone takes all 2|A|
+def pad_left_detector(monkeypatch):
+    """
+    Make ub-bool-cycle ask two extra queries first.  The experiment's check
+    is 2|A| queries, two below the entry's step cap 2(|A|+1): the padded
+    detector stays under the cap, and fails the check on the loop, where
+    the detector alone takes all 2|A|.
+    """
     detector = unbounded_boolean_cycle_detector()
 
     def padded(t):
@@ -284,6 +284,10 @@ def test_left_detector_bound_fails_a_detector_two_queries_longer(monkeypatch):
     built = registry._built
     monkeypatch.setattr(registry, "_built", lambda name, params:
                         padded if name == "ub-bool-cycle" else built(name, params))
+
+
+def test_left_detector_bound_fails_a_detector_two_queries_longer(monkeypatch):
+    pad_left_detector(monkeypatch)
     rows = dict(experiment_unbounded_boolean(1).rows)
     assert rows["left-detector-correct"] == "ok"
     assert rows["left-detector-within-bound"] == "FAILED"

@@ -25,48 +25,47 @@ from homquery.structures import (
 
 
 def test_non_adaptive_validation():
-    q = (directed_path(1),)
-    with pytest.raises(ValueError):
-        NonAdaptiveAlgorithm("sideways", q, frozenset())
+    # the orientation is checked before any query: this one would not fit the input
+    unary = NonAdaptiveAlgorithm((complete_singleton(Signature((("P", 1),))),), frozenset())
+    with pytest.raises(ValueError, match="^orientation must be left or right$"):
+        run_non_adaptive(unary, directed_cycle(3), "sideways")
     # no query decides a constant class, under either form of accept
     for accept, verdict in ((frozenset({()}), True), (frozenset(), False),
                             (lambda t: t == (), True)):
-        report = run_non_adaptive(NonAdaptiveAlgorithm(LEFT, (), accept), directed_cycle(3))
+        report = run_non_adaptive(NonAdaptiveAlgorithm((), accept), directed_cycle(3), LEFT)
         assert (report.verdict, report.transcript, report.queries_issued) == (verdict, (), ())
     # queries are frozen, so the algorithm hashes
-    listed = NonAdaptiveAlgorithm(LEFT, list(q), frozenset())
-    assert listed.queries == q and hash(listed) == hash(NonAdaptiveAlgorithm(LEFT, q, frozenset()))
+    q = (directed_path(1),)
+    listed = NonAdaptiveAlgorithm(list(q), frozenset())
+    assert listed.queries == q and hash(listed) == hash(NonAdaptiveAlgorithm(q, frozenset()))
     # an adaptive run reads its orientation through the same check
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^orientation must be left or right$"):
         run_adaptive(even_edge_strategy, directed_cycle(3), "sideways", max_steps=1)
 
 
 def test_run_non_adaptive_left_and_right():
-    count_edges = NonAdaptiveAlgorithm(
-        LEFT, (directed_path(1),), lambda t: t[0] >= 3)
-    report = run_non_adaptive(count_edges, directed_cycle(3))
+    count_edges = NonAdaptiveAlgorithm((directed_path(1),), lambda t: t[0] >= 3)
+    report = run_non_adaptive(count_edges, directed_cycle(3), LEFT)
     assert report.verdict and report.transcript == (3,)
     assert report.query_count == 1
 
-    fits_in_c2 = NonAdaptiveAlgorithm(
-        RIGHT, (directed_cycle(2),), lambda t: t[0] > 0)
-    assert run_non_adaptive(fits_in_c2, directed_cycle(4)).verdict
-    assert not run_non_adaptive(fits_in_c2, directed_cycle(3)).verdict
+    fits_in_c2 = NonAdaptiveAlgorithm((directed_cycle(2),), lambda t: t[0] > 0)
+    assert run_non_adaptive(fits_in_c2, directed_cycle(4), RIGHT).verdict
+    assert not run_non_adaptive(fits_in_c2, directed_cycle(3), RIGHT).verdict
 
 
 def test_run_non_adaptive_accept_set_and_boolean():
-    alg = NonAdaptiveAlgorithm(LEFT, (directed_path(1), directed_cycle(2)),
-                               frozenset({(1, 1)}))
-    report = run_non_adaptive(alg, directed_cycle(2), semiring=BOOLEAN)
+    alg = NonAdaptiveAlgorithm((directed_path(1), directed_cycle(2)), frozenset({(1, 1)}))
+    report = run_non_adaptive(alg, directed_cycle(2), LEFT, semiring=BOOLEAN)
     assert report.verdict and report.transcript == (1, 1)
-    assert not run_non_adaptive(alg, directed_path(3), semiring=BOOLEAN).verdict
+    assert not run_non_adaptive(alg, directed_path(3), LEFT, semiring=BOOLEAN).verdict
 
 
 def test_signature_mismatch_rejected():
     unary = complete_singleton(Signature((("P", 1),)))
-    alg = NonAdaptiveAlgorithm(LEFT, (unary,), lambda t: True)
+    alg = NonAdaptiveAlgorithm((unary,), lambda t: True)
     with pytest.raises(ValueError):
-        run_non_adaptive(alg, directed_cycle(2))
+        run_non_adaptive(alg, directed_cycle(2), LEFT)
 
 
 def even_edge_strategy(transcript):
@@ -110,7 +109,7 @@ def test_run_adaptive_contract_errors():
     with pytest.raises(StrategyContractError):
         run_adaptive(bad_decision, directed_cycle(2), LEFT, max_steps=4)
     with pytest.raises(StrategyContractError):
-        flatten_adaptive_boolean(bad_decision, 1, LEFT)
+        flatten_adaptive_boolean(bad_decision, 1)
 
 
 def _raising(exc):
@@ -127,7 +126,7 @@ def test_lookup_errors_become_contract_errors(exc):
         run_adaptive(_raising(exc), directed_cycle(2), LEFT, max_steps=4)
     assert info.value.__cause__ is exc
     with pytest.raises(StrategyContractError):
-        flatten_adaptive_boolean(_raising(exc), 2, LEFT)
+        flatten_adaptive_boolean(_raising(exc), 2)
 
 
 @pytest.mark.parametrize("exc", [WorkBudgetExceeded("search exceeded 10 nodes"),
@@ -139,7 +138,7 @@ def test_refusals_and_bugs_keep_their_type(exc):
         run_adaptive(_raising(exc), directed_cycle(2), LEFT, max_steps=4)
     assert info.value is exc
     with pytest.raises(type(exc)) as info:
-        flatten_adaptive_boolean(_raising(exc), 2, LEFT)
+        flatten_adaptive_boolean(_raising(exc), 2)
     assert info.value is exc
 
 
@@ -155,31 +154,49 @@ def adaptive_loop_then_c2(transcript):
 
 
 def test_flatten_adaptive_boolean():
-    flat = flatten_adaptive_boolean(adaptive_loop_then_c2, 2, RIGHT)
-    assert len(flat.queries) <= 3
-    for s in (directed_cycle(1), directed_cycle(2), directed_cycle(3),
-              directed_path(2), digraph(2, set())):
-        adaptive = run_adaptive(adaptive_loop_then_c2, s, RIGHT, BOOLEAN, max_steps=2)
-        assert run_non_adaptive(flat, s, BOOLEAN).verdict == adaptive.verdict
+    # one flattening runs in either orientation, as the strategy does
+    flat = flatten_adaptive_boolean(adaptive_loop_then_c2, 2)
+    assert flat.queries == (directed_cycle(1), directed_cycle(2))
+    for orientation in (LEFT, RIGHT):
+        for s in (directed_cycle(1), directed_cycle(2), directed_cycle(3),
+                  directed_path(2), digraph(2, set())):
+            adaptive = run_adaptive(adaptive_loop_then_c2, s, orientation, BOOLEAN,
+                                    max_steps=2)
+            assert run_non_adaptive(flat, s, orientation, BOOLEAN).verdict == adaptive.verdict
+
+
+def test_flatten_orders_queries_by_length_then_lexicographically():
+    # the full depth-3 tree asks P_r at the r-th transcript in that order
+    order = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def full_tree(t):
+        return Query(directed_path(order.index(t))) if len(t) < 3 else Halt(sum(t) == 3)
+
+    flat = flatten_adaptive_boolean(full_tree, 3)
+    assert flat.queries == tuple(directed_path(r) for r in range(7))
+    # the replay reads each answer at its transcript's place in that order
+    for s in (directed_cycle(1), directed_path(2), directed_path(5)):
+        adaptive = run_adaptive(full_tree, s, LEFT, BOOLEAN, max_steps=3)
+        assert run_non_adaptive(flat, s, LEFT, BOOLEAN).verdict == adaptive.verdict
 
 
 def test_flatten_a_strategy_that_halts_at_once():
     # a constant class is decided with no query, so its flattening asks none
-    for orientation in (LEFT, RIGHT):
-        for verdict in (True, False):
-            flat = flatten_adaptive_boolean(lambda t: Halt(verdict), 1, orientation)
-            assert flat.orientation == orientation and flat.queries == ()
+    for verdict in (True, False):
+        flat = flatten_adaptive_boolean(lambda t: Halt(verdict), 1)
+        assert flat.queries == ()
+        for orientation in (LEFT, RIGHT):
             for s in (directed_cycle(1), directed_path(2), digraph(2, set())):
-                report = run_non_adaptive(flat, s, BOOLEAN)
+                report = run_non_adaptive(flat, s, orientation, BOOLEAN)
                 assert (report.verdict, report.transcript) == (verdict, ())
-    # the zero-query result keeps the orientation check
-    with pytest.raises(ValueError):
-        flatten_adaptive_boolean(lambda t: Halt(True), 1, "sideways")
+        # a run of the zero-query result still checks its orientation
+        with pytest.raises(ValueError):
+            run_non_adaptive(flat, directed_cycle(1), "sideways", BOOLEAN)
 
 
 def test_flatten_rejects_deep_strategies():
     with pytest.raises(StrategyContractError):
-        flatten_adaptive_boolean(adaptive_loop_then_c2, 1, RIGHT)
+        flatten_adaptive_boolean(adaptive_loop_then_c2, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,16 +205,15 @@ def test_boolean_runs_are_hom_equivalence_invariant(a, b):
     # Boolean answers only see the hom-equivalence class of the input
     if not (hom_exists(a, b) and hom_exists(b, a)):
         return
-    alg = NonAdaptiveAlgorithm(
-        LEFT, (directed_path(1), directed_cycle(2), directed_cycle(3)),
-        lambda t: sum(t) % 2 == 0)
-    assert run_non_adaptive(alg, a, BOOLEAN).transcript == \
-        run_non_adaptive(alg, b, BOOLEAN).transcript
+    alg = NonAdaptiveAlgorithm((directed_path(1), directed_cycle(2), directed_cycle(3)),
+                               lambda t: sum(t) % 2 == 0)
+    assert run_non_adaptive(alg, a, LEFT, BOOLEAN).transcript == \
+        run_non_adaptive(alg, b, LEFT, BOOLEAN).transcript
 
 
 def test_run_reports_are_deterministic():
-    alg = NonAdaptiveAlgorithm(LEFT, (directed_path(2),), lambda t: t[0] > 0)
-    r1 = run_non_adaptive(alg, directed_cycle(3))
-    r2 = run_non_adaptive(alg, directed_cycle(3))
+    alg = NonAdaptiveAlgorithm((directed_path(2),), lambda t: t[0] > 0)
+    r1 = run_non_adaptive(alg, directed_cycle(3), LEFT)
+    r2 = run_non_adaptive(alg, directed_cycle(3), LEFT)
     assert r1 == r2
     assert hom_count(directed_path(2), directed_cycle(3)) == r1.transcript[0]

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import pkgutil
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,15 +15,17 @@ from hypothesis import strategies as st
 import homquery
 from conftest import relabel, small_digraphs
 from homquery import structures
-from homquery.analysis import induced_substructure
+from homquery.analysis import induced_substructure, star_transform
 from homquery.catalog import enumerate_digraphs, enumerate_digraphs_upto
 from homquery.datalog import builtin_programs
+from homquery.homs import hom_into_cycle_union_formula, hom_into_nary_cycle_union_formula
 from homquery.registry import REGISTRY
 from homquery.structures import (
     DIGRAPH_SIG,
     LIFTED_GUARD,
     GuardExceeded,
     Signature,
+    SignatureMismatch,
     Structure,
     StructureDecodeError,
     canonical_form,
@@ -36,6 +39,7 @@ from homquery.structures import (
     directed_cycle,
     directed_path,
     disjoint_union,
+    edges_of,
     encode_structure,
     guards_lifted,
     isomorphic,
@@ -197,6 +201,37 @@ def test_isomorphic():
         isomorphic(directed_cycle(9), directed_cycle(9))
     with guards_lifted():
         assert isomorphic(directed_cycle(9), directed_cycle(9))
+
+
+UNARY_POINT = complete_singleton(Signature((("P", 1),)))
+TWO_RELATIONS = make_structure(Signature((("R", 2), ("S", 3))), 2, {"R": [(0, 1)], "S": []})
+
+
+@pytest.mark.parametrize("call, outcome", [
+    # unequal sizes answer before the guard on the canonical-key search
+    (lambda: isomorphic(directed_cycle(9), directed_cycle(10)), False),
+    (lambda: isomorphic(directed_cycle(2), UNARY_POINT),
+     (SignatureMismatch, "signature mismatch")),
+    (lambda: direct_product(UNARY_POINT, directed_cycle(2)),
+     (SignatureMismatch, "signature mismatch")),
+    (lambda: edges_of(UNARY_POINT), (ValueError, "expected a digraph (one binary relation)")),
+    (lambda: directed_path(-1), (ValueError, "path length must be >= 0")),
+    (lambda: n_ary_cycle(0, 2), (ValueError, "d and n must be >= 1")),
+    (lambda: star_transform(TWO_RELATIONS),
+     (ValueError, "star transform needs exactly one relation")),
+    (lambda: hom_into_cycle_union_formula(UNARY_POINT, 1, 1),
+     (ValueError, "closed form applies to digraphs")),
+    (lambda: hom_into_nary_cycle_union_formula(directed_cycle(2), 1, 0),
+     (ValueError, "m and d must be >= 1"))],
+    ids=["isomorphic-sizes", "isomorphic-signatures", "direct_product", "edges_of",
+         "directed_path", "n_ary_cycle", "star_transform", "cycle-formula", "nary-formula"])
+def test_early_answers_and_refusals(call, outcome):
+    if isinstance(outcome, tuple):
+        error, message = outcome
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+    else:
+        assert call() == outcome
 
 
 @given(small_digraphs(max_vertices=3), small_digraphs(max_vertices=3))
