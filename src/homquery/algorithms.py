@@ -66,47 +66,31 @@ def cycle_detector_2query() -> Strategy:
     return strategy
 
 
-class _EliminationTable:
-    """
-    The iso-classes of one size, identified by elimination: answer i keeps
-    the classes whose count from probe i equals it.  A (probe, open class)
-    count is made once; identified vectors are kept as one dict lookup.
-    """
-
-    def __init__(self, size: int):
-        self.probes = enumerate_digraphs_upto(size)
-        self.classes = enumerate_digraphs(size).representatives
-        self.counts: dict[tuple[int, int], int] = {}
-        self.identified: dict[tuple[int, ...], Structure] = {}
-
-    def get(self, answers: tuple[int, ...]) -> Structure | None:
-        "The class whose hom vector is answers, or None if no class has it."
-        match = self.identified.get(answers)
-        if match is None and len(answers) == len(self.probes):
-            left = range(len(self.classes))
-            for i, answer in enumerate(answers):
-                for j in left:
-                    if (i, j) not in self.counts:
-                        self.counts[i, j] = hom_count(self.probes[i], self.classes[j])
-                left = [j for j in left if self.counts[i, j] == answer]
-            if len(left) > 1:
-                raise StrategyContractError("hom vectors failed to separate iso-classes")
-            if left:
-                match = self.identified[answers] = self.classes[left[0]]
-        return match
-
-
 @lru_cache(maxsize=None)
-def _candidate_vectors(size: int) -> _EliminationTable:
-    "The identification table of one size that every lovasz run shares."
-    return _EliminationTable(size)
+def _candidate_vectors(size: int) -> dict[tuple[int, ...], Structure]:
+    "The identified answer vectors of one size, each to its class, that every lovasz run shares."
+    return {}
 
 
 def identify_by_hom_vector(answers, size: int):
-    "The unique iso-class of the given size whose hom vector matches."
-    match = _candidate_vectors(size).get(tuple(answers))
+    """
+    The unique iso-class of the given size whose hom vector matches, by
+    elimination: answer i keeps the classes whose count from probe i
+    equals it.  An identified vector is kept, so a repeat is one lookup.
+    """
+    answers = tuple(answers)
+    identified = _candidate_vectors(size)
+    match = identified.get(answers)
     if match is None:
-        raise StrategyContractError("no candidate matches the hom vector")
+        probes = enumerate_digraphs_upto(size)
+        left = enumerate_digraphs(size).representatives if len(answers) == len(probes) else ()
+        for probe, answer in zip(probes, answers):
+            left = [h for h in left if hom_count(probe, h) == answer]
+        if len(left) > 1:
+            raise StrategyContractError("hom vectors failed to separate iso-classes")
+        if not left:
+            raise StrategyContractError("no candidate matches the hom vector")
+        match = identified[answers] = left[0]
     return match
 
 

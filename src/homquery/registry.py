@@ -27,7 +27,7 @@ from .query import (
     run_adaptive,
     run_non_adaptive,
 )
-from .structures import CACHE_SIZE, Signature, Structure
+from .structures import CACHE_SIZE, Signature, Structure, _guards_lifted
 
 
 class AlgorithmEntry(NamedTuple):
@@ -82,16 +82,18 @@ REGISTRY: dict[str, AlgorithmEntry] = {
 
 
 # Every build is a stateless closure or a frozen NonAdaptiveAlgorithm whose
-# probes depend on the parameters alone, so one build serves every input.
+# probes depend on the parameters alone, so one build serves every input.  A
+# build checks its parameters' guards, so a build made with the guards lifted
+# is kept apart from one made without.
 @lru_cache(maxsize=CACHE_SIZE)
-def _built(name: str, params: tuple):
+def _built(name: str, params: tuple, lifted: bool):
     return REGISTRY[name].build(**dict(params))
 
 
 def run_registered(name: str, input_structure: Structure, **params) -> RunReport:
     "Run the named algorithm, built once per parameter set, on the input."
     entry = REGISTRY[name]
-    runnable = _built(name, tuple(sorted(params.items())))
+    runnable = _built(name, tuple(sorted(params.items())), _guards_lifted.get())
     if isinstance(runnable, NonAdaptiveAlgorithm):
         return run_non_adaptive(runnable, input_structure, entry.orientation,
                                 entry.semiring)

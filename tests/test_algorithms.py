@@ -80,20 +80,21 @@ def test_identification_contract():
         assert alg.identify_by_hom_vector(hom_vector(probes, h), 3) == h
 
 
-def test_classes_left_after_the_last_probe_fail_to_separate():
-    # with the edgeless singleton as its only probe, all six 2-vertex
+def test_classes_left_after_the_last_probe_fail_to_separate(monkeypatch):
+    # with the edgeless singleton as its only probe, all ten 2-vertex
     # classes answer 2
-    table = alg._EliminationTable(2)
-    table.probes = table.probes[:1]
+    monkeypatch.setattr(alg, "enumerate_digraphs_upto", lambda n: (alg.EDGELESS_SINGLETON,))
+    alg._candidate_vectors.cache_clear()
     with pytest.raises(StrategyContractError,
                        match="^hom vectors failed to separate iso-classes$"):
-        table.get((2,))
+        alg.identify_by_hom_vector((2,), 2)
 
 
 def test_lovasz_identification_work_is_pinned(monkeypatch):
-    # a cold identification counts only the classes its answers leave open;
-    # a sweep over every class makes each (probe, class) count of the full
-    # 116 x 104 table once, and identifying again makes none
+    # a cold identification counts only the classes its answers leave open,
+    # and identifying again makes none; each vector of a sweep over every
+    # class is eliminated on its own, 44,000 counts where the full
+    # 116 x 104 table holds 12,064
     probes = enumerate_digraphs_upto(3)
     classes = enumerate_digraphs(3).representatives
     vectors = [hom_vector(probes, h) for h in classes]
@@ -103,13 +104,12 @@ def test_lovasz_identification_work_is_pinned(monkeypatch):
     assert isomorphic(alg.identify_by_hom_vector(c3, 3), directed_cycle(3))
     assert calls[0] == 385
     calls[0] = 0
-    alg._candidate_vectors(3).counts.clear()  # an identified vector is a lookup
     assert isomorphic(alg.identify_by_hom_vector(c3, 3), directed_cycle(3))
     assert calls[0] == 0
     alg._candidate_vectors.cache_clear()
     for h, vector in zip(classes, vectors):
         assert alg.identify_by_hom_vector(vector, 3) == h
-    assert calls[0] == len(probes) * len(classes) == 12_064
+    assert calls[0] == 44_000
     calls[0] = 0
     for vector in vectors:
         alg.identify_by_hom_vector(vector, 3)
@@ -323,6 +323,17 @@ def test_repeated_dn_sep_reuses_its_build(monkeypatch):
     assert first.verdict and first.transcript == (0, 0, 8)
 
 
+@pytest.mark.parametrize("name", ["dn-sep", "dn-binsearch"])
+def test_a_build_under_lifted_guards_is_not_reused_outside_them(name):
+    n = alg.DN_GUARD + 1
+    with pytest.raises(GuardExceeded, match=r"^dn guard: n = 7 > 6$"):
+        run_registered(name, directed_cycle(1), n=n)
+    with guards_lifted():
+        run_registered(name, directed_cycle(1), n=n)
+    with pytest.raises(GuardExceeded, match=r"^dn guard: n = 7 > 6$"):
+        run_registered(name, directed_cycle(1), n=n)
+
+
 def test_right_two_query_decider():
     strategy = alg.right_two_query_decider(shortest_cycle_is_power_of_four)
     for s in enumerate_digraphs_upto(2):
@@ -395,6 +406,8 @@ def test_registry_caps_cover_catalog_runs():
             except StepLimitExceeded as exc:
                 pytest.fail(f"{name} on {s}: {exc}")
             assert report.query_count <= REGISTRY[name].step_cap(s)
+            if name == "lovasz":  # the size, then one count per class up to it
+                assert report.query_count == 1 + len(enumerate_digraphs_upto(s.domain_size))
     # no entry refuses here: lovasz's and right2q's size caps are both 3
     assert refused == set()
     with pytest.raises(GuardExceeded):

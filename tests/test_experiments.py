@@ -228,8 +228,8 @@ def test_optimality_fails_for_a_separator_one_query_short(monkeypatch):
     full = alg.dn_nonadaptive_separator(3)
     short = NonAdaptiveAlgorithm(full.queries[:-1], frozenset(v[:-1] for v in full.accept))
     built = registry._built
-    monkeypatch.setattr(registry, "_built", lambda name, params:
-                        short if name == "dn-sep" else built(name, params))
+    monkeypatch.setattr(registry, "_built", lambda name, params, lifted:
+                        short if name == "dn-sep" else built(name, params, lifted))
     rows = dict(experiment_dn(3).rows)
     assert rows["least-non-adaptive-queries"] == "3"
     assert rows["upper-bounds-optimal"] == "FAILED"
@@ -282,8 +282,8 @@ def pad_left_detector(monkeypatch):
         return Query(directed_path(0)) if len(t) < 2 else detector(t[2:])
 
     built = registry._built
-    monkeypatch.setattr(registry, "_built", lambda name, params:
-                        padded if name == "ub-bool-cycle" else built(name, params))
+    monkeypatch.setattr(registry, "_built", lambda name, params, lifted:
+                        padded if name == "ub-bool-cycle" else built(name, params, lifted))
 
 
 def test_left_detector_bound_fails_a_detector_two_queries_longer(monkeypatch):
