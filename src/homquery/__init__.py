@@ -45,9 +45,7 @@ from .homs import (
 from .query import (
     LEFT,
     RIGHT,
-    Halt,
     NonAdaptiveAlgorithm,
-    Query,
     RunReport,
     StrategyContractError,
     flatten_adaptive_boolean,

@@ -15,9 +15,7 @@ from .analysis import component_count
 from .catalog import enumerate_digraphs, enumerate_digraphs_upto
 from .homs import hom_count, hom_into_cycle_union_formula
 from .query import (
-    Halt,
     NonAdaptiveAlgorithm,
-    Query,
     Strategy,
     StrategyContractError,
     Transcript,
@@ -36,9 +34,8 @@ from .structures import (
 )
 
 
-# The largest inputs lovasz and right2q identify, stated once: the registry's
-# lovasz step cap reads the first; the second guards right2q's separators.
-LOVASZ_SIZE_CAP = 3
+# The largest input right2q identifies, which its pinned separator weights are
+# drawn for; a guard lift does not raise it.
 RIGHT2Q_SIZE_CAP = 3
 
 INSTANCE_GUARD = 250  # the product of adaptive_not_better_instance's primes
@@ -59,10 +56,10 @@ def cycle_detector_2query() -> Strategy:
     """
     def strategy(t: Transcript):
         if len(t) == 0:
-            return Query(EDGELESS_SINGLETON)
+            return EDGELESS_SINGLETON
         if len(t) == 1:
-            return Query(directed_path(t[0]))
-        return Halt(t[1] > 0)
+            return directed_path(t[0])
+        return t[1] > 0
     return strategy
 
 
@@ -100,18 +97,17 @@ def lovasz_universal_decider(predicate) -> Strategy:
     every iso-class of digraphs up to that size (frozen enumeration
     order); the answer vector pins the input down up to isomorphism, and
     the verdict is the class predicate (Structure -> bool) on the
-    identified candidate.
+    identified candidate.  The catalog's guard (CATALOG_GUARD vertices)
+    bounds the inputs it decides.
     """
     def strategy(t: Transcript):
         if len(t) == 0:
-            return Query(EDGELESS_SINGLETON)
+            return EDGELESS_SINGLETON
         n = t[0]
-        if n > LOVASZ_SIZE_CAP:
-            raise GuardExceeded(f"input size {n} > cap {LOVASZ_SIZE_CAP}")
         probes = enumerate_digraphs_upto(n)
         if len(t) - 1 < len(probes):
-            return Query(probes[len(t) - 1])
-        return Halt(bool(predicate(identify_by_hom_vector(t[1:], n))))
+            return probes[len(t) - 1]
+        return bool(predicate(identify_by_hom_vector(t[1:], n)))
     return strategy
 
 
@@ -183,9 +179,9 @@ def dn_adaptive_binary_search(n: int) -> Strategy:
             else:
                 lo = mid + 1
         if lo == hi:
-            return Halt(lo % 2 == 0)
+            return lo % 2 == 0
         mid = (lo + hi) // 2
-        return Query(directed_cycle(2 ** mid))
+        return directed_cycle(2 ** mid)
     return strategy
 
 
@@ -331,17 +327,17 @@ def right_two_query_decider(predicate) -> Strategy:
     """
     def strategy(t: Transcript):
         if len(t) == 0:
-            return Query(complete_pair(DIGRAPH_SIG))
+            return complete_pair(DIGRAPH_SIG)
         answer = t[0]
         if answer < 2 or answer & (answer - 1):
             raise StrategyContractError(f"first answer {answer} is not 2^n for a size n >= 1")
         separator, classes_by_count = _right_separator(answer.bit_length() - 1)
         if len(t) == 1:
-            return Query(separator)
+            return separator
         match = classes_by_count.get(t[1])
         if match is None:
             raise StrategyContractError(f"no class of the input's size counts {t[1]}")
-        return Halt(bool(predicate(match)))
+        return bool(predicate(match))
     return strategy
 
 
@@ -353,11 +349,11 @@ def _paths_then_cycles(yes: int) -> Strategy:
     def strategy(t: Transcript):
         if len(t) % 2 == 0:
             if t and t[-1] == yes:
-                return Halt(True)
-            return Query(directed_path(len(t) // 2 + 1))
+                return True
+            return directed_path(len(t) // 2 + 1)
         if t[-1] != yes:
-            return Halt(False)
-        return Query(directed_cycle((len(t) + 1) // 2))
+            return False
+        return directed_cycle((len(t) + 1) // 2)
     return strategy
 
 
@@ -365,7 +361,7 @@ def unbounded_boolean_cycle_detector() -> Strategy:
     """
     Left Boolean strategy: round r queries P_r then C_r; halt NO when a
     path answer is 0 (no walk that long, so no cycle), halt YES when a
-    cycle answer is 1.  Halts within 2|A| queries: NO by P_|A| (a walk of
+    cycle answer is 1.  It halts within 2|A| queries: NO by P_|A| (a walk of
     |A| edges repeats an element), YES by the shortest cycle.
     """
     return _paths_then_cycles(1)
@@ -375,7 +371,7 @@ def unbounded_boolean_nonzero_net_cycle_detector() -> Strategy:
     """
     Right Boolean strategy: round r queries P_r then C_r; halt NO when
     the input maps into a path (no positive-net-length oriented cycle),
-    halt YES when it fails to map into some cycle.  Halts within
+    halt YES when it fails to map into some cycle.  It halts within
     max(|A|-1, gamma(A)+1) rounds.
     """
     return _paths_then_cycles(0)

@@ -35,12 +35,24 @@ class IsoClassCatalog(NamedTuple):
     representatives: tuple[Structure, ...]
 
 
-@lru_cache(maxsize=None)
+# Each entry checks the guard, then reads its cached body, so a size built
+# inside guards_lifted() is still refused outside it.
 def enumerate_digraphs(n: int) -> IsoClassCatalog:
     "All isomorphism classes of digraphs on exactly n vertices."
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     check_guard("enumeration guard: n", n, CATALOG_GUARD)
+    return _enumerate_digraphs(n)
+
+
+def enumerate_digraphs_upto(n: int) -> tuple[Structure, ...]:
+    "Iso-class representatives of all digraphs with 1..n vertices, frozen order."
+    check_guard("enumeration guard: n", n, CATALOG_GUARD)
+    return _enumerate_digraphs_upto(n)
+
+
+@lru_cache(maxsize=None)
+def _enumerate_digraphs(n: int) -> IsoClassCatalog:
     bits = n * n
     perms = list(itertools.permutations(range(n)))
     # bit i's image under each permutation, and its edge (one tuple per edge,
@@ -80,9 +92,8 @@ def enumerate_digraphs(n: int) -> IsoClassCatalog:
 
 
 @lru_cache(maxsize=None)
-def enumerate_digraphs_upto(n: int) -> tuple[Structure, ...]:
-    "Iso-class representatives of all digraphs with 1..n vertices, frozen order."
+def _enumerate_digraphs_upto(n: int) -> tuple[Structure, ...]:
     out: list[Structure] = []
     for size in range(1, n + 1):
-        out.extend(enumerate_digraphs(size).representatives)
+        out.extend(_enumerate_digraphs(size).representatives)
     return tuple(out)

@@ -4,8 +4,8 @@ registered query algorithms, family generation, iso-class enumeration,
 Datalog evaluation, experiments and the brute-force oracle.
 
 --guard-override lifts every desk-scale size guard, for every command, to
-10^9 (structures.guards_lifted); it does not lift the size caps of the
-lovasz and right2q algorithms.
+10^9 (structures.guards_lifted), a structure file's domain guard included;
+it does not lift right2q's size cap (algorithms.RIGHT2Q_SIZE_CAP).
 
 Exit codes:
   0  every assertion made by the invoked command passed;

@@ -1,7 +1,9 @@
 """
-Query algorithms over hom counts: non-adaptive algorithms as a fixed
-query tuple plus an acceptance predicate, adaptive algorithms as decision
-callbacks over the transcript of answers so far.
+Runners of query algorithms over hom counts: non-adaptive algorithms as
+a fixed query tuple plus an acceptance predicate, adaptive algorithms as
+decision callbacks over the transcript of answers so far, each returning
+the next probe structure or, at a leaf of the decision tree, its bool
+verdict.
 
 Both runners take the orientation at run time: LEFT asks hom(F, input),
 RIGHT asks hom(input, F).  Answers are exact integers under the counting
@@ -30,17 +32,7 @@ class StepLimitExceeded(Exception):
     "An adaptive run issued more queries than its step cap allows."
 
 
-@dataclass(frozen=True)
-class Query:
-    structure: Structure
-
-
-@dataclass(frozen=True)
-class Halt:
-    verdict: bool
-
-
-StrategyDecision = Union[Query, Halt]
+StrategyDecision = Union[Structure, bool]  # the next probe, or the verdict
 Strategy = Callable[[Transcript], StrategyDecision]
 
 
@@ -53,15 +45,16 @@ def _decide(strategy: Strategy, transcript: Transcript) -> StrategyDecision:
     """
     The strategy's decision on a transcript the run reached.  A LookupError
     from the strategy means it is undefined there, and a decision that is
-    neither Query nor Halt breaks the contract: both become
-    StrategyContractError.  Every other exception keeps its type.
+    neither a Structure nor a bool (an int or None is no verdict) breaks
+    the contract: both become StrategyContractError.  Every other
+    exception keeps its type.
     """
     try:
         decision = strategy(transcript)
     except LookupError as exc:
         raise StrategyContractError(
             f"strategy undefined on reachable transcript {transcript}") from exc
-    if not isinstance(decision, (Query, Halt)):
+    if not isinstance(decision, (Structure, bool)):
         raise StrategyContractError(f"invalid decision {decision!r}")
     return decision
 
@@ -116,19 +109,20 @@ def run_adaptive(strategy: Strategy, input_structure: Structure,
     is no default step cap: the caller states it (run_registered passes its
     registry entry's), and exceeding it is an error, never a verdict.  Each
     step goes through _decide: a LookupError from the strategy, or a
-    decision that is neither Query nor Halt, becomes StrategyContractError.
+    decision that is neither a Structure nor a bool, becomes
+    StrategyContractError.
     """
     _check_orientation(orientation)
     transcript: Transcript = ()
     issued: list[Structure] = []
     while True:
         decision = _decide(strategy, transcript)
-        if isinstance(decision, Halt):
-            return RunReport(decision.verdict, transcript, tuple(issued))
+        if isinstance(decision, bool):
+            return RunReport(decision, transcript, tuple(issued))
         if len(issued) >= max_steps:
             raise StepLimitExceeded(f"exceeded step cap {max_steps}")
-        answer = _answer(decision.structure, input_structure, orientation, semiring)
-        issued.append(decision.structure)
+        answer = _answer(decision, input_structure, orientation, semiring)
+        issued.append(decision)
         transcript = transcript + (answer,)
 
 
@@ -148,21 +142,21 @@ def flatten_adaptive_boolean(strategy: Strategy, k: int) -> NonAdaptiveAlgorithm
     frontier: list[Transcript] = [()]
     for transcript in frontier:  # the loop reaches the children it appends
         decision = _decide(strategy, transcript)
-        if isinstance(decision, Halt):
+        if isinstance(decision, bool):
             continue
         if len(transcript) >= k:
             raise StrategyContractError(
                 f"strategy exceeds depth {k} on transcript {transcript}")
         index[transcript] = len(queries)
-        queries.append(decision.structure)
+        queries.append(decision)
         frontier += (transcript + (0,), transcript + (1,))
 
     def accept(answers: Transcript) -> bool:
         transcript: Transcript = ()
         while True:
             decision = _decide(strategy, transcript)
-            if isinstance(decision, Halt):
-                return decision.verdict
+            if isinstance(decision, bool):
+                return decision
             transcript = transcript + (answers[index[transcript]],)
 
     return NonAdaptiveAlgorithm(queries, accept)

@@ -54,8 +54,7 @@ REGISTRY: dict[str, AlgorithmEntry] = {
     "lovasz": AlgorithmEntry(
         LEFT, COUNT,
         build=lambda: alg.lovasz_universal_decider(has_directed_cycle),
-        step_cap=lambda s: 1 + len(enumerate_digraphs_upto(
-            min(s.domain_size, alg.LOVASZ_SIZE_CAP)))),
+        step_cap=lambda s: 1 + len(enumerate_digraphs_upto(s.domain_size))),
     "dn-sep": AlgorithmEntry(
         LEFT, COUNT,
         build=lambda n=DN_DEFAULT_N: alg.dn_nonadaptive_separator(n)),

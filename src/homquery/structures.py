@@ -16,7 +16,8 @@ checks names (strings, each declared once) and arities (ints >= 1), and
 Structure(...), make_structure and digraph the domain size (an int >= 1),
 the relation map (the signature's exactly) and each tuple (its arity, ints
 in 0..n-1).  A bool or float is never read as an int.  decode_structure
-adds only JSON's rules; the library's own builders skip the check.
+adds only JSON's rules and the DOMAIN_GUARD; the library's own builders
+skip the check.
 """
 
 from __future__ import annotations
@@ -418,13 +419,18 @@ def _built(cls, *args):
         raise StructureDecodeError(exc) from None
 
 
+DOMAIN_GUARD = 10 ** 5  # elements of a decoded structure; every engine builds per-element lists
+
+
 def decode_structure(text: str) -> Structure:
     """
     Read encode_structure's JSON form.  Anything else raises
     StructureDecodeError with a one-line message, nothing is coerced.  Here:
     invalid JSON, duplicate, missing or unknown keys, a wrong container, a
     relation outside the signature, a tuple that is not a list of its arity;
-    Signature and Structure check the rest, with their own messages.
+    Signature and Structure check the rest, with their own messages.  A
+    domain past DOMAIN_GUARD, which a few bytes can state, is refused as
+    a guard.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
@@ -444,4 +450,6 @@ def decode_structure(text: str) -> Structure:
                 raise StructureDecodeError(
                     f"relation {name!r}: {json.dumps(t)} is not a list of {arities[name]} elements")
         rels[name] = tuples
-    return _built(Structure, signature, doc["domain"], rels)
+    s = _built(Structure, signature, doc["domain"], rels)
+    check_guard("domain guard: |A|", s.domain_size, DOMAIN_GUARD)
+    return s

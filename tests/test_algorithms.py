@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from conftest import count_calls, hom_vector, shortest_cycle_is_power_of_four, small_digraphs
 from homquery import algorithms as alg
 from homquery.analysis import component_count, components_of, gamma, induced_substructure
-from homquery.catalog import enumerate_digraphs, enumerate_digraphs_upto
+from homquery.catalog import CATALOG_GUARD, enumerate_digraphs, enumerate_digraphs_upto
 from homquery.datalog import NONZERO_NET_CYCLE_PROGRAM, evaluate, parse_program
 from homquery.homs import BOOLEAN, COUNT, hom_count
 from homquery.oracle import has_directed_cycle, oracle_hom_count
@@ -52,8 +52,9 @@ def test_lovasz_universal_decider():
     for s in enumerate_digraphs_upto(2):
         report = run_adaptive(strategy, s, LEFT, max_steps=20)
         assert report.verdict == shortest_cycle_is_power_of_four(s)
-    with pytest.raises(GuardExceeded):
-        run_adaptive(strategy, directed_cycle(4), LEFT, max_steps=200)
+    # past the catalog's guard there are no probes to ask
+    with pytest.raises(GuardExceeded, match=r"^enumeration guard: n = 5 > 4$"):
+        run_adaptive(strategy, directed_cycle(CATALOG_GUARD + 1), LEFT, max_steps=200)
 
 
 def test_identify_by_hom_vector_roundtrip():
@@ -289,7 +290,7 @@ def test_right2q_contract():
         with pytest.raises(StrategyContractError, match=f"first answer {first} is not 2"):
             strategy((first,))
     separator, table = alg.right_separator(2)
-    assert strategy((4,)).structure is separator
+    assert strategy((4,)) is separator
     assert 17 not in table
     with pytest.raises(StrategyContractError, match="no class of the input's size counts 17"):
         strategy((4, 17))
@@ -389,8 +390,8 @@ def test_registry_entries_run():
 
 
 def test_registry_caps_cover_catalog_runs():
-    # each adaptive entry's step cap admits every run its size cap admits:
-    # a run ends in a verdict or a guard refusal, never at the step cap
+    # each adaptive entry's step cap admits every run its guards admit: a
+    # run ends in a verdict or a guard refusal, never at the step cap
     adaptive = [name for name, entry in REGISTRY.items()
                 if not isinstance(entry.build(), NonAdaptiveAlgorithm)]
     assert set(adaptive) == {"cycle2q", "lovasz", "dn-binsearch", "right2q",
@@ -408,10 +409,17 @@ def test_registry_caps_cover_catalog_runs():
             assert report.query_count <= REGISTRY[name].step_cap(s)
             if name == "lovasz":  # the size, then one count per class up to it
                 assert report.query_count == 1 + len(enumerate_digraphs_upto(s.domain_size))
-    # no entry refuses here: lovasz's and right2q's size caps are both 3
+    # no entry refuses here: the catalog's guard is 4 and right2q's cap 3
     assert refused == set()
-    with pytest.raises(GuardExceeded):
-        run_registered("lovasz", directed_cycle(alg.LOVASZ_SIZE_CAP + 1))
+    with pytest.raises(GuardExceeded, match=r"^enumeration guard: n = 5 > 4$"):
+        run_registered("lovasz", directed_cycle(CATALOG_GUARD + 1))
+
+
+def test_lovasz_decides_up_to_the_catalog_guard():
+    # C_4: its size, then one count from each of the 3,160 classes <= 4
+    report = run_registered("lovasz", directed_cycle(4))
+    assert report.verdict
+    assert report.query_count == 3161 == 1 + len(enumerate_digraphs_upto(4))
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,12 @@ import random
 import pytest
 
 from conftest import canonical_mask, digraph_to_mask
-from homquery.catalog import enumerate_digraphs, enumerate_digraphs_upto
+from homquery.catalog import (
+    _enumerate_digraphs,
+    _enumerate_digraphs_upto,
+    enumerate_digraphs,
+    enumerate_digraphs_upto,
+)
 from homquery.structures import GuardExceeded, digraph, directed_cycle, isomorphic
 
 # iso-class counts for labeled digraphs with loops on n vertices
@@ -26,13 +31,13 @@ def test_guard():
 
 
 def test_one_cache_entry_per_size():
-    # enumerate_digraphs_upto shares enumerate_digraphs' cache entries
-    enumerate_digraphs.cache_clear()
-    enumerate_digraphs_upto.cache_clear()
+    # enumerate_digraphs_upto shares enumerate_digraphs' cached body's entries
+    _enumerate_digraphs.cache_clear()
+    _enumerate_digraphs_upto.cache_clear()
     reps = enumerate_digraphs_upto(4)
-    before = enumerate_digraphs.cache_info()
+    before = _enumerate_digraphs.cache_info()
     catalog = enumerate_digraphs(4)
-    after = enumerate_digraphs.cache_info()
+    after = _enumerate_digraphs.cache_info()
     assert (after.misses, after.hits, after.currsize) == \
         (before.misses, before.hits + 1, before.currsize)
     tail = reps[-len(catalog.representatives):]
@@ -75,8 +80,8 @@ def test_frozen_order_is_size_ascending():
     assert sizes == sorted(sizes)
     # order is deterministic across calls
     first = [digraph_to_mask(d) for d in enumerate_digraphs_upto(3)]
-    enumerate_digraphs.cache_clear()
-    enumerate_digraphs_upto.cache_clear()
+    _enumerate_digraphs.cache_clear()
+    _enumerate_digraphs_upto.cache_clear()
     assert [digraph_to_mask(d) for d in enumerate_digraphs_upto(3)] == first
 
 

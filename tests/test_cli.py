@@ -1,8 +1,13 @@
 import hashlib
 import itertools
 import json
+import os
 import re
+import resource
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -366,7 +371,10 @@ def test_unknown_datalog_program_is_usage_error(runner, tmp_path, files):
 def test_guard_refusals_exit_3(runner, tmp_path):
     c9 = tmp_path / "c9.json"
     c9.write_text(encode_structure(directed_cycle(9)), encoding="utf-8")
+    c5 = tmp_path / "c5.json"
+    c5.write_text(encode_structure(directed_cycle(5)), encoding="utf-8")
     for args in (["experiment", "dn", "n=7"],
+                 ["run", "--algorithm", "lovasz", "--input", str(c5)],
                  ["experiment", "cycle-formula", "max_vertices=5"],
                  ["experiment", "nary", "n=4"],
                  ["oracle", "hom", "--from", str(c9), "--to", str(c9)],
@@ -390,6 +398,26 @@ def test_oracle_guard_message_names_the_power(runner, files, tmp_path):
     assert r.exit_code == 3 and "Traceback" not in r.output
     assert r.output.strip().splitlines()[-1] == \
         "error: guard: oracle guard: maps = 3^2000 > 1000000000"
+
+
+def test_a_huge_domain_is_refused_at_the_door(tmp_path):
+    # a few bytes state 10^8 elements: one guard line, exit 3, at once.  A
+    # fresh process under a 2 GB address-space limit, so a build that
+    # reaches the engines fails there instead of exhausting the host.
+    path = tmp_path / "huge.json"
+    path.write_text('{"signature": [{"name": "R", "arity": 2}], "domain": 100000000}',
+                    encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    r = subprocess.run(
+        [sys.executable, "-m", "homquery.cli", "hom", "count", "--from", str(path),
+         "--to", str(path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+    elapsed = time.perf_counter() - start
+    assert (r.returncode, r.stdout, r.stderr) == \
+        (3, "", "error: guard: domain guard: |A| = 100000000 > 100000\n")
+    assert elapsed < 1
 
 
 @pytest.mark.parametrize("args", [

@@ -19,7 +19,7 @@ from homquery.experiments import (
     experiment_nary,
     experiment_unbounded_boolean,
 )
-from homquery.query import NonAdaptiveAlgorithm, Query
+from homquery.query import NonAdaptiveAlgorithm
 from homquery.structures import directed_cycle, directed_path
 
 DN_3_TEXT = """\
@@ -279,7 +279,7 @@ def pad_left_detector(monkeypatch):
     detector = unbounded_boolean_cycle_detector()
 
     def padded(t):
-        return Query(directed_path(0)) if len(t) < 2 else detector(t[2:])
+        return directed_path(0) if len(t) < 2 else detector(t[2:])
 
     built = registry._built
     monkeypatch.setattr(registry, "_built", lambda name, params, lifted:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -6,9 +8,7 @@ from homquery.homs import BOOLEAN, WorkBudgetExceeded, hom_count, hom_exists
 from homquery.query import (
     LEFT,
     RIGHT,
-    Halt,
     NonAdaptiveAlgorithm,
-    Query,
     StepLimitExceeded,
     StrategyContractError,
     flatten_adaptive_boolean,
@@ -71,9 +71,9 @@ def test_signature_mismatch_rejected():
 def even_edge_strategy(transcript):
     # one query: is the number of edges even?
     if not transcript:
-        return Query(directed_path(1))
+        return directed_path(1)
     if len(transcript) == 1:
-        return Halt(transcript[0] % 2 == 0)
+        return transcript[0] % 2 == 0
     raise StrategyContractError("probed past halt")
 
 
@@ -86,7 +86,7 @@ def test_run_adaptive_basic():
 
 def test_run_adaptive_default_step_cap():
     def never_halts(transcript):
-        return Query(directed_path(1))
+        return directed_path(1)
 
     # there is no default cap: the caller states it
     with pytest.raises(TypeError):
@@ -103,13 +103,31 @@ def test_run_adaptive_contract_errors():
     with pytest.raises(StrategyContractError):
         run_adaptive(undefined, directed_cycle(2), LEFT, max_steps=4)
 
-    def bad_decision(transcript):
-        return "halt"
 
-    with pytest.raises(StrategyContractError):
-        run_adaptive(bad_decision, directed_cycle(2), LEFT, max_steps=4)
-    with pytest.raises(StrategyContractError):
-        flatten_adaptive_boolean(bad_decision, 1)
+def _one_probe_then(leaf):
+    "A strategy that asks P_1 and then decides leaf."
+    return lambda transcript: leaf if transcript else directed_path(1)
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_a_structure_and_a_bool_are_decisions(verdict):
+    strategy = _one_probe_then(verdict)
+    report = run_adaptive(strategy, directed_cycle(2), LEFT, max_steps=1)
+    assert (report.verdict, report.transcript, report.queries_issued) == \
+        (verdict, (2,), (directed_path(1),))
+    flat = flatten_adaptive_boolean(strategy, 1)
+    assert flat.queries == (directed_path(1),)
+    assert run_non_adaptive(flat, directed_cycle(2), LEFT, BOOLEAN).verdict is verdict
+
+
+@pytest.mark.parametrize("leaf", [1, 0, None, "halt"], ids=["1", "0", "None", "str"])
+def test_other_decisions_break_the_contract(leaf):
+    # a truthy or falsy int is no verdict, and neither is None or a string
+    message = f"^invalid decision {re.escape(repr(leaf))}$"
+    with pytest.raises(StrategyContractError, match=message):
+        run_adaptive(_one_probe_then(leaf), directed_cycle(2), LEFT, max_steps=4)
+    with pytest.raises(StrategyContractError, match=message):
+        flatten_adaptive_boolean(_one_probe_then(leaf), 1)
 
 
 def _raising(exc):
@@ -145,12 +163,12 @@ def test_refusals_and_bugs_keep_their_type(exc):
 def adaptive_loop_then_c2(transcript):
     # asks for a loop first; only loop-free inputs get the second query
     if not transcript:
-        return Query(directed_cycle(1))
+        return directed_cycle(1)
     if transcript[0] == 1:
-        return Halt(False)
+        return False
     if len(transcript) == 1:
-        return Query(directed_cycle(2))
-    return Halt(transcript[1] == 1)
+        return directed_cycle(2)
+    return transcript[1] == 1
 
 
 def test_flatten_adaptive_boolean():
@@ -170,7 +188,7 @@ def test_flatten_orders_queries_by_length_then_lexicographically():
     order = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
 
     def full_tree(t):
-        return Query(directed_path(order.index(t))) if len(t) < 3 else Halt(sum(t) == 3)
+        return directed_path(order.index(t)) if len(t) < 3 else sum(t) == 3
 
     flat = flatten_adaptive_boolean(full_tree, 3)
     assert flat.queries == tuple(directed_path(r) for r in range(7))
@@ -183,7 +201,7 @@ def test_flatten_orders_queries_by_length_then_lexicographically():
 def test_flatten_a_strategy_that_halts_at_once():
     # a constant class is decided with no query, so its flattening asks none
     for verdict in (True, False):
-        flat = flatten_adaptive_boolean(lambda t: Halt(verdict), 1)
+        flat = flatten_adaptive_boolean(lambda t: verdict, 1)
         assert flat.queries == ()
         for orientation in (LEFT, RIGHT):
             for s in (directed_cycle(1), directed_path(2), digraph(2, set())):
