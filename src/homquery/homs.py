@@ -27,20 +27,29 @@ relations, keyed on the images already fixed in each fact checked at its
 position, and intersected in ascending order.
 
 The search is one flat loop over a stack of open positions, so Python's
-recursion limit puts no bound on source size.  find_hom runs it in
-ascending candidate order over the target parts in ascending order of
-their least element, stops at the first complete map (the
-lexicographically least one within the first target part that has one,
-mapped back through that part's first copy) and caches only the frontier
-states that have no extension.  Relabelling by ascending element keeps
-components_of's order, so every copy of a source part has that least
-witness, and it is applied to each.  The budget is a count of candidate
-images tried, summed over the distinct parts of source and target: past
-DEFAULT_BUDGET a call raises WorkBudgetExceeded.  Plans are cached per
-source part, parts per structure and tables per (target relation, mask),
-all keyed on relation contents and bounded at structures.CACHE_SIZE
-entries, so that a sweep of probes over a few dozen targets finds its
-parts and tables still built.
+recursion limit puts no bound on source size.  find_hom and hom_exists
+run it in ascending candidate order over the target parts in ascending
+order of their least element, stop at the first complete map (the
+lexicographically least one within the first target part that has one)
+and cache only the frontier states that have no extension.  find_hom maps
+that map back through the target part's first copy; relabelling by
+ascending element keeps components_of's order, so every copy of a source
+part has that least witness, and it is applied to each.  hom_exists, which
+serves every BOOLEAN hom_value, builds no witness.  The budget is a count
+of candidate images tried, summed over the distinct parts of source and
+target: past DEFAULT_BUDGET a call raises WorkBudgetExceeded.
+
+A query's fixed cost is paid once per structure and per pair of parts.
+A structure's parts are kept on the object (outside its fields, so
+equality, hash, repr and its JSON form never see them) and come from a
+cache keyed on its relation contents, which an equal structure built
+afresh, such as a drop target of analysis.core, still hits.  Plans are
+cached per source part, tables per (target relation, mask), and the
+tables a plan reads in a target part, or None when one is empty, per
+(target part's relations, the plan's needs).  These four caches are keyed
+on relation contents and bounded at structures.CACHE_SIZE entries, so that
+a sweep of probes over a few dozen targets finds its parts and tables
+still built.
 
 The closed forms never run the search; property tests compare the two
 code paths.  They read a source's gamma and component count from a cache
@@ -141,6 +150,17 @@ def _table(relation: frozenset, mask: int) -> dict:
             if vs.count(vs[0]) == len(vs):
                 grouped[key(t)].append(vs[0])
     return {k: tuple(sorted(vs)) for k, vs in grouped.items()}
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _tables(relations: tuple[frozenset, ...], needs: tuple[tuple[int, int], ...]):
+    """
+    The tables needs reads in a target part with these relations, in needs'
+    order, or None when one is empty: a fact of the source part then has no
+    image in the target part.
+    """
+    tables = tuple(_table(relations[r], mask) for r, mask in needs)
+    return tables if all(tables) else None
 
 
 def _search(plan, tables, domain: range, find: bool, used: int):
@@ -249,53 +269,65 @@ def _parts(domain_size: int, relations: tuple[frozenset, ...]):
                  for (size, rels), (bfs, same) in parts.items())
 
 
-def _run(a: Structure, b: Structure, find: bool):
-    "(hom count a -> b, and with find set one homomorphism as a dict, or None)."
+def _parts_of(s: Structure):
+    "_parts of s, resolved once per structure object and kept outside its fields."
+    try:
+        return s._homs_parts
+    except AttributeError:
+        parts = _parts(s.domain_size, tuple(map(s.relations.__getitem__, s.signature.names)))
+        s.__dict__["_homs_parts"] = parts
+        return parts
+
+
+def _run(a: Structure, b: Structure, find: bool, witness: dict | None = None) -> int:
+    """
+    The hom count a -> b, or with find set 1 if a hom exists and 0 if not;
+    a witness dict passed with find set receives the hom found.
+    """
     # most calls share one Signature object, and comparing its fields is slow
     if a.signature is not b.signature and a.signature != b.signature:
         raise SignatureMismatch("signature mismatch")
-    names = a.signature.names
-    sources = _parts(a.domain_size, tuple(map(a.relations.__getitem__, names)))
-    targets = _parts(b.domain_size, tuple(map(b.relations.__getitem__, names)))
+    targets = _parts_of(b)
     total, used = 1, 0
-    witness = {} if find else None
-    for _, relations, order, copies in sources:
+    for _, relations, order, copies in _parts_of(a):
         needs, plan = _plan(relations, order)
         # a source part is connected, so its count into a disjoint union is
         # the sum of its counts into the union's components
         count = 0
         for target_size, target_relations, _, target_copies in targets:
-            tables = [_table(target_relations[r], mask) for r, mask in needs]
-            if not all(tables):
-                # a fact of the source part has no image in this target part
+            tables = _tables(target_relations, needs)
+            if tables is None:
                 continue
             n, images, used = _search(plan, tables, range(target_size), find, used)
             if find and n:
-                # every copy has the same least witness
-                images = list(map(target_copies[0].__getitem__, images))
-                for copy in copies:
-                    witness.update(zip(map(copy.__getitem__, plan[0]), images))
+                if witness is not None:
+                    # every copy has the same least witness
+                    images = list(map(target_copies[0].__getitem__, images))
+                    for copy in copies:
+                        witness.update(zip(map(copy.__getitem__, plan[0]), images))
                 count = 1
                 break
             count += len(target_copies) * n
         if not count:
-            return 0, None
+            return 0
         total *= count ** len(copies)
-    return total, witness
+    return total
 
 
 def hom_count(a: Structure, b: Structure) -> int:
     "Exact number of homomorphisms a -> b."
-    return _run(a, b, False)[0]
+    return _run(a, b, False)
 
 
 def find_hom(a: Structure, b: Structure):
     "One homomorphism a -> b as a dict, or None."
-    return _run(a, b, True)[1]
+    witness: dict[int, int] = {}
+    return witness if _run(a, b, True, witness) else None
 
 
 def hom_exists(a: Structure, b: Structure) -> bool:
-    return find_hom(a, b) is not None
+    "Whether a homomorphism a -> b exists: find_hom's search, building no witness."
+    return bool(_run(a, b, True))
 
 
 def hom_value(a: Structure, b: Structure, semiring: str) -> int:

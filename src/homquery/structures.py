@@ -9,7 +9,9 @@ a structure's relations are frozensets behind a read-only mapping, set
 once as it is made), so a structure may be shared: the probe-family
 constructors (directed_cycle, directed_path, complete_pair) return one
 object per argument, and canonical_form one per canonical key.  The
-combinators build a new structure on each call.
+combinators build a new structure on each call.  homs keeps a structure's
+parts on the object, outside its fields, so equality, hash, repr and
+encode_structure never see them.
 
 A structure is checked once, where it enters the library: Signature
 checks names (strings, each declared once) and arities (ints >= 1), and
@@ -190,13 +192,15 @@ def edges_of(d: Structure) -> frozenset[tuple[int, int]]:
 
 
 # The bound of every bounded cache in the library: those keyed on relation
-# contents (homs' plans, tables, parts and cycle invariants, datalog's EDB
-# indexes, canonical forms; no entry is larger than its key), the probe
-# constructors below and the registry's builds.  It holds a seed-1 benchmark
-# round: decide fills 180 plans, 474 tables, 310 parts, 15 canonical forms;
-# count-large 100 plans, 42 tables, 133 parts; crosscheck 93 invariants, 126
-# EDB indexes.  Over three seed-1 rounds of each workload the probe caches
-# hold at most 8 entries each and the registry's builds 16: none evicts.
+# contents (homs' plans, tables, table sets, parts and cycle invariants,
+# datalog's EDB indexes, canonical forms; no entry is larger than its key),
+# the probe constructors below and the registry's builds.  It holds a seed-1
+# benchmark round: decide fills 180 plans, 474 tables, 706 table sets (the
+# tables one plan reads in one target part), 310 parts, 15 canonical forms;
+# count-large 100 plans, 42 tables, 75 table sets, 133 parts; crosscheck 93
+# invariants, 126 EDB indexes.  Over three seed-1 rounds of each workload the
+# homs caches miss only in the first, the probe caches hold at most 8
+# entries each and the registry's builds 16: none evicts.
 CACHE_SIZE = 1024
 
 

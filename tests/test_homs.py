@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import count_calls, small_digraphs
 from homquery import homs
 from homquery.algorithms import right_separator
-from homquery.analysis import component_count, components_of, gamma
+from homquery.analysis import component_count, components_of, gamma, induced_substructure
 from homquery.catalog import enumerate_digraphs_upto
 from homquery.homs import (
     BOOLEAN,
@@ -34,6 +34,7 @@ from homquery.structures import (
     directed_cycle,
     directed_path,
     disjoint_union,
+    encode_structure,
     make_structure,
     n_ary_cycle,
     scalar_multiple,
@@ -113,15 +114,21 @@ def test_budget_counts_each_candidate_image_tried(monkeypatch):
     cases = [(hom_count, digraph(7, {(0, i) for i in range(1, 7)}), pair, 26),
              (hom_count, in_star, pair, 10),
              (find_hom, in_star, pair, 3),
+             (hom_exists, in_star, pair, 3),
              (find_hom, directed_cycle(6), directed_cycle(3), 6),
+             (hom_exists, directed_cycle(6), directed_cycle(3), 6),
              (find_hom, directed_cycle(3), directed_cycle(6), 12),
+             (hom_exists, directed_cycle(3), directed_cycle(6), 12),
              (hom_count, disjoint_union(directed_path(3), directed_cycle(2)),
               directed_cycle(3), 15),
              (hom_count, directed_cycle(4), c2s, 8),
              (find_hom, directed_cycle(4), c2s, 4),
+             (hom_exists, directed_cycle(4), c2s, 4),
              (find_hom, directed_cycle(3), c2s, 4),
+             (hom_exists, directed_cycle(3), c2s, 4),
              # K_1 has no edge, so C_3 tries no image in it: only P_2 is searched
              (find_hom, directed_cycle(3), disjoint_union(digraph(1, set()), directed_path(2)), 5),
+             (hom_exists, directed_cycle(3), disjoint_union(digraph(1, set()), directed_path(2)), 5),
              # placed in the order 0, 2, 9, 3 (BFS over ascending neighbours);
              # the order 0, 9, 2, 3 would try 26; the six isolated elements
              # are copies of one part, whose two images are tried once
@@ -186,9 +193,9 @@ def test_engine_matches_oracle_on_every_catalog_pair():
         for b in catalog:
             count = hom_count(a, b)
             assert count == oracle_hom_count(a, b)
-            assert hom_exists(a, b) == (count > 0)
             w = find_hom(a, b)
             assert (w is not None) == (count > 0)
+            assert hom_exists(a, b) == (w is not None)
             if w is not None:
                 assert _is_hom(w, a, b)
 
@@ -266,6 +273,49 @@ def test_parts_group_equal_relabelled_components():
     (size, relations, order, copies), = homs._parts(8, (interleaved.relations["R"],))
     assert copies == ((0, 2, 4, 6), (1, 3, 5, 7))
     assert order == (0, 3, 1, 2) and components_of(size, relations) == [list(order)]
+
+
+def test_a_repeated_query_resolves_nothing_anew():
+    # the second query reads each structure's parts from the object and the
+    # tables of each pair of parts from one lookup: no engine cache misses,
+    # one plan per source part and one table lookup per pair of parts
+    caches = {"parts": homs._parts, "plan": homs._plan, "table": _table,
+              "tables": homs._tables}
+
+    def info():
+        return {name: cache.cache_info() for name, cache in caches.items()}
+
+    a = disjoint_union(directed_cycle(6), directed_path(2))  # two parts
+    b = digraph(4, {(0, 1), (1, 2), (2, 0), (2, 3)})  # one part
+    for query in (hom_count, hom_exists):
+        query(a, b)
+        before = info()
+        query(a, b)
+        after = info()
+        assert {name: (after[name].hits - before[name].hits,
+                       after[name].misses - before[name].misses) for name in caches} == \
+            {"parts": (0, 0), "plan": (2, 0), "table": (0, 0), "tables": (2, 0)}, query
+
+
+def test_an_equal_structure_built_afresh_hits_the_parts_cache():
+    s = digraph(5, {(0, 1), (1, 2), (2, 0), (3, 4)})
+    first, again = (induced_substructure(s, [0, 1, 2, 3]) for _ in range(2))
+    assert first == again and first is not again
+    hom_count(first, s)
+    before = homs._parts.cache_info()
+    hom_count(again, s)
+    after = homs._parts.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
+def test_the_parts_kept_on_a_structure_stay_out_of_its_value():
+    queried, twin = (disjoint_union(directed_cycle(3), directed_path(1)) for _ in range(2))
+    seen = (hash(queried), repr(queried), encode_structure(queried))
+    assert hom_count(queried, queried) == 12 and hom_exists(queried, queried)
+    # the memo is held on the queried object, and nothing reads it as a value
+    assert vars(queried).keys() > vars(twin).keys()
+    assert queried == twin and twin == queried
+    assert (hash(queried), repr(queried), encode_structure(queried)) == seen
 
 
 def test_find_hom_into_a_union_maps_into_the_first_part_with_a_hom():
