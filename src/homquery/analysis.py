@@ -126,35 +126,60 @@ def induced_substructure(s: Structure, keep) -> Structure:
     return Structure._trusted(s.signature, len(keep), rels)
 
 
+def _folded(s: Structure) -> Structure:
+    """
+    s less each element v, in ascending order, that another live element w
+    dominates: every fact of the live substructure that holds v is still a
+    fact with v replaced by w.  Then v -> w, every other element fixed, is a
+    retraction onto the live elements less v, so the core does not change.
+    """
+    live = set(s.domain)
+    for v in s.domain:
+        facts = [(ts, t) for ts in s.relations.values() for t in ts
+                 if v in t and live.issuperset(t)]
+        if any(all(tuple([w if e == v else e for e in t]) in ts for ts, t in facts)
+               for w in live if w != v):
+            live.discard(v)
+    return s if len(live) == s.domain_size else induced_substructure(s, live)
+
+
 def core(s: Structure) -> Structure:
     """
     The core of s (Hell and Nesetril, The core of a graph, Discrete Math.
     1992): a minimal retract, returned in canonical form (cores are unique
     up to isomorphism, so the retract found does not matter).
 
-    The elements of the current stage A are tried in ascending order: a
-    hom A -> A - v is searched for, and on a witness A shrinks to the
-    substructure induced by its image.  An element once refuted is not
-    tried again.  If A has no hom to A - v, then v is in the image of every
-    endomorphism of A, which would otherwise be such a hom.  A later stage
-    A' holds the image of an endomorphism of A (the witnesses composed), so
-    v is in A'; and A' has no hom to A' - v either, since composed with the
-    witnesses from A to A' it would give a hom A -> A - v.  Relabelling
-    keeps the order, so the refuted elements stay the elements below the
-    next one to try.  The searches are thus |core| refutations (none for a
-    one-element core) plus one per retraction.
+    Dominated elements are folded first (_folded), with no search.  A stage
+    A whose only endomorphism is the identity has no proper retract, so it
+    is the core: hom_count(A, A) is read once after folding and again after
+    each retraction, while elements are left to try.  Otherwise the
+    elements of A are tried in ascending order: a hom A -> A - v is
+    searched for, and on a witness A shrinks to the substructure induced by
+    its image.  An element once refuted is not tried again.  If A has no
+    hom to A - v, then v is in the image of every endomorphism of A, which
+    would otherwise be such a hom.  A later stage A' holds the image of an
+    endomorphism of A (the witnesses composed), so v is in A'; and A' has
+    no hom to A' - v either, since composed with the witnesses from A to A'
+    it would give a hom A -> A - v.  Relabelling keeps the order, so the
+    refuted elements stay the elements below the next one to try.  The
+    searches are thus at most |core| refutations (none for a one-element
+    or rigid core) plus one per retraction.
     """
-    from .homs import find_hom  # deferred: homs imports analysis for the closed forms
+    from .homs import find_hom, hom_count  # deferred: homs imports analysis for the closed forms
 
     check_guard("core guard: |s|", s.domain_size, CORE_GUARD)
-    current, drop = s, 0
+    current, drop, counted = _folded(s), 0, False
     while 1 < current.domain_size and drop < current.domain_size:
+        if not counted and hom_count(current, current) == 1:
+            break
+        counted = True
         keep = [e for e in current.domain if e != drop]
         witness = find_hom(current, induced_substructure(current, keep))
         if witness is None:
             drop += 1
         else:
             current = induced_substructure(current, map(keep.__getitem__, witness.values()))
+            counted = False
     return canonical_form(current)
 
 

@@ -3,15 +3,17 @@ Brute-force oracles, kept deliberately independent of the optimized code
 paths (nothing here imports the engines): the hom-count oracle checks
 every one of the |B|^|A| maps against every fact of A, with no pruning,
 no early exit, no component factorization and no cache across calls,
-and the gamma oracle enumerates oriented cycles explicitly instead of
-using potentials.
+the gamma oracle enumerates oriented cycles explicitly instead of using
+potentials, and is_core_of checks a core through hom counts alone, with
+no retraction search.
 """
 
 from __future__ import annotations
 
 import math
 
-from .structures import GuardExceeded, SignatureMismatch, Structure, edges_of, guard_limit
+from .structures import (GuardExceeded, SignatureMismatch, Structure, edges_of, guard_limit,
+                         make_structure)
 
 ORACLE_GUARD = 20_000_000  # maps checked per call
 
@@ -61,6 +63,24 @@ def oracle_hom_count(a: Structure, b: Structure) -> int:
             # form costs nearly twice as much per fact on small calls
             ok &= np.ndarray(shape, bool, table, 0, strides)
     return int(np.count_nonzero(ok))
+
+
+def is_core_of(c: Structure, a: Structure) -> bool:
+    """
+    Whether c is a core of a: c and a map to each other, and c has no hom
+    into c less any one element (an endomorphism of c that missed an
+    element would be one), so every endomorphism of c is onto.
+    """
+    if not (oracle_hom_count(c, a) and oracle_hom_count(a, c)):
+        return False
+    return c.domain_size == 1 or not any(oracle_hom_count(c, _without(c, v)) for v in c.domain)
+
+
+def _without(s: Structure, v: int) -> Structure:
+    "s less the element v, the elements above it relabelled one down."
+    rels = {name: {tuple(e - (e > v) for e in t) for t in ts if v not in t}
+            for name, ts in s.relations.items()}
+    return make_structure(s.signature, s.domain_size - 1, rels)
 
 
 def oracle_gamma(d: Structure) -> int:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from conftest import core_reference, count_calls, small_digraphs
 from homquery import homs
 from homquery.analysis import (
+    CORE_GUARD,
     component_count,
     components_of,
     core,
@@ -17,7 +18,7 @@ from homquery.analysis import (
 )
 from homquery.catalog import enumerate_digraphs
 from homquery.homs import hom_exists
-from homquery.oracle import oracle_gamma, oracle_hom_count
+from homquery.oracle import is_core_of, oracle_gamma, oracle_hom_count
 from homquery.structures import (
     DIGRAPH_SIG,
     GuardExceeded,
@@ -197,34 +198,83 @@ def test_core_matches_the_reference_loop():
         assert core(s) == core_reference(s), s
 
 
+def _z5_with_two_twins() -> Structure:
+    "The rotational 5-tournament plus twins of 0 and 2, as CI's planted input."
+    tournament = [(i, (i + d) % 5) for i in range(5) for d in (1, 2)]
+    twin = {0: 5, 2: 6}
+    return digraph(7, tournament + [(twin[u], v) for u, v in tournament if u in twin]
+                   + [(u, twin[v]) for u, v in tournament if v in twin])
+
+
+def _transitive_tournament(n: int) -> Structure:
+    return digraph(n, {(u, v) for u in range(n) for v in range(u + 1, n)})
+
+
+def _core_calls(monkeypatch):
+    "A function from s to (|core(s)|, find_hom calls, hom_count calls)."
+    finds = count_calls(monkeypatch, homs.find_hom)
+    counts = count_calls(monkeypatch, homs.hom_count)
+
+    def calls(s):
+        finds[0] = counts[0] = 0
+        return core(s).domain_size, finds[0], counts[0]
+    return calls
+
+
 def test_core_tries_each_refuted_element_once(monkeypatch):
-    found = []
-    find = homs.find_hom
-
-    def recorded(a, b):
-        w = find(a, b)
-        found.append(w is not None)
-        return w
-
-    monkeypatch.setattr(homs, "find_hom", recorded)
-    calls = count_calls(monkeypatch, recorded)
+    calls = _core_calls(monkeypatch)
     rng = random.Random(3)
-    for shape in PLANTED_SHAPES:
-        s = planted_core(rng, *shape)
-        calls[0], found[:] = 0, []
-        c = core(s)
-        # one refutation per element of the core, one search per retraction
-        assert c.domain_size == shape[0]
-        assert calls[0] == c.domain_size + sum(found), s
-    # a directed path is a core: each element refuted once, no retraction
-    calls[0] = 0
-    core(directed_path(6))
-    assert calls[0] == 7
-    # two refutations in C_2, then C_4 retracts onto C_2 (5 calls when the
-    # refuted elements were searched again after the retraction)
-    calls[0] = 0
-    assert isomorphic(core(disjoint_union(directed_cycle(2), directed_cycle(4))), directed_cycle(2))
-    assert calls[0] == 3
+    # the twins fold onto their originals; a tournament with only the
+    # identity endomorphism then needs no search, and (3, 2)'s, a 3-cycle,
+    # has three, so each of its elements is refuted once
+    assert [calls(planted_core(rng, *shape)) for shape in PLANTED_SHAPES] == \
+        [(3, 3, 1), (4, 0, 1), (5, 0, 1), (4, 0, 1), (5, 0, 1), (6, 0, 1)]
+    # a directed path folds nothing and its only endomorphism is the identity
+    assert calls(directed_path(6)) == (7, 0, 1)
+    # 12 endomorphisms: two refutations in C_2, then C_4 retracts onto C_2
+    # (5 searches when the refuted elements were searched again after it)
+    assert calls(disjoint_union(directed_cycle(2), directed_cycle(4))) == (2, 3, 1)
+    # three rotations: each element refuted once
+    assert calls(directed_cycle(3)) == (3, 3, 1)
+    # the twins fold; the five rotations leave five refutations
+    assert calls(_z5_with_two_twins()) == (5, 5, 1)
+    # the twin folds onto its original and the rest is rigid
+    tt5 = _transitive_tournament(5)
+    twin = {(5, v) for u, v in tt5.relations["R"] if u == 2} | \
+        {(u, 5) for u, v in tt5.relations["R"] if v == 2}
+    assert calls(digraph(6, tt5.relations["R"] | twin)) == (5, 0, 1)
+
+
+def test_core_at_the_guard_stays_inside_the_budget(monkeypatch):
+    calls = _core_calls(monkeypatch)
+    n = CORE_GUARD
+    # every element dominates every other: the fold leaves one
+    assert calls(digraph(n, set(itertools.product(range(n), repeat=2)))) == (1, 0, 0)
+    assert calls(_transitive_tournament(n)) == (n, 0, 1)
+    # n! endomorphisms, all automorphisms: each element is refuted once
+    assert calls(digraph(n, {(u, v) for u, v in itertools.product(range(n), repeat=2)
+                             if u != v})) == (n, n, 1)
+
+
+def test_core_is_a_core_by_the_oracle():
+    rng = random.Random(38)
+    seeded = [digraph(n, {(u, v) for u, v in itertools.product(range(n), repeat=2)
+                          if rng.random() < (0.03 if u == v else 0.35)})
+              for n in [5, 6] * 20]
+    # the last inputs of _core_reference_inputs: its planted cores and its
+    # two ternary structures
+    planted_and_ternary = list(_core_reference_inputs())[-len(PLANTED_SHAPES) * 4 - 2:]
+    inputs = [s for n in (1, 2, 3, 4) for s in enumerate_digraphs(n).representatives] \
+        + seeded + planted_and_ternary
+    for s in inputs:
+        assert is_core_of(core(s), s), s
+    # and the check refuses: the symmetric edge K_2 does not map to one
+    # loopless element, and C_2 + C_4 retracts onto C_2
+    k2 = digraph(2, {(0, 1), (1, 0)})
+    assert not is_core_of(digraph(1, ()), k2)
+    c2c4 = disjoint_union(directed_cycle(2), directed_cycle(4))
+    assert not is_core_of(c2c4, c2c4)
+    assert is_core_of(directed_cycle(2), c2c4)
 
 
 def test_hom_equiv_to_acyclic():
