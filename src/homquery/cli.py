@@ -67,9 +67,14 @@ STRUCTURE_FILE = click.Path(exists=True, dir_okay=False)
 _NO_ARGS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
 
-def _error(kind: str, message, code: int) -> typing.NoReturn:
+# the exit code of each kind of one-line error: bad usage or input, or a refusal
+_EXIT_CODES = {"usage": 2, "input": 2, "datalog": 2,
+               "guard": 3, "budget": 3, "step-limit": 3}
+
+
+def _error(kind: str, message) -> typing.NoReturn:
     click.echo(f"error: {kind}: {message}", err=True)
-    sys.exit(code)
+    sys.exit(_EXIT_CODES[kind])
 
 
 class _Main(click.Group):
@@ -91,17 +96,17 @@ def _one_line_errors():
     except _NO_ARGS_HELP:  # click >= 8.2 raises a bare group's help as a usage error
         raise
     except click.UsageError as exc:
-        _error("usage", exc.format_message(), 2)
+        _error("usage", exc.format_message())
     except SignatureMismatch as exc:
-        _error("input", exc, 2)
+        _error("input", exc)
     except DatalogError as exc:
-        _error("datalog", exc, 2)
+        _error("datalog", exc)
     except GuardExceeded as exc:
-        _error("guard", exc, 3)
+        _error("guard", exc)
     except WorkBudgetExceeded as exc:
-        _error("budget", exc, 3)
+        _error("budget", exc)
     except StepLimitExceeded as exc:
-        _error("step-limit", exc, 3)
+        _error("step-limit", exc)
 
 
 @click.group(cls=_Main)
@@ -121,7 +126,7 @@ def _load(path: str) -> Structure:
     try:
         return decode_structure(Path(path).read_text(encoding="utf-8"))
     except (StructureDecodeError, UnicodeDecodeError) as exc:
-        _error("input", f"{path}: {exc}", 2)
+        _error("input", f"{path}: {exc}")
 
 
 def _kv(key, value):
@@ -167,12 +172,12 @@ def run_cmd(name, input_file, trace, n_param):
     try:
         inspect.signature(REGISTRY[name].build).bind(**params)
     except TypeError as exc:
-        _error("usage", f"algorithm {name}: {exc}", 2)
+        _error("usage", f"algorithm {name}: {exc}")
     s = _load(input_file)
     try:
         report = run_registered(name, s, **params)
     except alg.ParameterError as exc:
-        _error("usage", f"algorithm {name}: {exc}", 2)
+        _error("usage", f"algorithm {name}: {exc}")
     if trace:
         for i, (query, answer) in enumerate(
                 zip(report.queries_issued, report.transcript), start=1):
@@ -196,18 +201,18 @@ def gen_dn_cmd(n, parity, out_dir):
     try:
         members = alg.dn_family(n, parity)
     except alg.ParameterError as exc:
-        _error("usage", f"gen dn: {exc}", 2)
+        _error("usage", f"gen dn: {exc}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # such as a file on the path
-        _error("usage", f"gen dn: --out-dir {out_dir}: {exc.strerror}", 2)
+        _error("usage", f"gen dn: --out-dir {out_dir}: {exc.strerror}")
     for m, member in members:
         path = out / f"dn_{n}_{parity}_m{m}.json"
         try:
             path.write_text(encode_structure(member), encoding="utf-8")
         except OSError as exc:  # such as a directory at the path
-            _error("usage", f"gen dn: {path}: {exc.strerror}", 2)
+            _error("usage", f"gen dn: {path}: {exc.strerror}")
         click.echo(str(path))
 
 
@@ -218,7 +223,7 @@ def enumerate_cmd(size):
     try:
         catalog = enumerate_digraphs(size)
     except ValueError as exc:
-        _error("usage", f"enumerate: {exc}", 2)
+        _error("usage", f"enumerate: {exc}")
     _kv("classes", len(catalog.representatives))
     for i, rep in enumerate(catalog.representatives):
         _kv(f"class.{i}", sorted(rep.relations["R"]))
@@ -270,30 +275,30 @@ def datalog_check_cmd(program):
 def experiment_cmd(experiment_id, params):
     "Run an experiment; PARAMS are key=value integers (e.g. n=3)."
     experiment = EXPERIMENTS[experiment_id]
-    int_params = {name for name, hint in typing.get_type_hints(experiment).items()
-                  if hint is int}
+    # every experiment parameter is an integer
+    signature = inspect.signature(experiment)
     kwargs = {}
     for p in params:
         key, eq, value = p.partition("=")
         if not eq:
-            _error("usage", f"parameter {p!r} is not of the form key=value", 2)
+            _error("usage", f"parameter {p!r} is not of the form key=value")
         key = key.replace("-", "_")
-        if key not in int_params:
-            _error("usage", f"experiment {experiment_id}: no integer parameter {key!r}", 2)
+        if key not in signature.parameters:
+            _error("usage", f"experiment {experiment_id}: no integer parameter {key!r}")
         if key in kwargs:
-            _error("usage", f"experiment {experiment_id}: parameter {key!r} given twice", 2)
+            _error("usage", f"experiment {experiment_id}: parameter {key!r} given twice")
         try:
             kwargs[key] = int(value)
         except ValueError:
-            _error("usage", f"parameter {key!r}: {value!r} is not an integer", 2)
+            _error("usage", f"parameter {key!r}: {value!r} is not an integer")
     try:
-        inspect.signature(experiment).bind(**kwargs)
+        signature.bind(**kwargs)
     except TypeError as exc:
-        _error("usage", f"experiment {experiment_id}: {exc}", 2)
+        _error("usage", f"experiment {experiment_id}: {exc}")
     try:
         report = experiment(**kwargs)
     except alg.ParameterError as exc:
-        _error("usage", f"experiment {experiment_id}: {exc}", 2)
+        _error("usage", f"experiment {experiment_id}: {exc}")
     click.echo(report.render(), nl=False)
     if not report.passed:
         sys.exit(1)

@@ -15,12 +15,13 @@ empty for a target part, such as a relation the part lacks, counts 0 into
 it without a search.
 
 The search is a dynamic program over a connected source part's elements
-in the BFS order of analysis.components_of (adjacency = shared facts); a
-fact is checked at the position of its last element.  The *frontier* of a
-position is the set of earlier elements that facts checked there or later
-still read.  The number of ways to extend a partial map from a position on
-depends only on the frontier's images, so it is computed once per frontier
-image tuple and cached: variable elimination along the order (Diaz, Serna
+in the BFS order of analysis.components_of (adjacency = shared facts),
+which the part's plan works out from its relations; a fact is checked at
+the position of its last element.  The *frontier* of a position is the set
+of earlier elements that facts checked there or later still read.  The
+number of ways to extend a partial map from a position on depends only on
+the frontier's images, so it is computed once per frontier image tuple and
+cached: variable elimination along the order (Diaz, Serna
 and Thilikos, TCS 2002; Dalmau and Jonsson, TCS 2004).  The images an
 element may take are read from lookup tables over the target part's
 relations, keyed on the images already fixed in each fact checked at its
@@ -44,12 +45,12 @@ A structure's parts are kept on the object (outside its fields, so
 equality, hash, repr and its JSON form never see them) and come from a
 cache keyed on its relation contents, which an equal structure built
 afresh, such as a drop target of analysis.core, still hits.  Plans are
-cached per source part, tables per (target relation, mask), and the
-tables a plan reads in a target part, or None when one is empty, per
-(target part's relations, the plan's needs).  These four caches are keyed
-on relation contents and bounded at structures.CACHE_SIZE entries, so that
-a sweep of probes over a few dozen targets finds its parts and tables
-still built.
+cached per source part (a miss runs one BFS of the part), tables per
+(target relation, mask), and the tables a plan reads in a target part, or
+None when one is empty, per (target part's relations, the plan's needs).
+These four caches are keyed on relation contents and bounded at
+structures.CACHE_SIZE entries, so that a sweep of probes over a few dozen
+targets finds its parts and tables still built.
 
 The closed forms never run the search; property tests compare the two
 code paths.  They read a source's gamma and component count from a cache
@@ -83,21 +84,22 @@ def _no_images(img) -> tuple:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _plan(relations: tuple[frozenset, ...], order: tuple[int, ...]):
+def _plan(domain_size: int, relations: tuple[frozenset, ...]):
     """
-    Search plan of a connected source with these relations (in signature
-    order), whose elements in components_of's BFS order are order.
+    Search plan of a connected source with this many elements and these
+    relations (in signature order), placing its elements in the BFS order
+    of components_of.
 
     Returns (needs, plan).  needs lists the (relation index, mask) tables
     the plan reads; mask marks the tuple positions that hold the element
-    being placed.  plan is (order, frontier, checks): frontier[i] gives the
-    key of the frontier's images at position i, or None where every
-    earlier element is still read, so that no two partial maps share a key
-    and caching would only cost memory; checks[i] lists (table slot, key
-    of the fixed images) for each fact checked at position i, a slot being
-    an index into needs.
+    being placed.  plan is (order, frontier, checks): order lists the
+    elements by position; frontier[i] gives the key of the frontier's
+    images at position i, or None where every earlier element is still
+    read, so that no two partial maps share a key and caching would only
+    cost memory; checks[i] lists (table slot, key of the fixed images) for
+    each fact checked at position i, a slot being an index into needs.
     """
-    domain_size = len(order)
+    order, = components_of(domain_size, relations)
     position = {v: i for i, v in enumerate(order)}
 
     needs: dict[tuple[int, int], int] = {}
@@ -119,7 +121,7 @@ def _plan(relations: tuple[frozenset, ...], order: tuple[int, ...]):
         # an element still read at i is i - 1 or was still read at i - 1
         live = [p for p in live + [i - 1] if last_read[p] >= i]
         frontier.append(None if len(live) == i else itemgetter(*live))
-    return tuple(needs), (order, tuple(frontier), tuple(map(tuple, checks)))
+    return tuple(needs), (tuple(order), tuple(frontier), tuple(map(tuple, checks)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -241,18 +243,15 @@ def _search(plan, tables, domain: range, find: bool, used: int):
 def _parts(domain_size: int, relations: tuple[frozenset, ...]):
     """
     The distinct components of a structure with these relations, in
-    ascending order of their least element: (size, relations, order,
-    copies) for each.  Components whose relations are equal once each is
-    relabelled by its ascending elements are copies of one part, which
-    holds them so relabelled; order lists the part's elements in
-    components_of's BFS order, and copies each copy's elements by new
-    label.  A connected structure is one part that keeps its own relations.
+    ascending order of their least element: (size, relations, copies) for
+    each.  Components whose relations are equal once each is relabelled by
+    its ascending elements are copies of one part, which holds them so
+    relabelled; copies lists each copy's elements by new label.  A
+    connected structure is one part that keeps its own relations.
     """
     found = components_of(domain_size, relations)
     if len(found) == 1:
-        return ((domain_size, relations, tuple(found[0]), (range(domain_size),)),)
-    # relabelling by ascending elements keeps the order of any two, so it
-    # takes a component's BFS order to the BFS order of the relabelled part
+        return ((domain_size, relations, (range(domain_size),)),)
     label, owner = [0] * domain_size, [0] * domain_size
     ascending = [tuple(sorted(elements)) for elements in found]
     for c, elements in enumerate(ascending):
@@ -262,11 +261,10 @@ def _parts(domain_size: int, relations: tuple[frozenset, ...]):
     for r, tuples in enumerate(relations):
         for t in tuples:
             facts[owner[t[0]]][r].add(tuple(map(label.__getitem__, t)))
-    parts: dict[tuple, tuple] = {}
-    for bfs, elements, rels in zip(found, ascending, facts):
-        parts.setdefault((len(elements), tuple(map(frozenset, rels))), (bfs, []))[1].append(elements)
-    return tuple((size, rels, tuple(map(label.__getitem__, bfs)), tuple(same))
-                 for (size, rels), (bfs, same) in parts.items())
+    parts: dict[tuple, list] = {}
+    for elements, rels in zip(ascending, facts):
+        parts.setdefault((len(elements), tuple(map(frozenset, rels))), []).append(elements)
+    return tuple((size, rels, tuple(same)) for (size, rels), same in parts.items())
 
 
 def _parts_of(s: Structure):
@@ -289,12 +287,12 @@ def _run(a: Structure, b: Structure, find: bool, witness: dict | None = None) ->
         raise SignatureMismatch("signature mismatch")
     targets = _parts_of(b)
     total, used = 1, 0
-    for _, relations, order, copies in _parts_of(a):
-        needs, plan = _plan(relations, order)
+    for size, relations, copies in _parts_of(a):
+        needs, plan = _plan(size, relations)
         # a source part is connected, so its count into a disjoint union is
         # the sum of its counts into the union's components
         count = 0
-        for target_size, target_relations, _, target_copies in targets:
+        for target_size, target_relations, target_copies in targets:
             tables = _tables(target_relations, needs)
             if tables is None:
                 continue

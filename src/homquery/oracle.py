@@ -121,28 +121,20 @@ def oracle_gamma(d: Structure) -> int:
 
 
 def has_directed_cycle(d: Structure) -> bool:
-    "Iterative DFS three-color check for a directed cycle (loops included)."
-    adj: dict[int, list[int]] = {v: [] for v in d.domain}
+    """
+    Sink peeling: a vertex with no out-edge left is on no cycle, so remove
+    it and its in-edges; a cycle remains iff some vertex is never removed
+    (a loop never is).
+    """
+    out_degree = [0] * d.domain_size
+    predecessors: list[list[int]] = [[] for _ in d.domain]
     for u, v in edges_of(d):
-        adj[u].append(v)
-    state = {v: 0 for v in d.domain}  # 0 new, 1 on stack, 2 done
-    for root in d.domain:
-        if state[root]:
-            continue
-        stack = [(root, iter(adj[root]))]
-        state[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if state[w] == 1:
-                    return True
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return False
+        out_degree[u] += 1
+        predecessors[v].append(u)
+    sinks = [v for v in d.domain if not out_degree[v]]
+    for v in sinks:
+        for u in predecessors[v]:
+            out_degree[u] -= 1
+            if not out_degree[u]:
+                sinks.append(u)
+    return len(sinks) < d.domain_size

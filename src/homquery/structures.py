@@ -154,12 +154,6 @@ class Structure:
     def domain(self) -> range:
         return range(self.domain_size)
 
-    def facts(self):
-        "All (relation name, tuple) pairs, in deterministic order."
-        for name in self.signature.names:
-            for t in sorted(self.relations[name]):
-                yield name, t
-
     def is_digraph(self) -> bool:
         return len(self.signature.relations) == 1 and self.signature.relations[0][1] == 2
 

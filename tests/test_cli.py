@@ -436,6 +436,14 @@ def test_click_parse_errors_are_one_line_usage_errors(runner, tmp_path, args):
     assert "Usage:" not in r.output and "Try" not in r.output
 
 
+@pytest.mark.parametrize("args", [[], ["gen"]], ids=["homquery", "gen"])
+def test_a_bare_group_prints_its_help_and_no_error_line(runner, args):
+    # click >= 8.2 raises a bare group's help as a usage error, which exits 2
+    r = runner.invoke(main, args)
+    assert r.exit_code == (2 if cli._NO_ARGS_HELP else 0)
+    assert "Usage:" in r.output and "error:" not in r.output and "Traceback" not in r.output
+
+
 def test_output_lines_split_at_their_first_colon(runner, files):
     # every key/value line splits at its first ": " into a key without
     # blanks, so no key can hold the separator

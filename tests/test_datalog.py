@@ -256,6 +256,10 @@ def test_safety():
     # equality occurrences make head variables safe
     p = parse_program("X(x, y) :- P(x), x = y.\nAns() :- X(a, a).")
     check_safety(p)
+    # the parser only makes two-variable equalities; rules built directly are checked too
+    one_sided = (Rule(Atom("Ans", ()), (Atom("P", ("x",)), Atom(EQ, ("x",)))),)
+    with pytest.raises(DatalogError, match="^equality atoms take exactly two variables$"):
+        DatalogProgram(one_sided)
 
 
 def test_classify_program():

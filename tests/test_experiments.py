@@ -8,7 +8,7 @@ from conftest import (
 )
 from homquery import algorithms as alg
 from homquery import experiments, registry
-from homquery.algorithms import ParameterError, unbounded_boolean_cycle_detector
+from homquery.algorithms import ParameterError
 from homquery.experiments import (
     EXPERIMENTS,
     ExperimentReport,
@@ -269,6 +269,13 @@ def test_reports_match_frozen_text():
     assert experiment_adaptive_not_better(k=2).render() == ADAPTIVE_NOT_BETTER_2_TEXT
 
 
+def _rebuild(monkeypatch, name, wrap):
+    "Make the registry build the entry name as wrap of its own build."
+    built = registry._built
+    monkeypatch.setattr(registry, "_built", lambda entry, params, lifted: (
+        wrap(built(entry, params, lifted)) if entry == name else built(entry, params, lifted)))
+
+
 def pad_left_detector(monkeypatch):
     """
     Make ub-bool-cycle ask two extra queries first.  The experiment's check
@@ -276,14 +283,8 @@ def pad_left_detector(monkeypatch):
     detector stays under the cap, and fails the check on the loop, where
     the detector alone takes all 2|A|.
     """
-    detector = unbounded_boolean_cycle_detector()
-
-    def padded(t):
-        return directed_path(0) if len(t) < 2 else detector(t[2:])
-
-    built = registry._built
-    monkeypatch.setattr(registry, "_built", lambda name, params, lifted:
-                        padded if name == "ub-bool-cycle" else built(name, params, lifted))
+    _rebuild(monkeypatch, "ub-bool-cycle",
+             lambda detector: lambda t: directed_path(0) if len(t) < 2 else detector(t[2:]))
 
 
 def test_left_detector_bound_fails_a_detector_two_queries_longer(monkeypatch):
@@ -291,3 +292,66 @@ def test_left_detector_bound_fails_a_detector_two_queries_longer(monkeypatch):
     rows = dict(experiment_unbounded_boolean(1).rows)
     assert rows["left-detector-correct"] == "ok"
     assert rows["left-detector-within-bound"] == "FAILED"
+
+
+def _negated(strategy):
+    "strategy with every verdict turned round."
+    def flipped(t):
+        decision = strategy(t)
+        return not decision if isinstance(decision, bool) else decision
+    return flipped
+
+
+def _slow_to_say_no(strategy):
+    "strategy, asking two more queries (P_0) before each NO."
+    def delayed(t):
+        for back in (2, 1, 0):
+            if len(t) >= back and strategy(t[:len(t) - back]) is False:
+                return False if back == 2 else directed_path(0)
+        return strategy(t)
+    return delayed
+
+
+def _reversed_instance(monkeypatch):
+    build = alg.adaptive_not_better_instance
+
+    def reversed_members(k, primes):
+        algorithm, structures = build(k, primes)
+        return algorithm, structures[::-1]
+    monkeypatch.setattr(alg, "adaptive_not_better_instance", reversed_members)
+
+
+# Each check a report makes, with a fault it must report: the oracle off by
+# one, an algorithm that answers wrongly or asks too many queries, a
+# Datalog program that answers wrongly, or members out of their order.
+FAULTY_RUNS = [
+    ("dn", {"n": 3}, "vectors-match-oracle", lambda mp: mp.setattr(
+        experiments, "oracle_hom_count",
+        lambda a, b, count=experiments.oracle_hom_count: count(a, b) + 1)),
+    ("dn", {"n": 3}, "adaptive-correct", lambda mp: _rebuild(mp, "dn-binsearch", _negated)),
+    # the entry's step cap n + 1 leaves room for one query past the bound
+    ("dn", {"n": 3}, "adaptive-within-bound", lambda mp: _rebuild(
+        mp, "dn-binsearch", lambda search: lambda t: directed_cycle(1) if not t else search(t[1:]))),
+    ("adaptive-not-better", {}, "matrix-nonzero-exactly-on-diagonal", _reversed_instance),
+    ("adaptive-not-better", {}, "accepts-exactly-first-k", _reversed_instance),
+    ("unbounded-boolean", {"max_vertices": 1}, "left-detector-correct",
+     lambda mp: _rebuild(mp, "ub-bool-cycle", _negated)),
+    ("unbounded-boolean", {"max_vertices": 1}, "right-detector-correct",
+     lambda mp: _rebuild(mp, "ub-bool-netcycle", _negated)),
+    # the loop takes the entry's whole step cap of 4 queries, but the edgeless
+    # vertex says NO after 1: delayed, it takes 2 rounds against a bound of 1
+    ("unbounded-boolean", {"max_vertices": 1}, "right-detector-within-bound",
+     lambda mp: _rebuild(mp, "ub-bool-netcycle", _slow_to_say_no)),
+    ("unbounded-boolean", {"max_vertices": 1}, "datalog-cross-check", lambda mp: mp.setattr(
+        experiments, "evaluate",
+        lambda program, s, evaluate=experiments.evaluate: not evaluate(program, s))),
+]
+
+
+@pytest.mark.parametrize("experiment_id, params, row, fault", FAULTY_RUNS,
+                         ids=[f"{e}-{row}" for e, _, row, _ in FAULTY_RUNS])
+def test_every_check_fails_on_a_fault(monkeypatch, experiment_id, params, row, fault):
+    fault(monkeypatch)
+    text = EXPERIMENTS[experiment_id](**params).render()
+    assert f"\n{row}: FAILED\n" in text, text
+    assert text.endswith("\nresult: FAIL\n")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import count_calls, small_digraphs
 from homquery import homs
 from homquery.algorithms import right_separator
-from homquery.analysis import component_count, components_of, gamma, induced_substructure
+from homquery.analysis import component_count, gamma, induced_substructure
 from homquery.catalog import enumerate_digraphs_upto
 from homquery.homs import (
     BOOLEAN,
@@ -171,7 +171,8 @@ def mixed_pairs(draw):
 
 def _is_hom(w, a, b) -> bool:
     return (sorted(w) == list(a.domain) and all(w[e] in b.domain for e in w)
-            and all(tuple(w[e] for e in t) in b.relations[name] for name, t in a.facts()))
+            and all(tuple(w[e] for e in t) in b.relations[name]
+                    for name, ts in a.relations.items() for t in ts))
 
 
 @settings(max_examples=300, deadline=None)
@@ -248,7 +249,7 @@ def test_engine_matches_oracle_on_union_targets():
 
 def test_parts_group_equal_relabelled_components():
     def parts(s):
-        return [(size, len(copies)) for size, _, _, copies
+        return [(size, len(copies)) for size, _, copies
                 in homs._parts(s.domain_size, (s.relations["R"],))]
 
     c2 = directed_cycle(2)
@@ -259,20 +260,21 @@ def test_parts_group_equal_relabelled_components():
     # a source with six isolated elements: they are copies of one part
     assert parts(digraph(10, {(0, 9), (2, 0), (2, 3)})) == [(4, 1), (1, 6)]
     # each copy lists its elements by new label, ascending
-    (_, relations, _, copies), = homs._parts(6, (digraph(6, {(3, 0), (0, 3), (1, 5), (5, 1),
-                                                            (2, 4), (4, 2)}).relations["R"],))
+    (_, relations, copies), = homs._parts(6, (digraph(6, {(3, 0), (0, 3), (1, 5), (5, 1),
+                                                         (2, 4), (4, 2)}).relations["R"],))
     assert relations == (frozenset({(0, 1), (1, 0)}),)
     assert copies == ((0, 3), (1, 5), (2, 4))
     # a connected structure keeps its own relations
     c5 = directed_cycle(5)
-    (_, relations, _, copies), = homs._parts(5, (c5.relations["R"],))
+    (_, relations, copies), = homs._parts(5, (c5.relations["R"],))
     assert relations[0] is c5.relations["R"] and list(copies[0]) == [0, 1, 2, 3, 4]
-    # a part's order is its BFS, not its ascending elements: two interleaved
-    # copies of the path 0 -> 3 -> 1 -> 2 (BFS 0, 3, 1, 2)
+    # a part's plan searches in its BFS order, not its ascending elements:
+    # two interleaved copies of the path 0 -> 3 -> 1 -> 2 (BFS 0, 3, 1, 2)
     interleaved = digraph(8, {(0, 6), (6, 2), (2, 4), (1, 7), (7, 3), (3, 5)})
-    (size, relations, order, copies), = homs._parts(8, (interleaved.relations["R"],))
+    (size, relations, copies), = homs._parts(8, (interleaved.relations["R"],))
     assert copies == ((0, 2, 4, 6), (1, 3, 5, 7))
-    assert order == (0, 3, 1, 2) and components_of(size, relations) == [list(order)]
+    _, (order, _, _) = homs._plan(size, relations)
+    assert order == (0, 3, 1, 2)
 
 
 def test_a_repeated_query_resolves_nothing_anew():

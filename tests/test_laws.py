@@ -44,7 +44,7 @@ def checked_count(a: Structure, b: Structure) -> int:
     if witness is not None:
         assert sorted(witness) == list(a.domain)
         assert all(tuple(witness[e] for e in t) in b.relations[name]
-                   for name, t in a.facts())
+                   for name, ts in a.relations.items() for t in ts)
     return count
 
 

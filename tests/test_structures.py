@@ -318,6 +318,12 @@ def test_a_fault_has_one_message_in_a_file_and_in_python(text, build, message):
     assert str(from_file.value) == str(from_python.value) == message
 
 
+def test_a_value_no_file_can_hold_is_named_by_its_repr():
+    # JSON has no set, so only a Python call can pass one
+    with pytest.raises(ValueError, match=r"^domain must be an integer, not \{1\}$"):
+        Structure(DIGRAPH_SIG, {1}, {"R": []})
+
+
 def test_a_bool_or_float_beside_an_equal_int_is_still_refused():
     # equal tuples collapse in a set: the check must see them before they do
     for edges in ([(1, 1), (True, 1)], [(0, 1), (0, 1.0)]):
