@@ -38,7 +38,7 @@ from .structures import (
 # drawn for; a guard lift does not raise it.
 RIGHT2Q_SIZE_CAP = 3
 
-INSTANCE_GUARD = 250  # the product of adaptive_not_better_instance's primes
+INSTANCE_PRIMES = (2, 3, 5, 7)  # adaptive_not_better_instance takes the first 2k
 
 
 class ParameterError(ValueError):
@@ -185,19 +185,18 @@ def dn_adaptive_binary_search(n: int) -> Strategy:
     return strategy
 
 
-def adaptive_not_better_instance(k: int, primes):
+def adaptive_not_better_instance(k: int):
     """
-    For 2k distinct primes p_1..p_2k with product P: query structures
-    F_i = p_i copies of C_{P/p_i} (i <= k) and test structures
-    p_j copies of C_{P/p_j} (all j).  hom(F_i, test_j) is nonzero iff
-    i = j, so the acceptance set (computed answer vectors of the first k
-    test structures) accepts test_j exactly when j <= k.
+    For the 2k distinct primes p_1..p_2k of INSTANCE_PRIMES[:2k] (k = 1 or 2)
+    with product P: query structures F_i = p_i copies of C_{P/p_i} (i <= k)
+    and test structures p_j copies of C_{P/p_j} (all j).  hom(F_i, test_j)
+    is nonzero iff i = j, so the acceptance set (computed answer vectors of
+    the first k test structures) accepts test_j exactly when j <= k.
     """
-    primes = tuple(primes)
-    if len(primes) != 2 * k or len(set(primes)) != 2 * k:
-        raise ValueError("need 2k distinct primes")
+    primes = INSTANCE_PRIMES[:2 * k]
+    if k < 1 or len(primes) != 2 * k:
+        raise ParameterError(f"k={k} needs 2k distinct primes, got primes={primes}")
     product = math.prod(primes)
-    check_guard("instance guard: product of primes", product, INSTANCE_GUARD)
     structures = tuple(scalar_multiple(p, directed_cycle(product // p))
                        for p in primes)
     queries = structures[:k]

@@ -23,8 +23,10 @@ Exit codes:
      not fit the structure (a missing EDB relation, a wrong arity, or a
      derived predicate named as one of the structure's relations);
   3  a refusal, with a one-line message: a size guard ("error: guard:
-     <msg>"), the search's work budget ("error: budget: <msg>") or an
-     adaptive run's step cap ("error: step-limit: <msg>").
+     <msg>"), the search's work budget ("error: budget: <msg>"), an
+     adaptive run's step cap ("error: step-limit: <msg>") or running out
+     of memory, as a run past a lifted guard may ("error: memory: out of
+     memory").
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ _NO_ARGS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
 # the exit code of each kind of one-line error: bad usage or input, or a refusal
 _EXIT_CODES = {"usage": 2, "input": 2, "datalog": 2,
-               "guard": 3, "budget": 3, "step-limit": 3}
+               "guard": 3, "budget": 3, "step-limit": 3, "memory": 3}
 
 
 def _error(kind: str, message) -> typing.NoReturn:
@@ -107,6 +109,8 @@ def _one_line_errors():
         _error("budget", exc)
     except StepLimitExceeded as exc:
         _error("step-limit", exc)
+    except MemoryError:
+        _error("memory", "out of memory")
 
 
 @click.group(cls=_Main)

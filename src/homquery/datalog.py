@@ -329,7 +329,7 @@ def evaluate(program: DatalogProgram, structure: Structure) -> bool:
     """
     Semi-naive bottom-up fixpoint; True iff the nullary goal is derived.
     Each round joins set-at-a-time through hash indexes (EDB ones read
-    from _edb_index's cache once per call, IDB ones built once per round,
+    from _edb_index's cache at each use, IDB ones built once per round,
     each when a plan first reads it) and tries only derivations that use a
     fact new in the last round.
     A round fires the goal's rules first and ends as soon as the goal
@@ -347,18 +347,16 @@ def evaluate(program: DatalogProgram, structure: Structure) -> bool:
 
     total: dict[str, set] = {name: set() for name in program.idb}
     delta: dict[str, set] = {}
-    edb_indexes: dict[int, dict] = {}
     round_indexes: dict[int, dict] = {}
 
     def relation(probe: _Probe) -> dict:
-        cache = edb_indexes if probe.source == EDB else round_indexes
-        index = cache.get(probe.index_id)
+        if probe.source == EDB:
+            return _edb_index(structure.relations[probe.predicate], probe.shape)
+        index = round_indexes.get(probe.index_id)
         if index is None:
-            index = cache[probe.index_id] = (
-                _edb_index(structure.relations[probe.predicate], probe.shape)
-                if probe.source == EDB
-                else _index(total[probe.predicate] if probe.source == FULL
-                            else delta.get(probe.predicate, ()), probe.shape))
+            index = round_indexes[probe.index_id] = _index(
+                total[probe.predicate] if probe.source == FULL
+                else delta.get(probe.predicate, ()), probe.shape)
         return index
 
     max_arity = max(program.idb.values(), default=0)

@@ -146,11 +146,9 @@ def experiment_adaptive_not_better(k: int = 1) -> ExperimentReport:
     algorithm, adaptive or not, decides the family in fewer than k
     queries; for k=1 also brute-force the matrix.
     """
-    primes = (2, 3, 5, 7)[:2 * k]
-    if k < 1 or len(primes) != 2 * k:
-        raise alg.ParameterError(f"k={k} needs 2k distinct primes, got primes={primes}")
+    algorithm, structures = alg.adaptive_not_better_instance(k)
+    primes = alg.INSTANCE_PRIMES[:2 * k]
     report = ExperimentReport("adaptive-not-better", {"k": k, "primes": primes})
-    algorithm, structures = alg.adaptive_not_better_instance(k, primes)
 
     diagonal_ok = True
     classification_ok = True

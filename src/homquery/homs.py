@@ -45,10 +45,10 @@ A structure's parts are kept on the object (outside its fields, so
 equality, hash, repr and its JSON form never see them) and come from a
 cache keyed on its relation contents, which an equal structure built
 afresh, such as a drop target of analysis.core, still hits.  Plans are
-cached per source part (a miss runs one BFS of the part), tables per
-(target relation, mask), and the tables a plan reads in a target part, or
-None when one is empty, per (target part's relations, the plan's needs).
-These four caches are keyed on relation contents and bounded at
+cached per source part (a miss runs one BFS of the part), and the tables a
+plan reads in a target part, or None when one is empty, per (target part's
+relations, the plan's needs); the tables are built when that lookup
+misses.  These three caches are keyed on relation contents and bounded at
 structures.CACHE_SIZE entries, so that a sweep of probes over a few dozen
 targets finds its parts and tables still built.
 
@@ -124,13 +124,13 @@ def _plan(domain_size: int, relations: tuple[frozenset, ...]):
     return tuple(needs), (tuple(order), tuple(frontier), tuple(map(tuple, checks)))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _table(relation: frozenset, mask: int) -> dict:
     """
     For facts whose positions in mask hold the element being placed: the
     images it may take (an ascending tuple), keyed on the images at the
     other positions, a scalar for one other position and a tuple otherwise.
-    Callers must not mutate it.
+    Only tuples that agree on the mask positions are facts about it, as in
+    R(x, x).
     """
     if not relation:
         return {}
@@ -139,18 +139,10 @@ def _table(relation: frozenset, mask: int) -> dict:
     fixed = [k for k in range(arity) if not mask >> k & 1]
     key = itemgetter(*fixed) if fixed else _no_images
     grouped: defaultdict[object, list[int]] = defaultdict(list)
-    if len(new) == 1:
-        image = itemgetter(new[0])
-        for t in relation:
-            grouped[key(t)].append(image(t))
-    else:
-        # the element fills several positions, as in R(x, x): only tuples
-        # that agree on them are facts about it
-        images = itemgetter(*new)
-        for t in relation:
-            vs = images(t)
-            if vs.count(vs[0]) == len(vs):
-                grouped[key(t)].append(vs[0])
+    for t in relation:
+        v = t[new[0]]
+        if all(t[k] == v for k in new):
+            grouped[key(t)].append(v)
     return {k: tuple(sorted(vs)) for k, vs in grouped.items()}
 
 
@@ -159,7 +151,9 @@ def _tables(relations: tuple[frozenset, ...], needs: tuple[tuple[int, int], ...]
     """
     The tables needs reads in a target part with these relations, in needs'
     order, or None when one is empty: a fact of the source part then has no
-    image in the target part.
+    image in the target part.  This is the only cache of tables: a table
+    that several needs tuples read is built at each use.  Callers must not
+    mutate them.
     """
     tables = tuple(_table(relations[r], mask) for r, mask in needs)
     return tables if all(tables) else None

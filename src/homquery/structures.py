@@ -186,15 +186,16 @@ def edges_of(d: Structure) -> frozenset[tuple[int, int]]:
 
 
 # The bound of every bounded cache in the library: those keyed on relation
-# contents (homs' plans, tables, table sets, parts and cycle invariants,
-# datalog's EDB indexes, canonical forms; no entry is larger than its key),
-# the probe constructors below and the registry's builds.  It holds a seed-1
-# benchmark round: decide fills 180 plans, 474 tables, 706 table sets (the
-# tables one plan reads in one target part), 310 parts, 15 canonical forms;
-# count-large 100 plans, 42 tables, 75 table sets, 133 parts; crosscheck 93
-# invariants, 126 EDB indexes.  Over three seed-1 rounds of each workload the
-# homs caches miss only in the first, the probe caches hold at most 8
-# entries each and the registry's builds 16: none evicts.
+# contents (homs' plans, table sets, parts and cycle invariants, datalog's
+# EDB indexes, canonical forms; no entry is larger than its key), the probe
+# constructors below and the registry's builds.  It holds a seed-1 benchmark
+# round: in a fresh process, set-up and the first round of decide fill 156
+# plans, 652 table sets (the tables one plan reads in one target part; 887
+# tables built), 224 parts, 15 canonical forms; count-large 100 plans, 75
+# table sets (154 tables built), 133 parts; crosscheck 93 invariants, 126
+# EDB indexes.  Over three seed-1 rounds of each workload these caches miss
+# only in the first, the probe caches hold at most 9 entries each and the
+# registry's builds 16: none evicts.
 CACHE_SIZE = 1024
 
 

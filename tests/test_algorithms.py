@@ -172,16 +172,19 @@ def test_even_power_cycle_class():
 
 
 def test_adaptive_not_better_instance():
-    nonadaptive, structures = alg.adaptive_not_better_instance(1, (2, 3))
+    nonadaptive, structures = alg.adaptive_not_better_instance(1)
     assert len(nonadaptive.queries) == 1
     assert len(structures) == 2
     # accepts exactly the first k structures of the family
     for j, s in enumerate(structures):
         assert run_non_adaptive(nonadaptive, s, LEFT).verdict == (j < 1)
-    with pytest.raises(ValueError):
-        alg.adaptive_not_better_instance(1, (2, 2))
-    with pytest.raises(GuardExceeded):
-        alg.adaptive_not_better_instance(2, (2, 3, 5, 11))
+    # INSTANCE_PRIMES holds the 2k primes of k = 1 and 2 only
+    with pytest.raises(alg.ParameterError,
+                       match=r"^k=0 needs 2k distinct primes, got primes=\(\)$"):
+        alg.adaptive_not_better_instance(0)
+    with pytest.raises(alg.ParameterError,
+                       match=r"^k=3 needs 2k distinct primes, got primes=\(2, 3, 5, 7\)$"):
+        alg.adaptive_not_better_instance(3)
 
 
 def test_unary_reconstruction():

@@ -487,6 +487,17 @@ def test_budget_and_step_cap_refusals_exit_3(runner, files, monkeypatch):
         "error: step-limit: exceeded step cap 4"
 
 
+def test_running_out_of_memory_is_a_refusal_exit_3(runner, files, monkeypatch):
+    # a run past a lifted guard may exhaust memory: that is a refusal,
+    # one line and no traceback, not an assertion's FAIL
+    def out_of_memory(a, b, semiring):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "hom_value", out_of_memory)
+    r = runner.invoke(main, ["hom", "count", "--from", files["c6"], "--to", files["c3"]])
+    assert _one_error_line(r, 3, "error: memory: ") == "error: memory: out of memory"
+
+
 R2 = '"signature": [{"name": "R", "arity": 2}]'
 MALFORMED_STRUCTURES = [
     ('{"signature": [', "invalid JSON"),

@@ -315,8 +315,8 @@ def _slow_to_say_no(strategy):
 def _reversed_instance(monkeypatch):
     build = alg.adaptive_not_better_instance
 
-    def reversed_members(k, primes):
-        algorithm, structures = build(k, primes)
+    def reversed_members(k):
+        algorithm, structures = build(k)
         return algorithm, structures[::-1]
     monkeypatch.setattr(alg, "adaptive_not_better_instance", reversed_members)
 

@@ -30,7 +30,6 @@ GUARDS = {
     (analysis, "CORE_GUARD"): (2, [lambda: analysis.core(C3),
                                    lambda: analysis.hom_equiv_to_acyclic(C3)]),
     (oracle, "ORACLE_GUARD"): (8, [lambda: oracle.oracle_hom_count(directed_cycle(2), C3)]),
-    (alg, "INSTANCE_GUARD"): (5, [lambda: alg.adaptive_not_better_instance(1, (2, 3))]),
     (alg, "DN_GUARD"): (2, [lambda: alg.dn_member(3, 1),
                             lambda: alg.dn_nonadaptive_separator(3),
                             lambda: alg.dn_adaptive_binary_search(3)]),

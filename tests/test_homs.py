@@ -277,26 +277,28 @@ def test_parts_group_equal_relabelled_components():
     assert order == (0, 3, 1, 2)
 
 
-def test_a_repeated_query_resolves_nothing_anew():
+def test_a_repeated_query_resolves_nothing_anew(monkeypatch):
     # the second query reads each structure's parts from the object and the
     # tables of each pair of parts from one lookup: no engine cache misses,
-    # one plan per source part and one table lookup per pair of parts
-    caches = {"parts": homs._parts, "plan": homs._plan, "table": _table,
-              "tables": homs._tables}
+    # one plan per source part, one table lookup per pair of parts and no
+    # table built
+    caches = {"parts": homs._parts, "plan": homs._plan, "tables": homs._tables}
 
     def info():
         return {name: cache.cache_info() for name, cache in caches.items()}
 
     a = disjoint_union(directed_cycle(6), directed_path(2))  # two parts
     b = digraph(4, {(0, 1), (1, 2), (2, 0), (2, 3)})  # one part
+    built = count_calls(monkeypatch, _table)
     for query in (hom_count, hom_exists):
         query(a, b)
-        before = info()
+        before, tables_before = info(), built[0]
         query(a, b)
         after = info()
         assert {name: (after[name].hits - before[name].hits,
                        after[name].misses - before[name].misses) for name in caches} == \
-            {"parts": (0, 0), "plan": (2, 0), "table": (0, 0), "tables": (2, 0)}, query
+            {"parts": (0, 0), "plan": (2, 0), "tables": (2, 0)}, query
+        assert built[0] == tables_before, query
 
 
 def test_an_equal_structure_built_afresh_hits_the_parts_cache():
@@ -414,8 +416,9 @@ def test_table_matches_grouping_reference(rel):
 
 
 def test_sweep_past_the_table_cache_agrees_with_matrix_powers():
-    # each target is read through masks 1, 2 and 3; two passes over more
-    # targets than the cache holds evict every table before it is read again
+    # each target is read through three needs tuples (P_1 and P_3 share
+    # one); two passes over more targets than the cache holds evict every
+    # table set before it is read again
     rng = random.Random(7)
     targets = []
     for _ in range(CACHE_SIZE // 2 + 8):
@@ -427,11 +430,11 @@ def test_sweep_past_the_table_cache_agrees_with_matrix_powers():
     def sweep():
         return [{name: hom_count(a, g) for name, a in sources.items()} for g in targets]
 
-    before = _table.cache_info().misses
+    before = homs._tables.cache_info().misses
     first = sweep()
-    between = _table.cache_info().misses
+    between = homs._tables.cache_info().misses
     second = sweep()
-    assert _table.cache_info().misses - between > CACHE_SIZE
+    assert homs._tables.cache_info().misses - between > CACHE_SIZE
     assert between > before
     assert first == second
     for g, counts in zip(targets, first):
